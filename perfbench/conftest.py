@@ -1,0 +1,5 @@
+"""Makes the package sources importable for the benchmark's own tests."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
