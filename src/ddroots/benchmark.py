@@ -14,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 from mpmath import mp, mpf
 
 from . import efficiency
-from .convergence import acoc as _acoc
+# unused here since solve reports the ACOC spread; perfbench/tracer.py patches this name
+from .convergence import acoc as _acoc  # noqa: F401
 from .core import HPVector, OpCounters, PrecisionContext, SolverError, mat_inf_norm, to_decimal
 from .divdiff import (
     DividedDifferenceKind,
@@ -99,6 +100,7 @@ class BenchmarkRow:
     counters_ok: Optional[bool] = None
     counts_expected: Optional[tuple] = None
     counts_measured: Optional[tuple] = None
+    working_digits: Optional[tuple] = None
     final_iterate: Optional[list] = None
     error: Optional[str] = None
 
@@ -185,12 +187,8 @@ def run_row(
         row.iterations = report.iterations
         row.acoc = mp.nstr(report.acoc, 12) if report.acoc is not None else None
         row.acoc_full = to_decimal(report.acoc) if report.acoc is not None else None
-        try:
-            estimate = _acoc(report.trace)
-            if estimate.spread is not None:
-                row.acoc_spread = mp.nstr(estimate.spread, 6)
-        except SolverError:
-            pass
+        if report.acoc_spread is not None:
+            row.acoc_spread = mp.nstr(report.acoc_spread, 6)
         row.correct_decimals = report.correct_decimals
         row.eta = report.eta_used
         row.converged = report.converged
@@ -200,6 +198,7 @@ def run_row(
         row.counts_measured = (
             report.trace.counter_deltas[0] if report.trace.counter_deltas else None
         )
+        row.working_digits = report.trace.working_digits
         row.final_iterate = report.final_iterate.to_decimals()
         if mismatched:
             row.error = (
@@ -288,6 +287,7 @@ def rows_to_json(rows: Sequence[BenchmarkRow]) -> str:
             acoc_spread=r.acoc_spread,
             counts_expected=r.counts_expected,
             counts_measured=r.counts_measured,
+            working_digits=r.working_digits,
             final_iterate=r.final_iterate,
         )
         payload.append(entry)

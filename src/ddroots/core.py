@@ -189,12 +189,6 @@ def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:
     return HPVector(sum(row[j] * v[j] for j in range(a.m)) for row in a.rows)
 
 
-def mat_sub(a: HPMatrix, b: HPMatrix) -> HPMatrix:
-    return HPMatrix(
-        (x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    )
-
-
 @dataclass(frozen=True)
 class LUFactorization:
     """Combined LU storage with partial-pivot permutation.

@@ -50,8 +50,10 @@ class NonlinearSystem:
 
     ``components[i]`` evaluates the i-th scalar equation at an indexable
     point.  Components must be pure functions of the point; counters are
-    passed explicitly so concurrent solves over one system definition stay
-    independent.
+    passed explicitly, so solves over one system definition share no tallies.
+    They do share precision: it lives in mpmath's process-global ``mp``, and
+    ``solve`` switches it on every iteration, so parallel solves must run in
+    separate processes, not threads.
     """
 
     def __init__(

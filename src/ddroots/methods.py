@@ -1,13 +1,14 @@
 """Derivative-free iteration engines of local order 2, 4 and 6.
 
 The base step replaces the Jacobian with a central divided difference on
-(x + F(x), x - F(x)).  The higher-order steps share one combined operator
+(x - F(x), x + F(x)).  The higher-order steps share one combined operator
 factorization, which is what makes the marginal cost of the third step a
 single residual evaluation plus a triangular-pair solve.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,14 +103,16 @@ class IterationTrace:
     """Raw solve history: iterates, correction norms, ratios, counters.
 
     ``correction_norms[k]`` is ||x_{k+1} - x_k||_inf, ``ratios[k]`` the
-    quotient of consecutive correction norms, and ``counter_deltas[k]`` the
-    (evals, products, quotients) spent by outer iteration k + 1.
+    quotient of consecutive correction norms, ``counter_deltas[k]`` the
+    (evals, products, quotients) spent by outer iteration k + 1, and
+    ``working_digits[k]`` the decimal precision that iteration ran at.
     """
 
     iterates: tuple
     correction_norms: tuple
     ratios: tuple
     counter_deltas: tuple
+    working_digits: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.correction_norms) != max(len(self.iterates) - 1, 0):
@@ -130,6 +133,7 @@ class SolveReport:
     eta_used: float
     stop_reason: str
     acoc: Optional[mpf] = None
+    acoc_spread: Optional[mpf] = None
     correct_decimals: Optional[int] = None
 
 
@@ -217,6 +221,37 @@ def _outer_step(
     return step_phi2(system, z, fact_nu, counters)
 
 
+# Precision ramp.  After a correction of norm 10^(-D) the current iterate is
+# about rho*D digits from the root, so the next outer step only needs about
+# rho^2*D digits to land where its order puts it (Newton's method with
+# increasing precision; Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
+# The margin must be multiplicative: where the error constants are below one
+# the iterates hold more than rho^2*D digits, by an excess that grows with D.
+# With an additive 32-digit guard alone, quad2 phi2/d2 at 4096 digits ran
+# iteration 3 at 2384 digits for an iterate that holds 2391, and q fell from
+# 2391 to 2377.  The additive guard covers the rounding the ramped iterates
+# pass on to the final one: with 32 digits, quad2 phi2/d2's final iterate
+# matched a fixed-precision run to q + 8 decimals; with 40, every registered
+# row matches beyond q + 10 at 1024 and 4096 digits.
+_RAMP_FACTOR = 1.25
+_RAMP_GUARD_DIGITS = 40
+_LOG10_2 = math.log10(2)
+
+
+def _ramp_digits(rho: float, correction: mpf, x: HPVector, full: int) -> int:
+    """Working digits for the outer step from x after a correction of this norm.
+
+    D counts the correction's digits relative to ||x|| (absolutely while
+    ||x|| < 4): the working precision is relative, and absolute digits would
+    starve an iterate of large magnitude, whose ratios then stop hundreds of
+    digits short of the target.
+    """
+    # log2(v) < mag(v) <= log2(v) + 1, so D is rounded down, by under 3 bits
+    scale = max(max(mp.mag(e) for e in x) - 2, 0)
+    digits = max((scale - mp.mag(correction)) * _LOG10_2, 0.0)
+    return min(full, math.ceil(_RAMP_FACTOR * rho * rho * digits) + _RAMP_GUARD_DIGITS)
+
+
 def solve(
     system: NonlinearSystem,
     x0: HPVector,
@@ -236,39 +271,63 @@ def solve(
     report counts the iterations up to the confirmed iterate and returns it;
     the trace keeps the confirming step for order estimation.
 
-    ``order_hint`` overrides the order used for eta (systems whose mixed
-    second derivatives vanish keep the design orders even with the one-sided
-    operator); ``eta_override`` pins eta directly.  A degenerate divided
-    difference means a residual component underflowed, which is reported as
-    convergence on the trace accumulated so far.
+    Iteration 1 runs at ``ctx.digits``; every later one runs at the digits
+    its result can hold, rho^2 times those of the latest correction plus a
+    margin, capped at ``ctx.digits``.  Correction norms, ratios, the
+    threshold, ACOC and correct decimals are computed at ``ctx.digits``.
+
+    ``order_hint`` overrides the order used for eta and the ramp (systems
+    whose mixed second derivatives vanish keep the design orders even with
+    the one-sided operator); ``eta_override`` pins eta directly.  A
+    degenerate divided difference means a residual component underflowed,
+    which is reported as convergence on the trace accumulated so far.  An
+    underflow, an exact repeat or a singular operator met below
+    ``ctx.digits`` says nothing about the target epsilon: that iteration is
+    redone at ``ctx.digits``, and every later one runs there too.
     """
     method = MethodKind(method)
     dd_kind = DividedDifferenceKind(dd_kind)
     if max_iters < 2:
         raise ValueError("max_iters must be at least 2")
     counters = OpCounters()
+    full = ctx.digits
     with ctx.activate():
         rho = order_hint if order_hint is not None else theoretical_order(method, dd_kind)
-        eta_used = float(eta_override) if eta_override is not None else _eta(rho, ctx.digits)
-        threshold = mpf("0.5") * mpf(10) ** (-mpf(eta_used))
+        eta_used = float(eta_override) if eta_override is not None else _eta(rho, full)
+        # the threshold only has to order the ratios, not carry the target
+        with mp.workdps(30):
+            threshold = mpf("0.5") * mpf(10) ** (-mpf(eta_used))
         x = HPVector(x0)
         iterates = [x]
         corr_norms: list = []
         ratios: list = []
         deltas: list = []
+        working: list = []
         stop_reason = None
         growth_streak = 0
-        for _ in range(max_iters):
+        ramping = True
+        while len(corr_norms) < max_iters:
+            digits = _ramp_digits(rho, corr_norms[-1], x, full) if ramping and corr_norms else full
             before = counters.snapshot()
             try:
-                x_next = _outer_step(system, x, method, dd_kind, counters)
-            except DegenerateDividedDifference:
+                with mp.workdps(digits):
+                    x_next = _outer_step(system, x, method, dd_kind, counters)
+            except (DegenerateDividedDifference, SingularOperator) as exc:
+                if digits < full:
+                    # says nothing about the target precision: redo at it
+                    ramping = False
+                    continue
+                if isinstance(exc, SingularOperator):
+                    raise
                 stop_reason = "residual_underflow"
                 break
-            after = counters.snapshot()
-            deltas.append(tuple(a - b for a, b in zip(after, before)))
-            iterates.append(x_next)
             c = inf_norm(x_next - x)
+            if c == 0 and digits < full:
+                ramping = False
+                continue
+            deltas.append(tuple(a - b for a, b in zip(counters.snapshot(), before)))
+            working.append(digits)
+            iterates.append(x_next)
             corr_norms.append(c)
             if c == 0:
                 stop_reason = "exact_repeat"
@@ -306,12 +365,12 @@ def solve(
             correction_norms=tuple(corr_norms),
             ratios=tuple(ratios),
             counter_deltas=tuple(deltas),
+            working_digits=tuple(working),
         )
-        acoc_value = None
         try:
-            acoc_value = _acoc(trace).rho_hat
+            estimate = _acoc(trace)
         except SolverError:
-            pass
+            estimate = None
         q = None
         if system.reference_root is not None:
             q = _correct_decimals(final, system.reference_root)
@@ -323,6 +382,7 @@ def solve(
             counters=counters,
             eta_used=eta_used,
             stop_reason=stop_reason,
-            acoc=acoc_value,
+            acoc=estimate.rho_hat if estimate else None,
+            acoc_spread=estimate.spread if estimate else None,
             correct_decimals=q,
         )

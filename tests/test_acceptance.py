@@ -109,6 +109,36 @@ def test_criterion_3_iteration_counts(full_runs, smoke_runs):
     )
 
 
+# (I, q) of the 1024-digit smoke tier as a fixed-precision solve gives them;
+# the precision ramp in ``solve`` must reproduce every pair
+SMOKE_PINS = {
+    ("exp5", PHI0, D1): (9, 872),
+    ("exp5", PHI1, D1): (4, 277),
+    ("exp5", PHI2, D1): (3, 198),
+    ("exp5", PHI1, D2): (4, 277),
+    ("exp5", PHI2, D2): (3, 198),
+    ("quad2", PHI0, D1): (9, 832),
+    ("quad2", PHI1, D1): (6, 969),
+    ("quad2", PHI1, D2): (4, 487),
+    ("quad2", PHI2, D1): (4, 345),
+    ("quad2", PHI2, D2): (3, 398),
+    ("cos3", PHI0, D1): (11, 644),
+    ("cos3", PHI1, D1): (7, 849),
+    ("cos3", PHI1, D2): (5, 629),
+    ("cos3", PHI2, D1): (5, 378),
+    ("cos3", PHI2, D2): (4, 725),
+}
+
+
+def test_smoke_tier_pinned_to_fixed_precision(smoke_runs):
+    assert set(SMOKE_PINS) == set(smoke_runs)
+    for key, pin in SMOKE_PINS.items():
+        row = smoke_runs[key]
+        stop = "residual_underflow" if key == ("cos3", PHI1, D1) else "ratio"
+        assert (row.iterations, row.correct_decimals, row.stop_reason) == (*pin, stop), key
+        assert row.counters_ok, key
+
+
 def test_criterion_4_acoc_order_recovery(full_runs):
     bad = []
     expectations = {key: REGISTRY[key[0]].rows[(key[1], key[2])].order for key in map(tuple, PUBLISHED)}

@@ -97,6 +97,8 @@ def test_json_round_trip(quad2_rows):
             for s in entry["final_iterate"]:
                 assert to_decimal(from_decimal(s)) == s
             assert to_decimal(from_decimal(entry["acoc_full"])) == entry["acoc_full"]
+            assert entry["working_digits"][0] == entry["digits"]
+            assert len(entry["working_digits"]) >= entry["iterations"]
 
 
 def test_csv_and_markdown_shapes(quad2_rows):

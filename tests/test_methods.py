@@ -251,3 +251,88 @@ def test_same_prefix_at_higher_precision():
         for k in range(shared):
             for a, b in zip(iterates[192][k], iterates[384][k]):
                 assert abs(a - b) <= mpf(10) ** -150 * max(mpf(1), abs(b))
+
+
+def test_precision_ramp_on_exp5():
+    spec = REGISTRY["exp5"]
+    ctx = PrecisionContext(1024)
+    with ctx.activate():
+        report = solve(spec.build_system(), spec.x0_vector(), PHI0, D1, ctx, order_hint=2)
+    digits = report.trace.working_digits
+    assert report.iterations == 9 and report.stop_reason == "ratio"
+    assert len(digits) == len(report.trace.counter_deltas) == report.iterations + 1
+    # iteration 1 and the confirming iteration run at the target precision,
+    # every iteration before the last two below it, and the ramp only rises
+    assert digits[0] == digits[-1] == 1024
+    assert all(d < 1024 for d in digits[1:-2])
+    assert list(digits[1:]) == sorted(digits[1:])
+
+
+def test_underflow_below_full_precision_redoes_the_iteration_at_full():
+    ctx = PrecisionContext(256)
+    start = HPVector(["1.5", "1.7"])
+    with ctx.activate():
+        unscaled = NonlinearSystem(2, [lambda p: p[0] * p[0] - 2, lambda p: p[1] * p[1] - 3])
+        assert solve(unscaled, start, PHI1, D1, ctx).trace.working_digits[1] < 256
+        # scaled by 1e-60, F_1 underflows the ~45 digits the ramp picks for
+        # iteration 2 while it is still far above the 256-digit target
+        scale = mpf(10) ** -60
+        system = NonlinearSystem(
+            2, [lambda p: scale * (p[0] * p[0] - 2), lambda p: p[1] * p[1] - 3]
+        )
+        report = solve(system, start, PHI1, D1, ctx)
+        trace = report.trace
+        assert report.stop_reason == "ratio"
+        assert trace.working_digits == (256,) * len(trace.counter_deltas)
+        expected = expected_iteration_counts(PHI1, D1, 2)
+        assert all(d == expected for d in trace.counter_deltas)
+        # the aborted attempt evaluated F(x_1) before the underflow stopped
+        # it: the totals count those 2 evaluations, no iteration delta does
+        totals = [sum(d[i] for d in trace.counter_deltas) for i in range(3)]
+        assert report.counters.snapshot() == (totals[0] + 2, totals[1], totals[2])
+        assert inf_norm(system.eval(report.final_iterate)) < mpf(10) ** -report.eta_used
+
+
+@pytest.mark.parametrize("exponent, ramps", [(30, True), (60, False)])
+def test_singular_operator_below_full_precision_redoes_the_iteration_at_full(
+    exponent, ramps
+):
+    # the rows of F differ by 10^-exponent, so the operator's second pivot
+    # is about that small: below the ~45 digits the ramp picks for iteration
+    # 2 once the exponent exceeds 45, but far above the 256-digit target
+    ctx = PrecisionContext(256)
+    with ctx.activate():
+        coupling = 1 + mpf(10) ** -exponent
+        system = NonlinearSystem(
+            2,
+            [
+                lambda p: (p[0] * p[0] - 2) + (p[1] * p[1] - 3),
+                lambda p: (p[0] * p[0] - 2) + coupling * (p[1] * p[1] - 3),
+            ],
+        )
+        report = solve(system, HPVector(["1.5", "1.7"]), PHI0, D2, ctx)
+        digits = report.trace.working_digits
+        assert report.stop_reason == "ratio"
+        assert (digits[1] < 256) is ramps
+        assert ramps or digits == (256,) * len(digits)
+        expected = expected_iteration_counts(PHI0, D2, 2)
+        assert all(d == expected for d in report.trace.counter_deltas)
+        assert inf_norm(system.eval(report.final_iterate)) < mpf(10) ** -report.eta_used
+
+
+# a fixed-precision solve leaves relative errors of 1.4e-977 and 1.5e-554
+@pytest.mark.parametrize("method, digits", [(PHI0, 970), (PHI2, 550)])
+def test_ramp_keeps_the_digits_of_a_root_of_large_magnitude(method, digits):
+    # the working precision is relative, so the ramp must count the
+    # correction's digits relative to the iterate: counted absolutely,
+    # they starve an iterate near 1e20 and the ratios stop on a root
+    # hundreds of digits short of the target
+    ctx = PrecisionContext(1024)
+    with ctx.activate():
+        root = mpf(10) ** 20 + mpf("0.1")
+        square = root * root
+        system = NonlinearSystem(1, [lambda p: p[0] * p[0] - square])
+        report = solve(system, HPVector([2 * mpf(10) ** 20]), method, D2, ctx)
+        assert report.stop_reason == "ratio"
+        assert report.trace.working_digits[1] < 1024
+        assert abs(report.final_iterate[0] / root - 1) < mpf(10) ** -digits
