@@ -79,7 +79,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         methods=methods,
         dd_kinds=dds,
         max_iters=args.max_iters,
-        output_format=args.format,
         ell=args.ell,
         mu=args.mu,
         use_estimated_mu=args.estimate_mu,

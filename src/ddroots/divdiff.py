@@ -30,9 +30,14 @@ from .core import (
 class DegenerateDividedDifference(SolverError):
     """Some coordinate pair coincides, so a difference quotient is undefined.
 
-    Inside the iterative methods this happens only when a residual component
-    has underflowed the working precision, i.e. at (near-)convergence.
+    In the iterative methods a residual component has underflowed, or an
+    iterate pair coincides in one coordinate; ``residual`` then carries F at
+    the iterate, so a caller can tell a root from a zero of one equation.
     """
+
+    def __init__(self, message: str, residual: Optional[HPVector] = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class DividedDifferenceKind(str, enum.Enum):
@@ -62,7 +67,6 @@ class NonlinearSystem:
         components: Sequence[ComponentFn],
         name: str = "",
         reference_root: Optional[HPVector] = None,
-        mu_hint: Optional[float] = None,
     ):
         if m < 1:
             raise ValueError("dimension must be at least 1")
@@ -72,7 +76,6 @@ class NonlinearSystem:
         self.components = tuple(components)
         self.name = name
         self.reference_root = reference_root
-        self.mu_hint = mu_hint
 
     def eval_component(self, i: int, point: Sequence, counters: Optional[OpCounters] = None) -> mpf:
         """Evaluate F_i at ``point``; counts exactly one scalar evaluation."""
@@ -87,9 +90,7 @@ class NonlinearSystem:
         )
 
     def with_reference_root(self, root: HPVector) -> "NonlinearSystem":
-        return NonlinearSystem(
-            self.m, self.components, self.name, root, self.mu_hint
-        )
+        return NonlinearSystem(self.m, self.components, self.name, root)
 
     def __repr__(self) -> str:
         return f"NonlinearSystem(name={self.name!r}, m={self.m})"
@@ -227,20 +228,22 @@ def central_dd(
     the one-sided construction is not symmetric in its arguments and this
     orientation is the one the published iteration counts pin down.  Returns
     the operator together with F(x) so the caller evaluates the residual
-    exactly once per outer iteration.  Raises DegenerateDividedDifference
-    when some residual component is below the working epsilon (the two probe
-    points then coincide in that coordinate); callers should have checked
-    their stopping rule first.
+    exactly once per outer iteration.  Raises DegenerateDividedDifference,
+    carrying F(x), when some residual component is below the working epsilon
+    or the two probe points coincide in a coordinate relative to x.
     """
     fxv = fx if fx is not None else system.eval(x, counters)
     eps = working_eps()
-    if any(abs(f) < eps for f in fxv):
-        raise DegenerateDividedDifference(
-            "a residual component underflowed the working precision"
-        )
-    lo = x - fxv
-    hi = x + fxv
-    return operator_for(kind)(system, lo, hi, counters), fxv
+    for i, f in enumerate(fxv):
+        if abs(f) < eps:
+            raise DegenerateDividedDifference(
+                f"residual component {i} underflowed the working precision", fxv
+            )
+    try:
+        return operator_for(kind)(system, x - fxv, x + fxv, counters), fxv
+    except DegenerateDividedDifference as exc:
+        exc.residual = fxv
+        raise
 
 
 _GL_CACHE: dict = {}

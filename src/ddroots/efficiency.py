@@ -1,11 +1,15 @@
 """Closed-form cost model, efficiency indices, and region comparisons.
 
 Per-iteration cost is C = a(m) * mu + p(m, ell) in product units, where mu
-prices one scalar-function evaluation and ell one quotient.  The efficiency
-index CEI = rho^(1/C) trades local order against cost; boundary curves in
-the (m, mu) plane separate the regions where competing method/operator
-pairs win.  Everything here is computed in the active mpmath precision so
-table comparisons are exact rather than float-lucky.
+prices one scalar-function evaluation and ell one quotient.  a(m) and
+p = products + ell * quotients come from the priced view of the count table
+in ``methods``, which departs from the measured view in two places, as the
+paper does: phi0 is priced with d1's m(m + 2) evaluations under d2 too, and
+d2's m^2 one-half products per build are left out.  The efficiency index
+CEI = rho^(1/C) trades local order against cost; boundary curves in the
+(m, mu) plane separate the regions where competing method/operator pairs
+win.  Everything here is computed in the active mpmath precision so table
+comparisons are exact rather than float-lucky.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from mpmath import mp, mpf
 
 from .core import SolverError, working_eps
 from .divdiff import DividedDifferenceKind
-from .methods import MethodKind, theoretical_order
+from .methods import PRICED_COUNTS, MethodKind, count_at, theoretical_order
 
 Real = Union[int, float, str, mpf]
 
@@ -88,51 +92,17 @@ class ElementaryCostTable:
 DEFAULT_COST_TABLE = ElementaryCostTable()
 
 
-def scalar_evals(method: MethodKind, dd_kind: DividedDifferenceKind, m: int) -> int:
-    """a(m): scalar-function evaluations per outer iteration in the cost model.
-
-    The base method needs only one operator build, so its cost is quoted for
-    the one-sided kind regardless of ``dd_kind``.
-    """
-    method = MethodKind(method)
-    d2 = DividedDifferenceKind(dd_kind) is DividedDifferenceKind.D2
-    if method is MethodKind.PHI0:
-        return m * (m + 2)
-    if method is MethodKind.PHI1:
-        return 4 * m * m if d2 else 2 * m * (m + 1)
-    return m * (4 * m + 1) if d2 else m * (2 * m + 3)
-
-
-def product_count(method: MethodKind, m: int) -> int:
-    """Products per outer iteration (factorizations plus triangular solves)."""
-    method = MethodKind(method)
-    if method is MethodKind.PHI0:
-        return m * (2 * m * m + 3 * m - 5) // 6
-    if method is MethodKind.PHI1:
-        return m * (2 * m * m + 3 * m - 5) // 3
-    return m * (2 * m * m + 6 * m - 8) // 3
-
-
-def quotient_count(method: MethodKind, m: int) -> int:
-    """Quotients per outer iteration (elimination, substitution, operators)."""
-    method = MethodKind(method)
-    if method is MethodKind.PHI0:
-        return m * (3 * m + 1) // 2
-    if method is MethodKind.PHI1:
-        return m * (3 * m + 1)
-    return m * (3 * m + 2)
+def _cost_terms(method: MethodKind, dd_kind: DividedDifferenceKind, m: Real, ell: mpf) -> tuple:
+    """(a(m), p(m, ell)) of the priced cost C = a(m) mu + p(m, ell)."""
+    polys = PRICED_COUNTS[MethodKind(method), DividedDifferenceKind(dd_kind)]
+    evals, products, quotients = (count_at(poly, m) for poly in polys)
+    return evals, products + ell * quotients
 
 
 def cost(model: CostModel) -> mpf:
     """Closed-form per-iteration cost C(mu, m, ell) in product units."""
-    mu = as_mpf(model.mu)
-    ell = as_mpf(model.ell)
-    m = model.m
-    return (
-        scalar_evals(model.method, model.dd_kind, m) * mu
-        + product_count(model.method, m)
-        + ell * quotient_count(model.method, m)
-    )
+    evals, rest = _cost_terms(model.method, model.dd_kind, model.m, as_mpf(model.ell))
+    return evals * as_mpf(model.mu) + rest
 
 
 def cei(rho: Real, c: Real) -> mpf:
@@ -194,10 +164,6 @@ COMPARISONS: dict[str, tuple[tuple, tuple]] = {
         (MethodKind.PHI1, DividedDifferenceKind.D1, 4),
         (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
     ),
-    "t3_phi2_phi0": (
-        (MethodKind.PHI2, DividedDifferenceKind.D1, 6),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
     # symmetrized-operator family
     "d2_phi2_phi1": (
         (MethodKind.PHI2, DividedDifferenceKind.D2, 6),
@@ -222,10 +188,6 @@ COMPARISONS: dict[str, tuple[tuple, tuple]] = {
     ),
     "d1_phi2_phi0_degraded": (
         (MethodKind.PHI2, DividedDifferenceKind.D1, 4),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
-    "d1_phi1_phi0_degraded": (
-        (MethodKind.PHI1, DividedDifferenceKind.D1, 3),
         (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
     ),
 }
@@ -253,87 +215,42 @@ def classify_region(pair: str, m: int, mu: Real, ell: Real) -> str:
 
 
 def boundary_g(which: str, m: Real, ell: Real) -> mpf:
-    """mu on the equal-efficiency boundary of the named comparison.
+    """mu on the equal-efficiency boundary of a named comparison.
 
-    ``which`` is one of g20, g22, g11 (comparisons of the sixth- and
-    fourth-order symmetrized pairs against the base method and against their
-    degraded one-sided counterparts).
+    The published curves are g20, g22 and g11: the sixth- and fourth-order
+    symmetrized pairs against the base method and against their degraded
+    one-sided counterparts.  The balance log(rho_a) C_b = log(rho_b) C_a is
+    linear in mu: mu = (log(rho_b) p_a - log(rho_a) p_b) / gap with
+    gap = log(rho_a) a_b - log(rho_b) a_a.
     """
     which = which.lower()
-    m_v = as_mpf(m)
-    ell_v = as_mpf(ell)
-    q = mp.log(mpf(3) / 2)
-    r = mp.log(mpf(8) / 3)
-    s = mp.log(mpf(4) / 3)
-    t = mp.log(2)
-    if which == "g20":
-        num = 2 * q * m_v**2 + 3 * (3 * q * ell_v - r) * m_v - 3 * r * ell_v - (2 * q - 3 * r)
-        den = 2 * r * m_v - (7 * q + 3 * r)
-        scale = mpf(1) / 3
-    elif which == "g22":
-        num = 2 * q * m_v**2 + 3 * q * (3 * ell_v + 2) * m_v + 6 * q * ell_v - 8 * q
-        den = 2 * r * m_v - (5 * q + 2 * r)
-        scale = mpf(1) / 3
-    elif which == "g11":
-        num = 2 * s * m_v**2 + 3 * s * (3 * ell_v + 1) * m_v + 3 * s * ell_v - 5 * s
-        den = (t - s) * m_v - t
-        scale = mpf(1) / 12
-    else:
+    if which not in COMPARISONS:
         raise ValueError(f"unknown boundary curve {which!r}")
-    if abs(den) < working_eps():
+    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which]
+    m_v, ell_v = as_mpf(m), as_mpf(ell)
+    log_a, log_b = mp.log(rho_a), mp.log(rho_b)
+    a_a, p_a = _cost_terms(method_a, dd_a, m_v, ell_v)
+    a_b, p_b = _cost_terms(method_b, dd_b, m_v, ell_v)
+    gap = log_a * a_b - log_b * a_a
+    if abs(gap / m_v) < working_eps():
         raise PoleAtAsymptote(f"{which} evaluated at its vertical asymptote")
-    return scale * num / den
+    return (log_b * p_a - log_a * p_b) / gap
 
 
-_ASYMPTOTE_PAIRS = {
-    "g20": "g20",
-    "g22": "g22",
-    "g11": "g11",
-    "t3_phi2_phi1": "t3_phi2_phi1",
-    "d2_phi2_phi1": "d2_phi2_phi1",
-}
+def asymptote_m(which: str) -> mpf:
+    """Vertical asymptote of a boundary curve: the root of its gap / m.
 
-
-def _mu_coefficient_gap(pair: str, m: mpf) -> mpf:
-    """Coefficient of mu in log(rho_a) C_b - log(rho_b) C_a, scaled by 1/m."""
-    spec_a, spec_b = COMPARISONS[pair]
-    rho_a, rho_b = mpf(spec_a[2]), mpf(spec_b[2])
-
-    def evals_per_m(spec):
-        method, dd, _ = spec
-        method = MethodKind(method)
-        d2 = DividedDifferenceKind(dd) is DividedDifferenceKind.D2
-        if method is MethodKind.PHI0:
-            return m + 2
-        if method is MethodKind.PHI1:
-            return 4 * m if d2 else 2 * (m + 1)
-        return (4 * m + 1) if d2 else (2 * m + 3)
-
-    return mp.log(rho_a) * evals_per_m(spec_b) - mp.log(rho_b) * evals_per_m(spec_a)
-
-
-def asymptote_m(which: str, lo: float = 0.05, hi: float = 10.0) -> mpf:
-    """Vertical asymptote of a boundary curve, by root-finding in m.
-
-    Solves for the dimension at which the mu-coefficient of the balanced
-    efficiency equation vanishes (there the boundary mu(m) blows up).
-    Bisection on [lo, hi]; raises if no sign change is bracketed.
+    a(m) = (c1 m + c2 m^2) / 6, so the gap of ``boundary_g`` divided by m is
+    linear in m and its root has a closed form.
     """
-    pair = _ASYMPTOTE_PAIRS[which.lower()]
-    a, b = mpf(lo), mpf(hi)
-    fa, fb = _mu_coefficient_gap(pair, a), _mu_coefficient_gap(pair, b)
-    if fa * fb > 0:
-        raise ValueError(f"no asymptote bracketed in [{lo}, {hi}] for {which}")
-    for _ in range(300):
-        mid = (a + b) / 2
-        fm = _mu_coefficient_gap(pair, mid)
-        if fm == 0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return (a + b) / 2
+    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which.lower()]
+    _, a1, a2, _ = PRICED_COUNTS[method_a, dd_a][0]
+    _, b1, b2, _ = PRICED_COUNTS[method_b, dd_b][0]
+    log_a, log_b = mp.log(rho_a), mp.log(rho_b)
+    slope = log_a * b2 - log_b * a2
+    if slope == 0:
+        raise ValueError(f"{which} has no vertical asymptote")
+    return (log_b * a1 - log_a * b1) / slope
 
 
 def estimate_mu(

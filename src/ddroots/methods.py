@@ -68,34 +68,81 @@ def theoretical_order(method: MethodKind, dd_kind: DividedDifferenceKind) -> int
     return _ORDERS[MethodKind(method)][DividedDifferenceKind(dd_kind)]
 
 
+# The count table, the one place the operation counts are written down.  Each
+# entry is a polynomial in the dimension m, stored as its integer coefficients
+# of (1, m, m^2, m^3) over the common denominator 6.  Per operator build:
+# evaluations for a fresh pair, evaluations with both endpoint values
+# supplied, products (the one-half factor) and quotients.
+_OPERATOR_COUNTS = {
+    DividedDifferenceKind.D1: ((0, 6, 6), (0, -6, 6), (), (0, 0, 6)),
+    DividedDifferenceKind.D2: ((0, 0, 12), (0, -12, 12), (0, 0, 6), (0, 0, 6)),
+}
+# (evals, products, quotients) of one residual F(x), one lu_factor, one lu_solve
+_RESIDUAL_COUNTS = ((0, 6), (), ())
+_FACTOR_COUNTS = ((), (0, 1, -3, 2), (0, -3, 3))
+_SOLVE_COUNTS = ((), (0, -6, 6), (0, 6))
+# per outer iteration: fresh builds, supplied builds, residuals, factorizations
+# and triangular-pair solves
+_METHOD_STEPS = {
+    MethodKind.PHI0: (1, 0, 1, 1, 1),
+    MethodKind.PHI1: (1, 1, 2, 2, 2),
+    MethodKind.PHI2: (1, 1, 3, 2, 3),
+}
+
+
+def _measured(method: MethodKind, dd_kind: DividedDifferenceKind) -> tuple:
+    """(evals, products, quotients) coefficients of one outer iteration."""
+    fresh, supplied, products, quotients = _OPERATOR_COUNTS[dd_kind]
+    builds = ((fresh, products, quotients), (supplied, products, quotients))
+    units = builds + (_RESIDUAL_COUNTS, _FACTOR_COUNTS, _SOLVE_COUNTS)
+    weighted = tuple(zip(_METHOD_STEPS[method], units))
+    return tuple(
+        tuple(sum(n * u[j][k] for n, u in weighted if k < len(u[j])) for k in range(4))
+        for j in range(3)
+    )
+
+
+# The measured view: (evals, products, quotients) that one outer iteration
+# of solve spends, per (method, operator) pair.
+MEASURED_COUNTS = {
+    (method, dd_kind): _measured(method, dd_kind)
+    for method in MethodKind
+    for dd_kind in DividedDifferenceKind
+}
+
+# The priced view: (a(m), products, quotients) as the cost model
+# C = a(m) mu + p(m, ell) charges them.  The paper prices the base method
+# with the one-sided operator's m(m + 2) evaluations whichever operator it
+# uses, and leaves the symmetrized operator's m^2 one-half products per build
+# out of the products, so its products and quotients are the one-sided ones.
+_D1 = DividedDifferenceKind.D1
+PRICED_COUNTS = {
+    (method, dd_kind): (
+        MEASURED_COUNTS[method, _D1 if method is MethodKind.PHI0 else dd_kind][0],
+        *MEASURED_COUNTS[method, _D1][1:],
+    )
+    for method, dd_kind in MEASURED_COUNTS
+}
+
+
+def count_at(poly: tuple, m):
+    """Value at m of a coefficient tuple over 6: an exact int for int m."""
+    total = sum(c * m**k for k, c in enumerate(poly))
+    return total // 6 if isinstance(total, int) else total / 6
+
+
+def operator_evals(dd_kind: DividedDifferenceKind, m: int) -> tuple[int, int]:
+    """Scalar evaluations of one operator build: fresh pair, endpoints supplied."""
+    return tuple(count_at(poly, m) for poly in _OPERATOR_COUNTS[DividedDifferenceKind(dd_kind)][:2])
+
+
 def expected_iteration_counts(
     method: MethodKind, dd_kind: DividedDifferenceKind, m: int
 ) -> tuple[int, int, int]:
-    """(scalar evals, products, quotients) one outer iteration must cost.
-
-    Products cover the LU factorizations and triangular solves plus, for the
-    symmetrized operator, one product per entry for its constant one-half
-    factor.  Quotients cover elimination, back substitution and the m^2
-    difference quotients of each operator build.
-    """
-    method = MethodKind(method)
-    dd_kind = DividedDifferenceKind(dd_kind)
-    d2 = dd_kind is DividedDifferenceKind.D2
-    lu_products = m * (m - 1) * (2 * m - 1) // 6 + m * (m - 1)
-    lu_quotients = m * (m - 1) // 2 + m
-    if method is MethodKind.PHI0:
-        evals = m * (2 * m + 1) if d2 else m * (m + 2)
-        products = lu_products + (m * m if d2 else 0)
-        quotients = lu_quotients + m * m
-    elif method is MethodKind.PHI1:
-        evals = 4 * m * m if d2 else 2 * m * (m + 1)
-        products = 2 * lu_products + (2 * m * m if d2 else 0)
-        quotients = 2 * lu_quotients + 2 * m * m
-    else:
-        evals = m * (4 * m + 1) if d2 else m * (2 * m + 3)
-        products = 2 * lu_products + m * (m - 1) + (2 * m * m if d2 else 0)
-        quotients = 2 * lu_quotients + m + 2 * m * m
-    return evals, products, quotients
+    """(scalar evals, products, quotients) one outer iteration must cost: the
+    measured view of the count table at dimension m."""
+    polys = MEASURED_COUNTS[MethodKind(method), DividedDifferenceKind(dd_kind)]
+    return tuple(count_at(poly, m) for poly in polys)
 
 
 @dataclass(frozen=True)
@@ -125,7 +172,6 @@ class IterationTrace:
 class SolveReport:
     """Outcome of a solve, including the full trace for diagnostics."""
 
-    converged: bool
     iterations: int
     final_iterate: HPVector
     trace: IterationTrace
@@ -175,7 +221,11 @@ def step_phi1(
     and the factorization of M, which the third step reuses verbatim.
     """
     fy = system.eval(y, counters)
-    op_pair = operator_for(dd_kind)(system, x, y, counters, fx=fy, fy=fx)
+    try:
+        op_pair = operator_for(dd_kind)(system, x, y, counters, fx=fy, fy=fx)
+    except DegenerateDividedDifference as exc:
+        exc.residual = fx
+        raise
     central = fact_central.matrix
     # doubling is a shift-add, not a counted product
     combined = HPMatrix(
@@ -279,9 +329,9 @@ def solve(
     ``order_hint`` overrides the order used for eta and the ramp (systems
     whose mixed second derivatives vanish keep the design orders even with
     the one-sided operator); ``eta_override`` pins eta directly.  A
-    degenerate divided difference means a residual component underflowed,
-    which is reported as convergence on the trace accumulated so far.  An
-    underflow, an exact repeat or a singular operator met below
+    degenerate divided difference at x ends the run as ``residual_underflow``
+    if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
+    that norm.  An underflow, an exact repeat or a singular operator met below
     ``ctx.digits`` says nothing about the target epsilon: that iteration is
     redone at ``ctx.digits``, and every later one runs there too.
     """
@@ -319,6 +369,12 @@ def solve(
                     continue
                 if isinstance(exc, SingularOperator):
                     raise
+                norm = inf_norm(exc.residual)
+                if norm > ctx.check_tolerance:
+                    raise DegenerateDividedDifference(
+                        f"{exc} at x_{len(corr_norms)}, but ||F||_inf = {mp.nstr(norm, 8)} "
+                        "is above the check tolerance", exc.residual,
+                    ) from exc
                 stop_reason = "residual_underflow"
                 break
             c = inf_norm(x_next - x)
@@ -375,7 +431,6 @@ def solve(
         if system.reference_root is not None:
             q = _correct_decimals(final, system.reference_root)
         return SolveReport(
-            converged=True,
             iterations=iterations,
             final_iterate=final,
             trace=trace,

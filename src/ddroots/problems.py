@@ -71,7 +71,6 @@ class ProblemSpec:
             self.component_factory(),
             name=self.name,
             reference_root=root,
-            mu_hint=float(self.mu_paper),
         )
 
     def effective_order(self, method: MethodKind, dd_kind: DividedDifferenceKind) -> int:

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from ddroots.cli import main
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -116,3 +121,22 @@ def test_run_failure_exit_code(capsys):
     )
     assert code == 1
     assert "MaxIterationsExceeded" in out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("check", "--suite", "tables"), "check_tables.txt"),
+        (("check", "--suite", "theorems"), "check_theorems.txt"),
+        (("check", "--suite", "counters"), "check_counters.txt"),
+        (("curves", "--which", "g20"), "curves_g20.csv"),
+        (("curves", "--which", "g22"), "curves_g22.csv"),
+        (("curves", "--which", "g11"), "curves_g11.csv"),
+    ],
+)
+def test_output_matches_golden_file(capsys, argv, golden):
+    # the published tables, the theorem and counter certificates and the
+    # boundary curves are pinned byte for byte
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ddroots.divdiff import DividedDifferenceKind
@@ -132,6 +132,54 @@ def test_ratio_equality_at_dimension_two():
 def test_asymptote_constants(which, printed):
     with mp.workdps(50):
         assert abs(asymptote_m(which) - mpf(printed)) < mpf("1e-4")
+
+
+def oracle_g(which, m, ell):
+    """The boundary curves hand-expanded from the published cost polynomials,
+    kept as an oracle independent of the count table."""
+    m, ell = mpf(m), mpf(ell)
+    q = mp.log(mpf(3) / 2)
+    r = mp.log(mpf(8) / 3)
+    s = mp.log(mpf(4) / 3)
+    t = mp.log(2)
+    if which == "g20":
+        num = 2 * q * m**2 + 3 * (3 * q * ell - r) * m - 3 * r * ell - (2 * q - 3 * r)
+        return num / (3 * (2 * r * m - (7 * q + 3 * r)))
+    if which == "g22":
+        num = 2 * q * m**2 + 3 * q * (3 * ell + 2) * m + 6 * q * ell - 8 * q
+        return num / (3 * (2 * r * m - (5 * q + 2 * r)))
+    num = 2 * s * m**2 + 3 * s * (3 * ell + 1) * m + 3 * s * ell - 5 * s
+    return num / (12 * ((t - s) * m - t))
+
+
+def oracle_pole(which):
+    """Root of the oracle's denominator."""
+    q, r, s, t = mp.log(mpf(3) / 2), mp.log(mpf(8) / 3), mp.log(mpf(4) / 3), mp.log(2)
+    if which == "g20":
+        return (7 * q + 3 * r) / (2 * r)
+    if which == "g22":
+        return (5 * q + 2 * r) / (2 * r)
+    return t / (t - s)
+
+
+@pytest.mark.parametrize("which", ["g20", "g22", "g11"])
+def test_asymptote_is_the_oracle_pole(which):
+    with mp.workdps(60):
+        assert abs(asymptote_m(which) - oracle_pole(which)) < mpf("1e-55")
+
+
+@given(
+    which=st.sampled_from(["g20", "g22", "g11"]),
+    m=st.floats(2, 50),
+    ell=st.floats(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_boundary_matches_hand_expanded_oracle(which, m, ell):
+    m, ell = repr(m), repr(ell)
+    with mp.workdps(60):
+        assume(abs(mpf(m) - oracle_pole(which)) > mpf("1e-3"))
+        want = oracle_g(which, m, ell)
+        assert abs(boundary_g(which, m, ell) - want) <= mpf("1e-40") * abs(want)
 
 
 def test_boundary_values_at_dimension_two():

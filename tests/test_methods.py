@@ -1,13 +1,18 @@
+import re
+
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from ddroots.convergence import eta
 from ddroots.core import HPVector, OpCounters, PrecisionContext, SingularOperator, inf_norm
-from ddroots.divdiff import DividedDifferenceKind, NonlinearSystem
+from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem
 from ddroots.methods import (
+    MEASURED_COUNTS,
+    PRICED_COUNTS,
     IterationTrace,
     MaxIterationsExceeded,
     MethodKind,
+    count_at,
     expected_iteration_counts,
     solve,
     step_phi0,
@@ -66,6 +71,19 @@ def test_expected_counts_match_cost_polynomials(m):
         )
 
 
+def test_priced_view_differs_from_measured_only_where_documented():
+    # the paper prices phi0 with d1's m(m + 2) evaluations under d2 as well,
+    # and leaves out d2's m^2 one-half products per operator build
+    builds = {PHI0: 1, PHI1: 2, PHI2: 2}
+    for m in range(2, 51):
+        for (method, dd), measured in MEASURED_COUNTS.items():
+            priced = PRICED_COUNTS[method, dd]
+            gap = tuple(count_at(a, m) - count_at(b, m) for a, b in zip(measured, priced))
+            d2 = dd is D2
+            evals_gap = m * (2 * m + 1) - m * (m + 2) if d2 and method is PHI0 else 0
+            assert gap == (evals_gap, builds[method] * m * m if d2 else 0, 0)
+
+
 def test_marginal_counts_third_step():
     # adding the third step costs m evals, m(m-1) products, m quotients
     for m in (2, 3, 5):
@@ -100,7 +118,6 @@ def test_affine_one_iteration(method, dd):
     ctx = PrecisionContext(96)
     with ctx.activate():
         report = solve(affine_system(), HPVector(["7", "-3", "0.5"]), method, dd, ctx)
-        assert report.converged
         assert report.iterations == 1
         assert report.stop_reason == "residual_underflow"
         system = affine_system()
@@ -193,10 +210,63 @@ def test_start_at_root_reports_zero_iterations():
     with ctx.activate():
         f = NonlinearSystem(1, [lambda p: p[0] * p[0] - 1])
         report = solve(f, HPVector(["1"]), PHI2, D2, ctx)
-        assert report.converged
         assert report.iterations == 0
         assert report.final_iterate[0] == 1
         assert report.acoc is None
+
+
+@pytest.mark.parametrize("start, norm", [(("2", "0.5"), "4.75"), (("4", "0.25"), "7.0625")])
+def test_start_on_one_equations_zero_set_is_not_convergence(start, norm):
+    # x y - 1 vanishes exactly at the start, so the central operator is
+    # degenerate there, but x^2 + y^2 - 9 does not: the start is no root
+    ctx = PrecisionContext(128)
+    calls = []
+    components = REGISTRY["quad2"].component_factory()
+
+    def counted(i):
+        return lambda p: calls.append(i) or components[i](p)
+
+    with ctx.activate():
+        system = NonlinearSystem(2, [counted(0), counted(1)])
+        message = re.escape("residual component 1 underflowed the working precision at x_0")
+        with pytest.raises(DegenerateDividedDifference, match=message) as info:
+            solve(system, HPVector(start), PHI1, D1, ctx)
+        assert f"||F||_inf = {norm}" in str(info.value)
+        assert inf_norm(info.value.residual) == mpf(norm)
+    # the norm comes from the F(x_0) the central operator already computed
+    assert calls == [0, 1]
+
+
+@pytest.mark.parametrize("method", [PHI1, PHI2])
+def test_coincident_iterate_pair_is_not_convergence(method):
+    # the first step lands on the root of this affine system but keeps the
+    # first coordinate of x_0, so the pair operator of the second step is
+    # degenerate while ||F(x_0)||_inf = 1
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = NonlinearSystem(2, [lambda p: p[0] + p[1] - 2, lambda p: p[0] + 2 * p[1] - 3])
+        with pytest.raises(DegenerateDividedDifference, match="coordinates 0") as info:
+            solve(system, HPVector(["1", "1.5"]), method, D1, ctx)
+        assert "||F||_inf = 1.0" in str(info.value)
+        assert info.value.residual.entries == (mpf("0.5"), mpf(1))
+        report = solve(system, HPVector(["1", "1.5"]), PHI0, D1, ctx)
+        assert report.stop_reason == "residual_underflow"
+
+
+def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
+    # one ulp from a root near 1e20, F(x_0) ~ 1e-45 is above the working
+    # epsilon but the probe points x -/+ F(x) coincide relative to x: the
+    # central operator is degenerate, and the start is a root to within
+    # the check tolerance
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        root = mpf(10) ** 20 + mpf(1) / 3
+        system = NonlinearSystem(1, [lambda p: p[0] - root])
+        start = HPVector([root * (1 + mp.eps)])
+        assert system.eval(start)[0] > ctx.eps_machine
+        for method in MethodKind:
+            report = solve(system, start, method, D1, ctx)
+            assert (report.stop_reason, report.iterations) == ("residual_underflow", 0)
 
 
 def test_max_iters_budget():
