@@ -110,11 +110,13 @@ def efficiency_columns(
     """(C, CEI, TF) display strings for one row.
 
     CEI is rounded to its 9 published decimals before the time factor is
-    taken; the published tables were produced that way.
+    taken; the published tables were produced that way.  The columns are
+    floats, so they are computed at 60 digits whatever the working precision.
     """
-    c_value = cost(CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd))
-    cei_str = f"{float(cei(order, c_value)):.9f}"
-    return f"{float(c_value):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
+    with mp.workdps(60):
+        c_value = cost(CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd))
+        cei_str = f"{float(cei(order, c_value)):.9f}"
+        return f"{float(c_value):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
 
 
 def run_row(

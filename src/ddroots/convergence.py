@@ -79,12 +79,19 @@ def correct_decimals(x: HPVector, alpha_ref: Optional[HPVector]) -> int:
 
     Computed as floor(-log10 ||x - alpha||_inf), floored at 0 and capped at
     the working precision when the difference vanishes.  The reference must
-    be at least as accurate as the working precision.
+    be at least as accurate as the working precision.  The logarithm is
+    taken at 30 digits, and again at the working precision when that value
+    lies within 1e-20 of an integer, so the floor is the working-precision
+    one.
     """
     if alpha_ref is None:
         raise MissingReferenceRoot("no reference root available")
     diff = inf_norm(x - alpha_ref)
     if diff == 0:
         return mp.dps
-    q = int(mp.floor(-mp.log10(diff)))
-    return max(q, 0)
+    with mp.workdps(30):
+        digits = -mp.log10(diff)
+        near_integer = abs(digits - mp.nint(digits)) < mpf("1e-20")
+    if near_integer:
+        digits = -mp.log10(diff)
+    return max(int(mp.floor(digits)), 0)

@@ -32,12 +32,19 @@ class DegenerateDividedDifference(SolverError):
 
     In the iterative methods a residual component has underflowed, or an
     iterate pair coincides in one coordinate; ``residual`` then carries F at
-    the iterate, so a caller can tell a root from a zero of one equation.
+    ``point`` (None: the iterate the step started from), so a caller can tell
+    a root from a zero of one equation.
     """
 
-    def __init__(self, message: str, residual: Optional[HPVector] = None):
+    def __init__(
+        self,
+        message: str,
+        residual: Optional[HPVector] = None,
+        point: Optional[HPVector] = None,
+    ):
         super().__init__(message)
         self.residual = residual
+        self.point = point
 
 
 class DividedDifferenceKind(str, enum.Enum):

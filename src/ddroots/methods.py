@@ -42,6 +42,10 @@ class MaxIterationsExceeded(SolverError):
     """The iteration diverged, cycled, or ran out of its iteration budget."""
 
 
+class PrecisionChanged(SolverError):
+    """Something else changed mpmath's shared precision during an outer step."""
+
+
 class MethodKind(str, enum.Enum):
     """The three iteration engines, by number of correction steps."""
 
@@ -152,7 +156,10 @@ class IterationTrace:
     ``correction_norms[k]`` is ||x_{k+1} - x_k||_inf, ``ratios[k]`` the
     quotient of consecutive correction norms, ``counter_deltas[k]`` the
     (evals, products, quotients) spent by outer iteration k + 1, and
-    ``working_digits[k]`` the decimal precision that iteration ran at.
+    ``working_digits[k]`` the decimal precision that iteration ran at.  A
+    run that ends inside an iteration, on a phi1 or phi2 first step that
+    lands on a root, keeps that step's result as its last iterate, without
+    a counter delta or working digits for the unfinished iteration.
     """
 
     iterates: tuple
@@ -218,13 +225,15 @@ def step_phi1(
     two orientations differ in second-order terms and this is the one the
     published accuracy columns pin down.  F(x) and F(y) are supplied to the
     build so only mixed-coordinate points cost fresh evaluations.  Returns z
-    and the factorization of M, which the third step reuses verbatim.
+    and the factorization of M, which the third step reuses verbatim.  A
+    pair that coincides in a coordinate raises DegenerateDividedDifference
+    carrying y and F(y), so a caller can tell whether y is a root.
     """
     fy = system.eval(y, counters)
     try:
         op_pair = operator_for(dd_kind)(system, x, y, counters, fx=fy, fy=fx)
     except DegenerateDividedDifference as exc:
-        exc.residual = fx
+        exc.residual, exc.point = fy, y
         raise
     central = fact_central.matrix
     # doubling is a shift-add, not a counted product
@@ -323,17 +332,23 @@ def solve(
 
     Iteration 1 runs at ``ctx.digits``; every later one runs at the digits
     its result can hold, rho^2 times those of the latest correction plus a
-    margin, capped at ``ctx.digits``.  Correction norms, ratios, the
-    threshold, ACOC and correct decimals are computed at ``ctx.digits``.
+    margin, capped at ``ctx.digits``.  Correction norms and ratios are
+    computed at ``ctx.digits``; the threshold, ACOC and correct decimals only
+    carry the few digits they report, so they are computed at 30, 60 and 30
+    digits (correct decimals at ``ctx.digits`` when -log10 of the error lies
+    within 1e-20 of an integer).  A step that finds ``mp.prec`` changed by
+    something else raises PrecisionChanged.
 
     ``order_hint`` overrides the order used for eta and the ramp (systems
     whose mixed second derivatives vanish keep the design orders even with
     the one-sided operator); ``eta_override`` pins eta directly.  A
     degenerate divided difference at x ends the run as ``residual_underflow``
     if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
-    that norm.  An underflow, an exact repeat or a singular operator met below
-    ``ctx.digits`` says nothing about the target epsilon: that iteration is
-    redone at ``ctx.digits``, and every later one runs there too.
+    that norm; so does a degenerate iterate pair (x, y) in phi1 and phi2,
+    judged by ||F(y)||_inf, and y is then the final iterate.  An underflow,
+    an exact repeat or a singular operator met below ``ctx.digits`` says
+    nothing about the target epsilon: that iteration is redone at
+    ``ctx.digits``, and every later one runs there too.
     """
     method = MethodKind(method)
     dd_kind = DividedDifferenceKind(dd_kind)
@@ -361,7 +376,15 @@ def solve(
             before = counters.snapshot()
             try:
                 with mp.workdps(digits):
-                    x_next = _outer_step(system, x, method, dd_kind, counters)
+                    prec = mp.prec
+                    try:
+                        x_next = _outer_step(system, x, method, dd_kind, counters)
+                    finally:
+                        if mp.prec != prec:
+                            raise PrecisionChanged(
+                                f"mp.prec was {prec} when outer step {len(corr_norms) + 1} "
+                                f"began and {mp.prec} when it ended"
+                            )
             except (DegenerateDividedDifference, SingularOperator) as exc:
                 if digits < full:
                     # says nothing about the target precision: redo at it
@@ -371,10 +394,19 @@ def solve(
                     raise
                 norm = inf_norm(exc.residual)
                 if norm > ctx.check_tolerance:
+                    where = "" if exc.point is None else "the first step from "
                     raise DegenerateDividedDifference(
-                        f"{exc} at x_{len(corr_norms)}, but ||F||_inf = {mp.nstr(norm, 8)} "
-                        "is above the check tolerance", exc.residual,
+                        f"{exc} at {where}x_{len(corr_norms)}, but ||F||_inf = "
+                        f"{mp.nstr(norm, 8)} is above the check tolerance",
+                        exc.residual,
+                        exc.point,
                     ) from exc
+                if exc.point is not None:
+                    # the first step landed on a root: it is the final iterate
+                    iterates.append(exc.point)
+                    corr_norms.append(inf_norm(exc.point - x))
+                    if len(corr_norms) >= 2:
+                        ratios.append(corr_norms[-1] / corr_norms[-2])
                 stop_reason = "residual_underflow"
                 break
             c = inf_norm(x_next - x)
@@ -424,7 +456,9 @@ def solve(
             working_digits=tuple(working),
         )
         try:
-            estimate = _acoc(trace)
+            # reported to 12 digits, its spread to 6
+            with mp.workdps(60):
+                estimate = _acoc(trace)
         except SolverError:
             estimate = None
         q = None

@@ -80,10 +80,41 @@ class ProblemSpec:
         return theoretical_order(method, D1)
 
 
+# entries one memo holds before it starts over; a registered row's solve
+# stores at most about 180 (cos3 phi1/d2 at 4096 digits)
+_MEMO_ENTRIES = 256
+
+
+def _memo(name: str) -> Callable:
+    """``mp.<name>`` cached on the argument's bits and the working precision.
+
+    Consecutive points of a divided-difference chain differ in one
+    coordinate, so most elementary values along a chain repeat.  Each
+    component factory call makes its own memos, shared by that factory's
+    components, so a cache lives as long as one ``build_system()``.  The
+    value is bit-identical to a fresh call; ``mp.<name>`` is looked up at
+    call time, and the evaluations the counters see are unchanged.
+    """
+    cache: dict = {}
+
+    def cached(v):
+        key = (getattr(v, "_mpf_", v), mp.prec)
+        value = cache.get(key)
+        if value is None:
+            if len(cache) >= _MEMO_ENTRIES:
+                cache.clear()
+            value = cache[key] = getattr(mp, name)(v)
+        return value
+
+    return cached
+
+
 def _exp5_components():
+    exp = _memo("exp")
+
     def make(i):
         def component(p):
-            return sum(p[j] for j in range(5) if j != i) - mp.exp(-p[i])
+            return sum(p[j] for j in range(5) if j != i) - exp(-p[i])
 
         return component
 
@@ -98,10 +129,12 @@ def _quad2_components():
 
 
 def _cos3_components():
+    cos = _memo("cos")
+
     def make(i):
         def component(p):
             total = p[0] + p[1] + p[2]
-            return p[i] - mp.cos(2 * p[i] - total)
+            return p[i] - cos(2 * p[i] - total)
 
         return component
 

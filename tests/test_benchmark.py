@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 from ddroots.benchmark import (
     RunConfig,
     curves_to_csv,
+    efficiency_columns,
     export_boundary_curves,
     rows_to_csv,
     rows_to_json,
@@ -19,7 +20,7 @@ from ddroots.benchmark import (
 from ddroots.core import PrecisionContext, from_decimal, to_decimal
 from ddroots.divdiff import DividedDifferenceKind
 from ddroots.efficiency import CostModel, cei, cost, time_factor
-from ddroots.methods import MethodKind
+from ddroots.methods import MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
 
 D1 = DividedDifferenceKind.D1
@@ -61,6 +62,31 @@ def test_rows_match_efficiency_model(quad2_rows):
             cei_val = cei(row.order, c_val)
             assert row.cei == f"{float(cei_val):.9f}"
             assert row.tf == f"{float(time_factor(mpf(row.cei))):.2f}"
+
+
+def _columns_at(digits, m, mu, ell, method, dd, order):
+    """The model columns computed throughout at the given precision."""
+    with mp.workdps(digits):
+        c_val = cost(CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd))
+        cei_str = f"{float(cei(order, c_val)):.9f}"
+        return f"{float(c_val):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
+
+
+def test_model_columns_do_not_depend_on_the_working_precision():
+    # efficiency_columns works at 60 digits; every registered row prints
+    # what 4096 digits print
+    for spec in REGISTRY.values():
+        for method, dd in spec.rows:
+            args = (spec.m, spec.mu_paper, "2.5", method, dd, spec.effective_order(method, dd))
+            with mp.workdps(4096):
+                assert efficiency_columns(*args) == _columns_at(4096, *args)
+    # and so does every pair for m = 2..50 at mu = 1 (1024 digits here: the
+    # sweep at 4096 takes seconds, and 60 vs 1024 digits tests the same)
+    for m in range(2, 51):
+        for method in MethodKind:
+            for dd in DividedDifferenceKind:
+                args = (m, "1", "2.5", method, dd, theoretical_order(method, dd))
+                assert efficiency_columns(*args) == _columns_at(1024, *args)
 
 
 def test_plan_filtering():

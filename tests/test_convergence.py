@@ -90,7 +90,10 @@ def test_acoc_on_real_solve():
             order_hint=4,
         )
         est = acoc(report.trace)
-        assert est.rho_hat == report.acoc
+        # solve reports the estimate at the 60 digits it computes it at
+        with mp.workdps(60):
+            assert acoc(report.trace).rho_hat == report.acoc
+        assert abs(est.rho_hat - report.acoc) < mpf("1e-55")
         assert abs(est.rho_hat - 4) < mpf("1e-3")
 
 
@@ -122,6 +125,22 @@ def test_correct_decimals_examples():
         assert correct_decimals(x, alpha) == 100
         far = HPVector([mp.pi + 1000, mp.sqrt(2)])
         assert correct_decimals(far, alpha) == 0
+
+
+@pytest.mark.parametrize("sign, q", [(1, 99), (-1, 100)])
+def test_correct_decimals_exact_across_an_integer(monkeypatch, sign, q):
+    # -log10 of the difference is 100 -/+ 4e-201: at 30 digits both read
+    # 100, so both must take the working-precision fallback
+    precisions = []
+    log10 = mp.log10
+    monkeypatch.setattr(mp, "log10", lambda v: precisions.append(mp.dps) or log10(v))
+    with PrecisionContext(256).activate():
+        diff = mpf(10) ** -100 * (1 + sign * mpf(10) ** -200)
+        assert correct_decimals(HPVector([diff]), HPVector([0])) == q
+        assert precisions == [30, 256]
+        precisions.clear()
+        assert correct_decimals(HPVector([3 * diff]), HPVector([0])) == 99
+        assert precisions == [30]
 
 
 def test_correct_decimals_requires_reference():

@@ -12,6 +12,7 @@ from ddroots.methods import (
     IterationTrace,
     MaxIterationsExceeded,
     MethodKind,
+    PrecisionChanged,
     count_at,
     expected_iteration_counts,
     solve,
@@ -239,18 +240,41 @@ def test_start_on_one_equations_zero_set_is_not_convergence(start, norm):
 
 @pytest.mark.parametrize("method", [PHI1, PHI2])
 def test_coincident_iterate_pair_is_not_convergence(method):
-    # the first step lands on the root of this affine system but keeps the
-    # first coordinate of x_0, so the pair operator of the second step is
-    # degenerate while ||F(x_0)||_inf = 1
+    # F_1 depends on the second coordinate alone, so the first step from
+    # (0.75, 2) keeps the first one: it lands on y = (0.75, 1.25), the pair
+    # operator of the second step is degenerate, and ||F(y)||_inf = 0.5625
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = NonlinearSystem(2, [lambda p: p[0] + p[1] - 2, lambda p: p[1] * p[1] - 1])
+        message = re.escape("coordinates 0 of the two points coincide at working precision "
+                            "at the first step from x_0")
+        with pytest.raises(DegenerateDividedDifference, match=message) as info:
+            solve(system, HPVector(["0.75", "2"]), method, D1, ctx)
+        assert "||F||_inf = 0.5625" in str(info.value)
+        assert info.value.point.entries == (mpf("0.75"), mpf("1.25"))
+        assert info.value.residual.entries == (0, mpf("0.5625"))
+
+
+@pytest.mark.parametrize("method", [PHI1, PHI2])
+def test_iterate_pair_coinciding_on_a_root_is_convergence(method):
+    # the first step lands on the root (1, 1) of this affine system but keeps
+    # the first coordinate of x_0: the pair operator is degenerate, F(y) = 0,
+    # and y is the answer, as phi0 finds it
     ctx = PrecisionContext(64)
     with ctx.activate():
         system = NonlinearSystem(2, [lambda p: p[0] + p[1] - 2, lambda p: p[0] + 2 * p[1] - 3])
-        with pytest.raises(DegenerateDividedDifference, match="coordinates 0") as info:
-            solve(system, HPVector(["1", "1.5"]), method, D1, ctx)
-        assert "||F||_inf = 1.0" in str(info.value)
-        assert info.value.residual.entries == (mpf("0.5"), mpf(1))
-        report = solve(system, HPVector(["1", "1.5"]), PHI0, D1, ctx)
-        assert report.stop_reason == "residual_underflow"
+        report = solve(system, HPVector(["1", "1.5"]), method, D1, ctx)
+        assert (report.stop_reason, report.iterations) == ("residual_underflow", 1)
+        assert report.final_iterate.entries == (1, 1)
+        assert report.trace.iterates[-1] is report.final_iterate
+        assert report.trace.correction_norms == (mpf("0.5"),)
+        # the unfinished iteration has no delta; F(y) was evaluated once
+        assert report.trace.counter_deltas == ()
+        first_step_evals = expected_iteration_counts(PHI0, D1, 2)[0]
+        assert report.counters.scalar_fn_evals == first_step_evals + 2
+        base = solve(system, HPVector(["1", "1.5"]), PHI0, D1, ctx)
+        assert base.stop_reason == "residual_underflow"
+        assert base.final_iterate.entries == report.final_iterate.entries
 
 
 def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
@@ -267,6 +291,39 @@ def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
         for method in MethodKind:
             report = solve(system, start, method, D1, ctx)
             assert (report.stop_reason, report.iterations) == ("residual_underflow", 0)
+
+
+@pytest.mark.parametrize("call, step", [(5, 1), (25, 2)])
+def test_foreign_precision_change_is_raised(call, step):
+    # a component that sets mp.dps on its k-th call: the step that saw it
+    # raises, naming the precision it set and the one it found (quad2
+    # phi2/d2 spends 18 evaluations per outer step, the second at 81 digits)
+    ctx = PrecisionContext(128)
+    components = REGISTRY["quad2"].component_factory()
+    calls = []
+
+    def meddling(i):
+        def component(p):
+            calls.append(i)
+            if len(calls) == call:
+                mp.dps = 50
+            return components[i](p)
+
+        return component
+
+    precs = {}
+    for digits in (50, 81, 128):
+        with mp.workdps(digits):
+            precs[digits] = mp.prec
+    with ctx.activate():
+        system = NonlinearSystem(2, [meddling(0), meddling(1)])
+        with pytest.raises(PrecisionChanged) as info:
+            solve(system, REGISTRY["quad2"].x0_vector(), PHI2, D2, ctx)
+        assert mp.dps == 128
+    found = re.fullmatch(r"mp.prec was (\d+) when outer step (\d+) began and (\d+) when it ended",
+                         str(info.value))
+    began = precs[128 if step == 1 else 81]
+    assert tuple(map(int, found.groups())) == (began, step, precs[50])
 
 
 def test_max_iters_budget():
