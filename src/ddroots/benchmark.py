@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -42,7 +42,8 @@ D2 = DividedDifferenceKind.D2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Options of one benchmark invocation."""
+    """Options of one benchmark invocation; ``mu`` None takes the problem's
+    published products-per-evaluation ratio."""
 
     digits: int = 4096
     methods: Optional[tuple[MethodKind, ...]] = None
@@ -50,7 +51,6 @@ class RunConfig:
     max_iters: int = 200
     ell: str = "2.5"
     mu: Optional[str] = None
-    use_estimated_mu: bool = False
 
     def plan_for(self, problem: ProblemSpec) -> tuple:
         """(method, dd) pairs to run: the problem's published set, filtered.
@@ -94,7 +94,6 @@ class BenchmarkRow:
     acoc_spread: Optional[str] = None
     correct_decimals: Optional[int] = None
     eta: Optional[float] = None
-    converged: bool = False
     stop_reason: Optional[str] = None
     counters_ok: Optional[bool] = None
     counts_expected: Optional[tuple] = None
@@ -127,14 +126,7 @@ def run_row(
 ) -> BenchmarkRow:
     """Solve one configuration and assemble its result row."""
     ctx = PrecisionContext(config.digits)
-    if config.mu is not None:
-        mu = config.mu
-    elif config.use_estimated_mu:
-        mu = repr(
-            efficiency.estimate_mu(problem.op_profile, m=problem.m)
-        )
-    else:
-        mu = problem.mu_paper
+    mu = config.mu if config.mu is not None else problem.mu_paper
     order = problem.effective_order(method, dd)
     with ctx.activate():
         cost_s, cei_s, tf_s = efficiency_columns(
@@ -177,7 +169,6 @@ def run_row(
             row.acoc_spread = mp.nstr(report.acoc_spread, 6)
         row.correct_decimals = report.correct_decimals
         row.eta = report.eta_used
-        row.converged = True
         row.stop_reason = report.stop_reason
         row.counters_ok = not mismatched
         row.counts_expected = expected
@@ -221,25 +212,18 @@ _TABLE_COLUMNS = (
 )
 
 
+def _markdown_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # counters_ok
+        return "ok" if value else "MISMATCH"
+    return str(value)
+
+
 def rows_to_markdown(rows: Sequence[BenchmarkRow]) -> str:
+    # headers of _TABLE_COLUMNS, in its order
     head = ("problem", "method", "dd", "rho", "I", "C", "CEI", "TF", "ACOC", "q", "counters", "error")
-    body = [
-        (
-            r.problem,
-            r.method,
-            r.dd,
-            str(r.order),
-            "" if r.iterations is None else str(r.iterations),
-            r.cost,
-            r.cei,
-            r.tf,
-            r.acoc or "",
-            "" if r.correct_decimals is None else str(r.correct_decimals),
-            {True: "ok", False: "MISMATCH", None: ""}[r.counters_ok],
-            r.error or "",
-        )
-        for r in rows
-    ]
+    body = [tuple(_markdown_cell(getattr(r, c)) for c in _TABLE_COLUMNS) for r in rows]
     widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h) for i, h in enumerate(head)]
     def line(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
@@ -258,26 +242,9 @@ def rows_to_csv(rows: Sequence[BenchmarkRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[BenchmarkRow]) -> str:
-    """Full-precision JSON: scalar fields plus the final iterate as decimal
+    """Full-precision JSON: every row field, with the final iterate as decimal
     strings that parse back to identical values."""
-    payload = []
-    for r in rows:
-        entry = {c: getattr(r, c) for c in _TABLE_COLUMNS}
-        entry.update(
-            digits=r.digits,
-            mu=r.mu,
-            ell=r.ell,
-            eta=r.eta,
-            stop_reason=r.stop_reason,
-            acoc_full=r.acoc_full,
-            acoc_spread=r.acoc_spread,
-            counts_expected=r.counts_expected,
-            counts_measured=r.counts_measured,
-            working_digits=r.working_digits,
-            final_iterate=r.final_iterate,
-        )
-        payload.append(entry)
-    return json.dumps(payload, indent=2)
+    return json.dumps([asdict(r) for r in rows], indent=2)
 
 
 FORMATTERS = {"md": rows_to_markdown, "csv": rows_to_csv, "json": rows_to_json}
@@ -339,30 +306,29 @@ class CheckResult:
 def suite_tables() -> list[CheckResult]:
     """Cost, CEI and TF of every published row, to the printed precision."""
     results = []
-    with mp.workdps(60):
-        for problem in REGISTRY.values():
-            for (method, dd), expected in problem.rows.items():
-                got_c, got_cei, got_tf = efficiency_columns(
-                    problem.m, problem.mu_paper, "2.5", method, dd, expected.order
+    for problem in REGISTRY.values():
+        for (method, dd), expected in problem.rows.items():
+            got_c, got_cei, got_tf = efficiency_columns(
+                problem.m, problem.mu_paper, "2.5", method, dd, expected.order
+            )
+            ok = (got_c, got_cei, got_tf) == (
+                expected.cost,
+                expected.cei,
+                expected.tf,
+            )
+            results.append(
+                CheckResult(
+                    f"tables/{problem.name}/{method.value}/{dd.value}",
+                    ok,
+                    f"C {got_c} vs {expected.cost}, CEI {got_cei} vs "
+                    f"{expected.cei}, TF {got_tf} vs {expected.tf}",
                 )
-                ok = (got_c, got_cei, got_tf) == (
-                    expected.cost,
-                    expected.cei,
-                    expected.tf,
-                )
-                results.append(
-                    CheckResult(
-                        f"tables/{problem.name}/{method.value}/{dd.value}",
-                        ok,
-                        f"C {got_c} vs {expected.cost}, CEI {got_cei} vs "
-                        f"{expected.cei}, TF {got_tf} vs {expected.tf}",
-                    )
-                )
+            )
     return results
 
 
-def _random_pairs(problem: ProblemSpec, count: int, seed: int) -> list[tuple]:
-    rng = random.Random(seed)
+def _random_pairs(problem: ProblemSpec, count: int) -> list[tuple]:
+    rng = random.Random(20130828)  # fixed: every run checks the same pairs
     center = [float(s) for s in problem.x0]
     pairs = []
     for _ in range(count):
@@ -376,9 +342,7 @@ def _random_pairs(problem: ProblemSpec, count: int, seed: int) -> list[tuple]:
     return pairs
 
 
-def suite_operators(
-    digits: int = 256, pairs: int = 100, seed: int = 20130828
-) -> list[CheckResult]:
+def suite_operators(digits: int = 256, pairs: int = 100) -> list[CheckResult]:
     """Operator axioms: secant identity, symmetry, the mean-value
     characterization residuals, and the accuracy orders against the
     integral oracle."""
@@ -390,7 +354,7 @@ def suite_operators(
             system = problem.build_system(with_reference=False)
             worst = {D1: mpf(0), D2: mpf(0)}
             worst_sym = mpf(0)
-            for x, y in _random_pairs(problem, pairs, seed):
+            for x, y in _random_pairs(problem, pairs):
                 for kind, build in ((D1, dd_d1), (D2, dd_d2)):
                     op = build(system, y, x)
                     worst[kind] = max(worst[kind], check_secant(op, system, y, x))
@@ -445,9 +409,7 @@ def suite_operators(
     return results
 
 
-def accuracy_order_ratios(
-    halvings: int = 3, nodes: int = 24
-) -> dict[DividedDifferenceKind, list[float]]:
+def accuracy_order_ratios(halvings: int = 3) -> dict[DividedDifferenceKind, list[float]]:
     """Error-shrink factors against the integral oracle under step halving.
 
     Uses the trigonometric benchmark system, a base displacement of
@@ -465,7 +427,7 @@ def accuracy_order_ratios(
         for _ in range(halvings + 1):
             y = HPVector(xi + hi for xi, hi in zip(x, h))
             op = build(system, y, x)
-            oracle = integral_dd_oracle(system, y, x, nodes)
+            oracle = integral_dd_oracle(system, y, x, nodes=24)
             diff = [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(op.rows, oracle.rows)

@@ -1,7 +1,8 @@
 """Command-line interface: rerun benchmark problems, export boundary-curve
 data, and run the invariant check suites.
 
-A key=value config file can seed any flag; explicit flags win.
+A key=value config file can seed any flag; explicit flags win.  Exit codes:
+0 ok, 1 a row or a check failed, 2 bad input or config.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .benchmark import (
     run_benchmark,
 )
 from .divdiff import DividedDifferenceKind
+from .efficiency import estimate_mu
 from .methods import MethodKind
 from .problems import REGISTRY
 
@@ -72,6 +74,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
 
 def _cmd_run(args: argparse.Namespace) -> int:
     problem = REGISTRY[args.problem]
+    mu = args.mu
+    if args.estimate_mu:
+        if mu is not None:  # both can come from a config file
+            raise ValueError("--mu and --estimate-mu are exclusive")
+        mu = repr(estimate_mu(problem.op_profile, m=problem.m))
     methods = tuple(MethodKind(m) for m in args.method) if args.method else None
     dds = tuple(DividedDifferenceKind(d) for d in args.dd) if args.dd else None
     config = RunConfig(
@@ -80,8 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dd_kinds=dds,
         max_iters=args.max_iters,
         ell=args.ell,
-        mu=args.mu,
-        use_estimated_mu=args.estimate_mu,
+        mu=mu,
     )
     rows = run_benchmark(problem, config)
     print(FORMATTERS[args.format](rows).rstrip("\n"))
@@ -125,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dd", action="append", choices=[d.value for d in DividedDifferenceKind])
     run.add_argument("--digits", type=int, default=4096)
     run.add_argument("--ell", default="2.5")
-    run.add_argument("--mu", default=None)
-    run.add_argument("--estimate-mu", action="store_true", dest="estimate_mu",
-                     help="price mu from the problem's operation profile")
+    mu = run.add_mutually_exclusive_group()
+    mu.add_argument("--mu", default=None)
+    mu.add_argument("--estimate-mu", action="store_true", dest="estimate_mu",
+                    help="price mu from the problem's operation profile")
     run.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     run.add_argument("--format", default="md", choices=sorted(FORMATTERS))
     run.add_argument("--config", default=None, help="key=value file seeding these flags")
@@ -158,7 +165,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an out-of-range value met by the library
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

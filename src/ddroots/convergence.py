@@ -34,7 +34,6 @@ class OrderEstimate:
     """
 
     rho_hat: mpf
-    indices: tuple[int, int]
     spread: Optional[mpf] = None
 
 
@@ -61,8 +60,7 @@ def acoc(trace: "IterationTrace") -> OrderEstimate:
     if len(ratios) >= 3 and 0 < ratios[-3] < one:
         earlier = mp.log(e_prev) / mp.log(ratios[-3])
         spread = abs(value - earlier)
-    # ratios[k] is the ratio at outer iteration k + 2
-    return OrderEstimate(value, (len(ratios), len(ratios) + 1), spread)
+    return OrderEstimate(value, spread)
 
 
 def eta(rho: float, epsilon_digits: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
@@ -44,19 +44,14 @@ def to_decimal(x) -> str:
     return mp.nstr(mpf(x), repr_dps(mp.prec))
 
 
-def from_decimal(s: str) -> mpf:
-    """Parse a decimal string at the active working precision."""
-    return mpf(s)
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus the derived tolerances.
+    """Working precision in decimal digits plus the derived tolerance.
 
-    ``eps_machine`` is the unit used for singularity/degeneracy thresholds,
-    ``check_tolerance`` the looser unit used by identity checks.  The
-    underlying binary precision always carries at least ``digits`` decimal
-    digits.
+    ``check_tolerance``, 10^(-digits/2), is the unit used by identity checks
+    and by the residual test of a degenerate stop; singularity and degeneracy
+    thresholds use ``working_eps()`` under ``activate()``.  The underlying
+    binary precision always carries at least ``digits`` decimal digits.
     """
 
     digits: int = 4096
@@ -68,11 +63,6 @@ class PrecisionContext:
     def activate(self):
         """Context manager that switches the working precision to ``digits``."""
         return mp.workdps(self.digits)
-
-    @property
-    def eps_machine(self) -> mpf:
-        with self.activate():
-            return mpf(10) ** (-self.digits)
 
     @property
     def check_tolerance(self) -> mpf:
@@ -208,19 +198,17 @@ class LUFactorization:
         return len(self.perm)
 
 
-def lu_factor(
-    a: HPMatrix, counters: OpCounters, pivot_tol: Optional[mpf] = None
-) -> LUFactorization:
+def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     """LU factorization with partial pivoting and exact operation counting.
 
     Counts m(m-1)(2m-1)/6 products and m(m-1)/2 quotients for an m-by-m
     matrix; pivot-search comparisons are not counted.  The elimination loop
     never skips zero multipliers, so the tallies are input independent.  A
-    pivot smaller in magnitude than ``pivot_tol`` (default: the working
-    epsilon) flags the factorization as singular and stops.
+    pivot smaller in magnitude than the working epsilon flags the
+    factorization as singular and stops.
     """
     m = a.m
-    tol = pivot_tol if pivot_tol is not None else working_eps()
+    tol = working_eps()
     lu = [list(row) for row in a.rows]
     perm = list(range(m))
     singular = False

@@ -187,24 +187,14 @@ def dd_d2(
     m = system.m
     _check_separation(y, x)
     fwd = _forward_chain(system, y, x, counters, fx, fy)
-    # reversed chain: position j holds F at (x_1..x_{j-1}, y_j..y_m); the
-    # ends are y and x themselves, already evaluated in the forward chain
-    rev = [None] * (m + 2)
-    rev[1] = fwd[m]
-    rev[m + 1] = fwd[0]
-    current = list(y)
-    for j in range(2, m + 1):
-        current[j - 2] = x[j - 2]
-        rev[j] = _eval_all(system, tuple(current), counters)
+    # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
+    # and its ends reuse the forward chain's values at y and x
+    rev = _forward_chain(system, x, y, counters, fwd[m], fwd[0])
     half = mpf(1) / 2
     denoms = [y[j] - x[j] for j in range(m)]
     entries = [
         [
-            (
-                (fwd[j + 1][i] - fwd[j][i] + rev[j + 1][i] - rev[j + 2][i])
-                / denoms[j]
-            )
-            * half
+            (fwd[j + 1][i] - fwd[j][i] + rev[j][i] - rev[j + 1][i]) / denoms[j] * half
             for j in range(m)
         ]
         for i in range(m)
@@ -227,7 +217,6 @@ def central_dd(
     x: HPVector,
     kind: DividedDifferenceKind,
     counters: Optional[OpCounters] = None,
-    fx: Optional[HPVector] = None,
 ) -> tuple[HPMatrix, HPVector]:
     """Derivative-free Jacobian substitute on the probe pair x -/+ F(x).
 
@@ -239,7 +228,7 @@ def central_dd(
     carrying F(x), when some residual component is below the working epsilon
     or the two probe points coincide in a coordinate relative to x.
     """
-    fxv = fx if fx is not None else system.eval(x, counters)
+    fxv = system.eval(x, counters)
     eps = working_eps()
     for i, f in enumerate(fxv):
         if abs(f) < eps:

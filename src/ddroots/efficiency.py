@@ -13,14 +13,14 @@ comparisons are exact rather than float-lucky.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 from mpmath import mp, mpf
 
 from .core import SolverError, working_eps
 from .divdiff import DividedDifferenceKind
-from .methods import PRICED_COUNTS, MethodKind, count_at, theoretical_order
+from .methods import PRICED_COUNTS, MethodKind, count_at
 
 Real = Union[int, float, str, mpf]
 
@@ -36,8 +36,6 @@ def as_mpf(value: Real) -> mpf:
     keeps 35 * 87.8 equal to 3073 exactly instead of picking up binary
     float dust.
     """
-    if isinstance(value, (int, str)):
-        return mpf(value)
     if isinstance(value, float):
         return mpf(repr(value))
     return mpf(value)
@@ -62,34 +60,18 @@ class CostModel:
             raise ValueError("ell must be at least 1")
 
 
-@dataclass(frozen=True)
-class ElementaryCostTable:
-    """Cost of elementary functions in product units (product = 1)."""
-
-    costs: Mapping[str, float] = field(
-        default_factory=lambda: {
-            "product": 1,
-            "quotient": 2.5,
-            "sqrt": 1.7,
-            "exp": 87.8,
-            "ln": 66,
-            "sin": 116,
-            "cos": 113,
-            "arctan": 228,
-        }
-    )
-
-    def __post_init__(self) -> None:
-        if self.costs.get("product") != 1:
-            raise ValueError("a product must cost exactly 1 product unit")
-        if any(c <= 0 for c in self.costs.values()):
-            raise ValueError("all elementary costs must be positive")
-
-    def __getitem__(self, op: str) -> float:
-        return self.costs[op]
-
-
-DEFAULT_COST_TABLE = ElementaryCostTable()
+# Cost of one elementary operation in product units (a product costs 1);
+# ``estimate_mu`` prices an operation profile with it.
+ELEMENTARY_COSTS: dict[str, float] = {
+    "product": 1,
+    "quotient": 2.5,
+    "sqrt": 1.7,
+    "exp": 87.8,
+    "ln": 66,
+    "sin": 116,
+    "cos": 113,
+    "arctan": 228,
+}
 
 
 def _cost_terms(method: MethodKind, dd_kind: DividedDifferenceKind, m: Real, ell: mpf) -> tuple:
@@ -124,17 +106,11 @@ def time_factor(cei_value: Real) -> mpf:
     return 1 / mp.log10(v)
 
 
-def ratio(
-    model_a: CostModel,
-    model_b: CostModel,
-    order_a: Optional[Real] = None,
-    order_b: Optional[Real] = None,
-) -> mpf:
+def ratio(model_a: CostModel, model_b: CostModel, order_a: Real, order_b: Real) -> mpf:
     """Efficiency ratio log(CEI_a)/log(CEI_b) = log(rho_a) C_b / (log(rho_b) C_a).
 
-    Values above 1 mean the first pair is the more efficient one.  Orders
-    default to the guaranteed orders of each (method, operator) pair; pass
-    them explicitly to compare under order-preserving assumptions.
+    Values above 1 mean the first pair is the more efficient one.  The orders
+    are the local orders the two pairs attain on the system at hand.
     """
     if (model_a.m, as_mpf(model_a.mu), as_mpf(model_a.ell)) != (
         model_b.m,
@@ -142,12 +118,7 @@ def ratio(
         as_mpf(model_b.ell),
     ):
         raise ValueError("ratio requires both models to share (m, mu, ell)")
-    rho_a = as_mpf(
-        order_a if order_a is not None else theoretical_order(model_a.method, model_a.dd_kind)
-    )
-    rho_b = as_mpf(
-        order_b if order_b is not None else theoretical_order(model_b.method, model_b.dd_kind)
-    )
+    rho_a, rho_b = as_mpf(order_a), as_mpf(order_b)
     return (mp.log(rho_a) * cost(model_b)) / (mp.log(rho_b) * cost(model_a))
 
 
@@ -221,13 +192,16 @@ def boundary_g(which: str, m: Real, ell: Real) -> mpf:
     symmetrized pairs against the base method and against their degraded
     one-sided counterparts.  The balance log(rho_a) C_b = log(rho_b) C_a is
     linear in mu: mu = (log(rho_b) p_a - log(rho_a) p_b) / gap with
-    gap = log(rho_a) a_b - log(rho_b) a_a.
+    gap = log(rho_a) a_b - log(rho_b) a_a.  Like ``CostModel``, it rejects
+    ell < 1.
     """
     which = which.lower()
     if which not in COMPARISONS:
         raise ValueError(f"unknown boundary curve {which!r}")
     (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which]
     m_v, ell_v = as_mpf(m), as_mpf(ell)
+    if ell_v < 1:
+        raise ValueError("ell must be at least 1")
     log_a, log_b = mp.log(rho_a), mp.log(rho_b)
     a_a, p_a = _cost_terms(method_a, dd_a, m_v, ell_v)
     a_b, p_b = _cost_terms(method_b, dd_b, m_v, ell_v)
@@ -253,19 +227,16 @@ def asymptote_m(which: str) -> mpf:
     return (log_b * a1 - log_a * b1) / slope
 
 
-def estimate_mu(
-    profile: Mapping[str, int],
-    table: ElementaryCostTable = DEFAULT_COST_TABLE,
-    m: int = 1,
-) -> float:
+def estimate_mu(profile: Mapping[str, int], m: int = 1) -> float:
     """Products-per-scalar-evaluation ratio from an operation profile.
 
-    ``profile`` counts elementary operations in one full evaluation of F;
-    the total product-unit cost divided by m prices one scalar component.
+    ``profile`` counts elementary operations in one full evaluation of F,
+    each priced by ``ELEMENTARY_COSTS``; the total product-unit cost divided
+    by m prices one scalar component.
     """
     if m < 1:
         raise ValueError("dimension must be at least 1")
     if any(count < 0 for count in profile.values()):
         raise ValueError("operation counts must be non-negative")
-    total = sum(count * table[op] for op, count in profile.items())
+    total = sum(count * ELEMENTARY_COSTS[op] for op, count in profile.items())
     return total / m

@@ -39,7 +39,8 @@ from .divdiff import (
 
 
 class MaxIterationsExceeded(SolverError):
-    """The iteration diverged, cycled, or ran out of its iteration budget."""
+    """The iteration diverged, cycled, stalled away from a root, or ran out of
+    its iteration budget."""
 
 
 class PrecisionChanged(SolverError):
@@ -270,14 +271,15 @@ def _outer_step(
     method: MethodKind,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
-) -> HPVector:
+) -> tuple[HPVector, HPVector]:
+    """The next iterate, and F(x)."""
     y, fact_central, fx = step_phi0(system, x, dd_kind, counters)
     if method is MethodKind.PHI0:
-        return y
+        return y, fx
     z, fact_nu = step_phi1(system, x, y, fact_central, fx, dd_kind, counters)
     if method is MethodKind.PHI1:
-        return z
-    return step_phi2(system, z, fact_nu, counters)
+        return z, fx
+    return step_phi2(system, z, fact_nu, counters), fx
 
 
 # Precision ramp.  After a correction of norm 10^(-D) the current iterate is
@@ -345,7 +347,10 @@ def solve(
     degenerate divided difference at x ends the run as ``residual_underflow``
     if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
     that norm; so does a degenerate iterate pair (x, y) in phi1 and phi2,
-    judged by ||F(y)||_inf, and y is then the final iterate.  An underflow,
+    judged by ||F(y)||_inf, and y is then the final iterate.  A ``ratio`` or
+    ``exact_repeat`` stop at an iterate whose ||F||_inf is not below
+    10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
+    coordinate stalled.  An underflow,
     an exact repeat or a singular operator met below ``ctx.digits`` says
     nothing about the target epsilon: that iteration is redone at
     ``ctx.digits``, and every later one runs there too.
@@ -378,7 +383,7 @@ def solve(
                 with mp.workdps(digits):
                     prec = mp.prec
                     try:
-                        x_next = _outer_step(system, x, method, dd_kind, counters)
+                        x_next, fx = _outer_step(system, x, method, dd_kind, counters)
                     finally:
                         if mp.prec != prec:
                             raise PrecisionChanged(
@@ -413,6 +418,8 @@ def solve(
             if c == 0 and digits < full:
                 ramping = False
                 continue
+            if not corr_norms:  # F(x_0) sets the scale of the stall test
+                f0_scale = max(mpf(1), inf_norm(fx))
             deltas.append(tuple(a - b for a, b in zip(counters.snapshot(), before)))
             working.append(digits)
             iterates.append(x_next)
@@ -448,6 +455,17 @@ def solve(
         else:
             final = iterates[-1]
             iterations = len(iterates) - 1
+        # the last step started from final (or from its exact repeat):
+        # corrections also collapse when one coordinate stalls away from the
+        # root, its operator column too large to move it
+        if stop_reason != "residual_underflow":
+            bound = 2 * threshold * f0_scale  # 2 * threshold = 10^-eta, at 30 digits
+            if inf_norm(fx) >= bound:
+                raise MaxIterationsExceeded(
+                    f"the corrections collapsed at x_{iterations}, but ||F||_inf = "
+                    f"{mp.nstr(inf_norm(fx), 8)} is not below {mp.nstr(bound, 8)}: "
+                    "a coordinate stalled"
+                )
         trace = IterationTrace(
             iterates=tuple(iterates),
             correction_norms=tuple(corr_norms),

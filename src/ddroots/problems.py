@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from mpmath import mp, mpf
 
 from .convergence import eta
-from .core import HPVector, PrecisionContext, inf_norm
+from .core import HPVector, PrecisionContext, SolverError, inf_norm
 from .divdiff import DividedDifferenceKind, NonlinearSystem
 from .methods import MethodKind, solve, theoretical_order
 
@@ -85,6 +85,13 @@ class ProblemSpec:
 _MEMO_ENTRIES = 256
 
 
+class ArgumentBeyondPrecision(SolverError):
+    """exp or cos asked for at an argument of magnitude 2^prec or more, which
+    only a diverging iteration reaches: one rounding of it moves the value by
+    a factor of e or a whole period, yet mpmath would reduce it with integers
+    of that many bits."""
+
+
 def _memo(name: str) -> Callable:
     """``mp.<name>`` cached on the argument's bits and the working precision.
 
@@ -93,7 +100,8 @@ def _memo(name: str) -> Callable:
     component factory call makes its own memos, shared by that factory's
     components, so a cache lives as long as one ``build_system()``.  The
     value is bit-identical to a fresh call; ``mp.<name>`` is looked up at
-    call time, and the evaluations the counters see are unchanged.
+    call time, and the evaluations the counters see are unchanged.  An
+    argument of magnitude 2^prec or more raises ArgumentBeyondPrecision.
     """
     cache: dict = {}
 
@@ -101,6 +109,11 @@ def _memo(name: str) -> Callable:
         key = (getattr(v, "_mpf_", v), mp.prec)
         value = cache.get(key)
         if value is None:
+            if mp.mag(v) > mp.prec:
+                raise ArgumentBeyondPrecision(
+                    f"{name} at an argument of about 2^{mp.mag(v)} determines no digit "
+                    f"at {mp.prec} bits: the iteration diverged"
+                )
             if len(cache) >= _MEMO_ENTRIES:
                 cache.clear()
             value = cache[key] = getattr(mp, name)(v)

@@ -17,9 +17,9 @@ from ddroots.benchmark import (
     run_row,
     suite_tables,
 )
-from ddroots.core import PrecisionContext, from_decimal, to_decimal
+from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import DividedDifferenceKind
-from ddroots.efficiency import CostModel, cei, cost, time_factor
+from ddroots.efficiency import CostModel, cei, cost, estimate_mu, time_factor
 from ddroots.methods import MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
 
@@ -43,7 +43,6 @@ def test_full_plan_runs(quad2_rows):
     ]
     for row in quad2_rows:
         assert row.error is None
-        assert row.converged
         assert row.counters_ok
         assert row.iterations >= 2
         assert row.correct_decimals > 0
@@ -109,7 +108,9 @@ def test_off_plan_pair_counts(quad2_rows):
 
 
 def test_estimated_mu_flag():
-    row = run_row(REGISTRY["quad2"], PHI0, D1, RunConfig(digits=128, use_estimated_mu=True))
+    quad2 = REGISTRY["quad2"]
+    mu = repr(estimate_mu(quad2.op_profile, m=quad2.m))
+    row = run_row(quad2, PHI0, D1, RunConfig(digits=128, mu=mu))
     assert row.mu == "1.5"  # estimate agrees with the published ratio here
     row = run_row(REGISTRY["quad2"], PHI0, D1, RunConfig(digits=128, mu="2.0"))
     assert row.mu == "2.0"
@@ -118,11 +119,18 @@ def test_estimated_mu_flag():
 def test_json_round_trip(quad2_rows):
     payload = json.loads(rows_to_json(quad2_rows))
     assert len(payload) == len(quad2_rows)
+    keys = {
+        "problem", "method", "dd", "order", "iterations", "cost", "cei", "tf",
+        "acoc", "correct_decimals", "counters_ok", "error",
+        "digits", "mu", "ell", "eta", "stop_reason", "acoc_full", "acoc_spread",
+        "counts_expected", "counts_measured", "working_digits", "final_iterate",
+    }
+    assert all(set(entry) == keys for entry in payload)
     with PrecisionContext(512).activate():
         for entry in payload:
             for s in entry["final_iterate"]:
-                assert to_decimal(from_decimal(s)) == s
-            assert to_decimal(from_decimal(entry["acoc_full"])) == entry["acoc_full"]
+                assert to_decimal(mpf(s)) == s
+            assert to_decimal(mpf(entry["acoc_full"])) == entry["acoc_full"]
             assert entry["working_digits"][0] == entry["digits"]
             assert len(entry["working_digits"]) >= entry["iterations"]
 

@@ -124,6 +124,45 @@ def test_run_failure_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--problem", "quad2", "--digits", "10"),
+        ("run", "--problem", "quad2", "--ell", "0.5"),
+        ("run", "--problem", "quad2", "--mu", "-1"),
+        ("run", "--problem", "quad2", "--max-iters", "1"),
+        ("curves", "--which", "g20", "--samples", "1"),
+        ("curves", "--which", "g20", "--ell", "0.5"),
+        ("check", "--suite", "counters", "--digits", "16"),
+        ("run", "--problem", "quad2", "--mu", "5", "--estimate-mu"),
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    # exit 1 is kept for a row or a check that failed
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects what it can see itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_mu_and_estimate_mu_from_a_config_file_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("mu=5\nestimate_mu=true\n")
+    assert main(["run", "--problem", "quad2", "--config", str(cfg)]) == 2
+    assert "exclusive" in capsys.readouterr().err
+
+
+def test_estimate_mu_prices_the_operation_profile(capsys):
+    code, out = run_cli(
+        capsys, "run", "--problem", "quad2", "--digits", "128",
+        "--method", "phi0", "--dd", "d1", "--estimate-mu", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)[0]["mu"] == "1.5"
+
+
+@pytest.mark.parametrize(
     "argv, golden",
     [
         (("check", "--suite", "tables"), "check_tables.txt"),

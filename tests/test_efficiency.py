@@ -4,9 +4,8 @@ from mpmath import mp, mpf
 
 from ddroots.divdiff import DividedDifferenceKind
 from ddroots.efficiency import (
-    DEFAULT_COST_TABLE,
+    ELEMENTARY_COSTS,
     CostModel,
-    ElementaryCostTable,
     PoleAtAsymptote,
     as_mpf,
     asymptote_m,
@@ -98,8 +97,6 @@ def test_validation_errors():
         cei(1.5, "10")
     with pytest.raises(ValueError):
         time_factor("0.99")
-    with pytest.raises(ValueError):
-        ElementaryCostTable({"product": 2})
 
 
 def test_ratio_reflexive_and_shared_params():
@@ -109,7 +106,7 @@ def test_ratio_reflexive_and_shared_params():
         b = model(5, "87.8", "2.5", PHI1, D1)
         assert ratio(a, b, order_a=6, order_b=4) > 1
         with pytest.raises(ValueError):
-            ratio(a, model(4, "87.8", "2.5", PHI1, D1))
+            ratio(a, model(4, "87.8", "2.5", PHI1, D1), order_a=6, order_b=4)
 
 
 def test_ratio_equality_at_dimension_two():
@@ -197,6 +194,16 @@ def test_boundary_pole_raises():
             boundary_g("g20", pole, "2.5")
 
 
+@pytest.mark.parametrize("which", ["g20", "g22", "g11"])
+def test_boundary_rejects_ell_below_one(which):
+    # the rule CostModel applies; m stays unbounded, curves are drawn below 2
+    with mp.workdps(50):
+        with pytest.raises(ValueError, match="ell must be at least 1"):
+            boundary_g(which, 4, "0.999")
+        boundary_g(which, 4, "1")
+        boundary_g(which, "0.5", "2.5")
+
+
 def test_classify_examples():
     with mp.workdps(50):
         for m_val, mu_val, ell_val in ((2, "0.1", "1"), (7, "10", "2.5"), (50, "200", "5")):
@@ -261,9 +268,9 @@ def test_estimate_mu_validation():
 
 
 def test_cost_table_defaults():
-    assert DEFAULT_COST_TABLE["product"] == 1
-    assert DEFAULT_COST_TABLE["quotient"] == 2.5
-    assert DEFAULT_COST_TABLE["arctan"] == 228
+    assert ELEMENTARY_COSTS["product"] == 1
+    assert ELEMENTARY_COSTS["quotient"] == 2.5
+    assert ELEMENTARY_COSTS["arctan"] == 228
 
 
 def test_as_mpf_reads_floats_decimally():

@@ -20,7 +20,7 @@ from ddroots import (
     run_row,
     solve,
 )
-from ddroots.problems import _MEMO_ENTRIES, _memo
+from ddroots.problems import _MEMO_ENTRIES, ArgumentBeyondPrecision, _memo
 
 D1 = DividedDifferenceKind.D1
 D2 = DividedDifferenceKind.D2
@@ -176,3 +176,16 @@ def test_elementary_calls_reaching_mpmath(monkeypatch, name, method, dd, label, 
     row = run_row(REGISTRY[name], method, dd, RunConfig(digits=1024))
     assert row.error is None
     assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("name", ["exp", "cos"])
+def test_an_argument_beyond_the_precision_is_refused(name):
+    # only a diverging iterate gets there: from x0 shifted by about 0.2,
+    # exp5 asked for exp near 2^(4e10), where mpmath's argument reduction
+    # raised MemoryError instead of a SolverError
+    with mp.workdps(128):
+        f = _memo(name)
+        assert f(mpf(2) ** (mp.prec - 1)) == getattr(mp, name)(mpf(2) ** (mp.prec - 1))
+        for v in (mpf(2) ** mp.prec, -(mpf(2) ** mp.prec)):
+            with pytest.raises(ArgumentBeyondPrecision):
+                f(v)

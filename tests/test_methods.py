@@ -1,10 +1,11 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ddroots.convergence import eta
-from ddroots.core import HPVector, OpCounters, PrecisionContext, SingularOperator, inf_norm
+from ddroots.core import HPVector, OpCounters, PrecisionContext, SingularOperator, SolverError, inf_norm
 from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem
 from ddroots.methods import (
     MEASURED_COUNTS,
@@ -287,7 +288,7 @@ def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
         root = mpf(10) ** 20 + mpf(1) / 3
         system = NonlinearSystem(1, [lambda p: p[0] - root])
         start = HPVector([root * (1 + mp.eps)])
-        assert system.eval(start)[0] > ctx.eps_machine
+        assert system.eval(start)[0] > mpf(10) ** -64
         for method in MethodKind:
             report = solve(system, start, method, D1, ctx)
             assert (report.stop_reason, report.iterations) == ("residual_underflow", 0)
@@ -463,3 +464,55 @@ def test_ramp_keeps_the_digits_of_a_root_of_large_magnitude(method, digits):
         assert report.stop_reason == "ratio"
         assert report.trace.working_digits[1] < 1024
         assert abs(report.final_iterate[0] / root - 1) < mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+def test_a_system_scaled_far_above_one_still_converges(method):
+    # the stall test is relative to F(x_0): at scale 1e60, phi2 stops with
+    # ||F||_inf = 1.5e13 on a root correct to 47 digits
+    ctx = PrecisionContext(128)
+    with ctx.activate():
+        s = mpf(10) ** 60
+        system = NonlinearSystem(
+            2, [lambda p: s * (p[0] * p[0] + p[1] * p[1] - 4), lambda p: s * (p[0] * p[1] - 1)]
+        )
+        report = solve(system, HPVector(["1.9", "0.6"]), method, D2, ctx)
+        root = mp.sqrt(2 + mp.sqrt(3))  # the first coordinate
+        assert report.stop_reason == "ratio"
+        assert abs(report.final_iterate[0] - root) < mpf(10) ** -40
+
+
+@given(
+    name=st.sampled_from(["quad2", "cos3", "exp5"]),
+    shifts=st.lists(st.integers(-300, 300), min_size=5, max_size=5),
+    digits=st.integers(128, 256),
+    method=st.sampled_from(list(MethodKind)),
+    dd=st.sampled_from(list(DividedDifferenceKind)),
+)
+@settings(max_examples=60, deadline=None)
+# a coordinate stalls away from the root while the others converge: the
+# ratios collapsed here with ||F||_inf = 234 and 292
+@example(name="exp5", shifts=[211, 217, 102, -265, 191], digits=190, method=PHI2, dd=D2)
+@example(name="exp5", shifts=[261, -295, 92, 224, -168], digits=180, method=PHI1, dd=D1)
+# a diverging iterate: the next step asked for exp near 2^(2.4e23)
+@example(name="exp5", shifts=[-77, 233, -77, 252, 233], digits=128, method=PHI2, dd=D1)
+def test_every_returned_report_is_accurate(name, shifts, digits, method, dd):
+    # from any start, solve either raises or stops on a point whose residual
+    # meets the bound its stop reason stands for
+    spec = REGISTRY[name]
+    ctx = PrecisionContext(digits)
+    with ctx.activate():
+        x0 = HPVector(x + mpf(k) / 1000 for x, k in zip(spec.x0_vector(), shifts))
+        system = spec.build_system(with_reference=False)
+        try:
+            report = solve(
+                system, x0, method, dd, ctx, order_hint=spec.effective_order(method, dd)
+            )
+        except SolverError:
+            return
+        residual = inf_norm(system.eval(report.final_iterate))
+        if report.stop_reason == "residual_underflow":
+            assert residual <= ctx.check_tolerance
+        else:
+            assert report.stop_reason in ("ratio", "exact_repeat")
+            assert residual < mpf(10) ** -mpf(report.eta_used)
