@@ -2,9 +2,9 @@
 instrumented LU factorization, and operation counters.
 
 All arithmetic is done with mpmath under an explicitly activated working
-precision measured in decimal digits.  The LU routines count products and
-quotients with a fixed loop structure so the tallies depend only on the
-dimension, never on the matrix values.
+precision measured in decimal digits.  The LU routines charge products and
+quotients by closed form, so the tallies depend only on the dimension,
+never on the matrix values, while their loops skip exact zeros.
 """
 from __future__ import annotations
 
@@ -138,13 +138,19 @@ class HPVector:
 
 
 class HPMatrix:
-    """Immutable dense square matrix of high-precision reals (row-major)."""
+    """Immutable dense square matrix of high-precision reals (row-major).
+
+    Entries that are already mpf are kept as they are; others are converted
+    at the working precision.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
         object.__setattr__(
-            self, "rows", tuple(tuple(mpf(e) for e in row) for row in rows)
+            self,
+            "rows",
+            tuple(tuple(e if isinstance(e, mpf) else mpf(e) for e in row) for row in rows),
         )
         m = len(self.rows)
         if m == 0 or any(len(row) != m for row in self.rows):
@@ -202,10 +208,15 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     """LU factorization with partial pivoting and exact operation counting.
 
     Counts m(m-1)(2m-1)/6 products and m(m-1)/2 quotients for an m-by-m
-    matrix; pivot-search comparisons are not counted.  The elimination loop
-    never skips zero multipliers, so the tallies are input independent.  A
-    pivot smaller in magnitude than the working epsilon flags the
-    factorization as singular and stops.
+    matrix; pivot-search comparisons are not counted.  The tallies are
+    charged by closed form, step by step, so they are input independent.
+    The loops skip exact zeros: the pivot search skips zero candidates, and
+    the elimination skips zero multipliers and runs over the pivot row's
+    nonzero columns only.  That changes no bit of the result: a zero is
+    never the largest candidate of a nonzero column, mpmath has no signed
+    zero, and x - 0 y = x for finite entries already rounded to the working
+    precision.  A pivot smaller in magnitude than the working epsilon flags
+    the factorization as singular and stops.
     """
     m = a.m
     tol = working_eps()
@@ -213,7 +224,8 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     perm = list(range(m))
     singular = False
     for k in range(m):
-        p = max(range(k, m), key=lambda i: abs(lu[i][k]))
+        candidates = [i for i in range(k, m) if lu[i][k]]
+        p = max(candidates, key=lambda i: abs(lu[i][k]), default=k)
         if abs(lu[p][k]) < tol:
             singular = True
             break
@@ -224,12 +236,15 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
             continue
         pivot = lu[k][k]
         row_k = lu[k]
+        nonzero = [(j, row_k[j]) for j in range(k + 1, m) if row_k[j]]
         for i in range(k + 1, m):
             row_i = lu[i]
+            if not row_i[k]:
+                continue
             lik = row_i[k] / pivot
             row_i[k] = lik
-            for j in range(k + 1, m):
-                row_i[j] -= lik * row_k[j]
+            for j, ukj in nonzero:
+                row_i[j] -= lik * ukj
         counters.add_quotients(m - 1 - k)
         counters.add_products((m - 1 - k) ** 2)
     return LUFactorization(
@@ -241,7 +256,11 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
 
 
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
-    """Solve A x = b from a factorization, counting m(m-1) products + m quotients."""
+    """Solve A x = b from a factorization, counting m(m-1) products + m quotients.
+
+    The tallies are charged by closed form; terms whose factor from the
+    factorization is zero are skipped, which changes no bit of x.
+    """
     if fact.singular_flag:
         raise SingularOperator("cannot solve with a singular operator")
     m = fact.m
@@ -251,14 +270,16 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
         row = lu[i]
         acc = y[i]
         for j in range(i):
-            acc -= row[j] * y[j]
+            if row[j]:
+                acc -= row[j] * y[j]
         y[i] = acc
     x = [mpf(0)] * m
     for i in range(m - 1, -1, -1):
         row = lu[i]
         acc = y[i]
         for j in range(i + 1, m):
-            acc -= row[j] * x[j]
+            if row[j]:
+                acc -= row[j] * x[j]
         x[i] = acc / row[i]
     counters.add_products(m * (m - 1))
     counters.add_quotients(m)

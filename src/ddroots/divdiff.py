@@ -11,6 +11,7 @@ residual checks.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -60,12 +61,20 @@ ComponentFn = Callable[[Sequence], mpf]
 class NonlinearSystem:
     """A square nonlinear system F(x) = 0 with per-component evaluation.
 
-    ``components[i]`` evaluates the i-th scalar equation at an indexable
-    point.  Components must be pure functions of the point; counters are
-    passed explicitly, so solves over one system definition share no tallies.
-    They do share precision: it lives in mpmath's process-global ``mp``, and
-    ``solve`` switches it on every iteration, so parallel solves must run in
-    separate processes, not threads.
+    ``components[i]`` evaluates the i-th scalar equation at a point.  A
+    component must be a pure, deterministic function of the point, and the
+    point is a read-only sequence, not a tuple: index it (negative indices
+    too), slice it, iterate it or take its ``len``.  Divided-difference
+    chains record which coordinates each evaluation reads and evaluate a
+    component again only after one of those changes, so a component that
+    reads few coordinates costs few evaluations.  The counters still charge
+    the paper's model, m(m+1) evaluations for a fresh one-sided operator
+    whatever the sparsity, while the wall time follows the evaluations
+    performed.  Counters are passed explicitly, so solves over one system
+    definition share no tallies.  They do share precision: it lives in
+    mpmath's process-global ``mp``, and ``solve`` switches it on every
+    iteration, so parallel solves must run in separate processes, not
+    threads.
     """
 
     def __init__(
@@ -113,8 +122,42 @@ def _check_separation(y: Sequence, x: Sequence) -> None:
             )
 
 
-def _eval_all(system: NonlinearSystem, point: Sequence, counters) -> list:
-    return [system.eval_component(i, point, counters) for i in range(system.m)]
+class _RecordingPoint:
+    """Read-only view of a chain point that records which coordinates one
+    component evaluation reads: by index (negative too), by slice or by
+    iteration.  ``len`` reads no coordinate."""
+
+    __slots__ = ("_point", "reads")
+
+    def __init__(self, point: tuple):
+        self._point = point
+        self.reads: set = set()
+
+    def __len__(self) -> int:
+        return len(self._point)
+
+    def __getitem__(self, k):
+        value = self._point[k]
+        if isinstance(k, slice):
+            self.reads.update(range(*k.indices(len(self._point))))
+        else:
+            self.reads.add(operator.index(k) % len(self._point))
+        return value
+
+    def __iter__(self):
+        self.reads.update(range(len(self._point)))
+        return iter(self._point)
+
+
+def _evaluate(system: NonlinearSystem, i: int, point: tuple, reads) -> tuple:
+    """F_i at ``point`` and the coordinates that evaluation read, or a
+    superset of them: a component whose previous evaluation read every
+    coordinate is evaluated again at every step anyway, so its reads are not
+    recorded again.  ``reads`` is None when no previous evaluation is known."""
+    if reads is not None and len(reads) == len(point):
+        return system.eval_component(i, point), reads
+    view = _RecordingPoint(point)
+    return system.eval_component(i, view), view.reads
 
 
 def _forward_chain(
@@ -124,22 +167,45 @@ def _forward_chain(
     counters,
     fx,
     fy,
-) -> list:
-    """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y.
+    fx_reads=None,
+) -> tuple[list, list]:
+    """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y, and the
+    coordinates each component read for its value at y.
 
-    Endpoint values are reused when supplied, so a fresh pair costs
-    m(m+1) scalar evaluations and a pair with known endpoints m(m-1).
+    Consecutive points differ in coordinate j - 1 only, so step j evaluates
+    again just the components whose latest value read it; every other keeps
+    that value object.  A pure component would reproduce it bit for bit,
+    since the evaluation behind it read none of the coordinates changed
+    since.  Supplied end values come with no read sets (None, unless
+    ``fx_reads`` gives those of ``fx``), so the step after one evaluates
+    every component.
+
+    The counters are charged the paper's model whatever is performed: m(m+1)
+    scalar evaluations for a fresh pair, m(m-1) with both endpoint values
+    supplied.
     """
     m = system.m
-    chain = [list(fx) if fx is not None else _eval_all(system, tuple(x), counters)]
+    if counters is not None:
+        counters.add_evals(m * (m + 1 - (fx is not None) - (fy is not None)))
     current = list(x)
+    if fx is None:
+        point = tuple(current)
+        values, reads = map(list, zip(*(_evaluate(system, i, point, None) for i in range(m))))
+    else:
+        values, reads = list(fx), list(fx_reads or [None] * m)
+    chain = [values]
     for j in range(1, m + 1):
         current[j - 1] = y[j - 1]
         if j == m and fy is not None:
-            chain.append(list(fy))
+            values, reads = list(fy), [None] * m
         else:
-            chain.append(_eval_all(system, tuple(current), counters))
-    return chain
+            values = list(values)
+            point = tuple(current)
+            for i, read in enumerate(reads):
+                if read is None or j - 1 in read:
+                    values[i], reads[i] = _evaluate(system, i, point, read)
+        chain.append(values)
+    return chain, reads
 
 
 def dd_d1(
@@ -153,20 +219,23 @@ def dd_d1(
     """Classical divided-difference operator on the points (y, x).
 
     Entry (i, j) is the quotient of consecutive mixed-coordinate values of
-    F_i along the forward chain by y_j - x_j.  Adds m^2 quotients to the
-    counters.
+    F_i along the forward chain by y_j - x_j, or an exact zero, with no
+    arithmetic, when the chain kept F_i's value object over that step.  Adds
+    m^2 quotients to the counters.
     """
     m = system.m
     _check_separation(y, x)
-    chain = _forward_chain(system, y, x, counters, fx, fy)
+    chain, _ = _forward_chain(system, y, x, counters, fx, fy)
     denoms = [y[j] - x[j] for j in range(m)]
-    entries = [
-        [(chain[j + 1][i] - chain[j][i]) / denoms[j] for j in range(m)]
-        for i in range(m)
+    zero = mpf(0)
+    columns = [
+        [zero if after is before else (after - before) / d
+         for before, after in zip(chain[j], chain[j + 1])]
+        for j, d in enumerate(denoms)
     ]
     if counters is not None:
         counters.add_quotients(m * m)
-    return HPMatrix(entries)
+    return HPMatrix(zip(*columns))
 
 
 def dd_d2(
@@ -182,27 +251,28 @@ def dd_d2(
     Averages the forward chain with the chain walked from y back to x, which
     doubles the scalar evaluations: 2m^2 for a fresh pair, 2m(m-1) with both
     endpoint values supplied.  Each entry is one quotient by y_j - x_j plus
-    one product by the constant one-half; the counters record exactly that.
+    one product by the constant one-half, or an exact zero, with no
+    arithmetic, when both chains kept F_i's value object over step j; the
+    counters record the quotient and the product for every entry.
     """
     m = system.m
     _check_separation(y, x)
-    fwd = _forward_chain(system, y, x, counters, fx, fy)
+    fwd, reads = _forward_chain(system, y, x, counters, fx, fy)
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values at y and x
-    rev = _forward_chain(system, x, y, counters, fwd[m], fwd[0])
+    rev, _ = _forward_chain(system, x, y, counters, fwd[m], fwd[0], reads)
     half = mpf(1) / 2
     denoms = [y[j] - x[j] for j in range(m)]
-    entries = [
-        [
-            (fwd[j + 1][i] - fwd[j][i] + rev[j][i] - rev[j + 1][i]) / denoms[j] * half
-            for j in range(m)
-        ]
-        for i in range(m)
+    zero = mpf(0)
+    columns = [
+        [zero if f1 is f0 and r0 is r1 else (f1 - f0 + r0 - r1) / d * half
+         for f0, f1, r0, r1 in zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])]
+        for j, d in enumerate(denoms)
     ]
     if counters is not None:
         counters.add_quotients(m * m)
         counters.add_products(m * m)
-    return HPMatrix(entries)
+    return HPMatrix(zip(*columns))
 
 
 _BUILDERS = {DividedDifferenceKind.D1: dd_d1, DividedDifferenceKind.D2: dd_d2}
@@ -284,8 +354,8 @@ def _fd_jacobian(system: NonlinearSystem, point: Sequence, step) -> list:
         minus = list(point)
         plus[j] = plus[j] + step
         minus[j] = minus[j] - step
-        fp = _eval_all(system, tuple(plus), None)
-        fm = _eval_all(system, tuple(minus), None)
+        fp = system.eval(tuple(plus))
+        fm = system.eval(tuple(minus))
         cols.append([(fp[i] - fm[i]) / (2 * step) for i in range(m)])
     return [[cols[j][i] for j in range(m)] for i in range(m)]
 

@@ -237,9 +237,9 @@ def step_phi1(
         exc.residual, exc.point = fy, y
         raise
     central = fact_central.matrix
-    # doubling is a shift-add, not a counted product
+    # doubling is a shift-add, not a counted product; two zeros give a zero
     combined = HPMatrix(
-        (2 * b - a for b, a in zip(rb, ra))
+        (2 * b - a if b or a else a for b, a in zip(rb, ra))
         for rb, ra in zip(op_pair.rows, central.rows)
     )
     fact_nu = lu_factor(combined, counters)

@@ -98,7 +98,7 @@ def test_inf_norm_scaling(entries, scale):
 
 
 def test_lu_identity_counts_are_loop_shaped():
-    # fixed loop structure: the identity costs the same as any 3x3 matrix
+    # closed-form tallies: the identity costs the same as any 3x3 matrix
     with PrecisionContext(64).activate():
         counters = OpCounters()
         fact = lu_factor(HPMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), counters)
@@ -197,6 +197,85 @@ def test_permuted_product_reconstructs_input(case):
                 recon = lower + upper
                 target = a[fact.perm[i]][j]
                 assert abs(recon - target) <= tol * max(mpf(1), abs(target))
+
+
+def _dense_lu_factor(a):
+    """The elimination that multiplies by every zero: the oracle of the
+    skipping one."""
+    m = a.m
+    tol = working_eps()
+    lu = [list(row) for row in a.rows]
+    perm = list(range(m))
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(lu[i][k]))
+        if abs(lu[p][k]) < tol:
+            return lu, perm, True
+        lu[k], lu[p] = lu[p], lu[k]
+        perm[k], perm[p] = perm[p], perm[k]
+        for i in range(k + 1, m):
+            lik = lu[i][k] / lu[k][k]
+            lu[i][k] = lik
+            for j in range(k + 1, m):
+                lu[i][j] -= lik * lu[k][j]
+    return lu, perm, False
+
+
+def _dense_lu_solve(lu, perm, b):
+    m = len(perm)
+    y = [mpf(b[p]) for p in perm]
+    for i in range(1, m):
+        for j in range(i):
+            y[i] -= lu[i][j] * y[j]
+    x = [mpf(0)] * m
+    for i in range(m - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, m):
+            acc -= lu[i][j] * x[j]
+        x[i] = acc / lu[i][i]
+    return x
+
+
+@st.composite
+def sparse_system(draw):
+    """A banded or a randomly sparse matrix of fractions, and a right-hand
+    side; zero rows and columns, hence singular matrices, included."""
+    m = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        below, above = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        pattern = [[-below <= j - i <= above for j in range(m)] for i in range(m)]
+    else:
+        pattern = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                min_size=m, max_size=m))
+    fraction = st.tuples(st.integers(-9, 9), st.integers(1, 7))
+    rows = [[draw(fraction) if on else (0, 1) for on in row] for row in pattern]
+    b = draw(st.lists(fraction, min_size=m, max_size=m))
+    return rows, b
+
+
+@given(sparse_system())
+@settings(max_examples=150, deadline=None)
+def test_zero_skipping_lu_is_bit_identical_to_the_dense_loop(case):
+    rows, b = case
+    m = len(rows)
+    with PrecisionContext(64).activate():
+        a = HPMatrix([[mpf(n) / d for n, d in row] for row in rows])
+        rhs = HPVector(mpf(n) / d for n, d in b)
+        counters = OpCounters()
+        fact = lu_factor(a, counters)
+        lu, perm, singular = _dense_lu_factor(a)
+        assert fact.singular_flag == singular
+        assert fact.perm == tuple(perm)
+        assert [[e._mpf_ for e in row] for row in fact.lu] == [[e._mpf_ for e in row] for row in lu]
+        if singular:
+            return
+        # the closed forms, whatever the zero pattern
+        assert counters.snapshot() == (0, m * (m - 1) * (2 * m - 1) // 6, m * (m - 1) // 2)
+        x = lu_solve(fact, rhs, counters)
+        assert [e._mpf_ for e in x] == [e._mpf_ for e in _dense_lu_solve(lu, perm, rhs)]
+        assert counters.snapshot()[1:] == (
+            m * (m - 1) * (2 * m - 1) // 6 + m * (m - 1),
+            m * (m - 1) // 2 + m,
+        )
 
 
 def test_mat_inf_norm_is_max_row_sum():

@@ -143,6 +143,88 @@ def test_eval_component_counts_one():
         assert c.scalar_fn_evals == 3
 
 
+# --- structure-aware chains ---------------------------------------------------
+
+
+def _dense_operator(system, y, x, kind, fx, fy):
+    """The operator from chains that evaluate every component at every point:
+    the oracle of the chains that keep values no changed coordinate reaches."""
+    m = system.m
+
+    def chain(start, end, first, last):
+        current, points = list(start), [tuple(start)]
+        for j in range(m):
+            current[j] = end[j]
+            points.append(tuple(current))
+        values = [[f(point) for f in system.components] for point in points]
+        values[0] = values[0] if first is None else list(first)
+        values[m] = values[m] if last is None else list(last)
+        return values
+
+    fwd = chain(x, y, fx, fy)
+    if kind is D1:
+        return [[(fwd[j + 1][i] - fwd[j][i]) / (y[j] - x[j]) for j in range(m)] for i in range(m)]
+    rev = chain(y, x, fwd[m], fwd[0])
+    half = mpf(1) / 2
+    return [
+        [(fwd[j + 1][i] - fwd[j][i] + rev[j][i] - rev[j + 1][i]) / (y[j] - x[j]) * half
+         for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _sparse_component(kind, a, b, c, m):
+    if kind == "branch":
+        return lambda p: p[a] if p[b] > 0 else p[c]
+    if kind == "sum":  # iterates the whole point
+        return lambda p: sum(p) * p[a]
+    if kind == "negative":
+        return lambda p: p[a - m] * p[b] + 1
+    if kind == "slice":
+        lo, hi = min(a, c), max(a, c)
+        return lambda p: sum(v * v for v in p[lo:hi + 1])
+    return lambda p: p[a] * p[b] - p[c] ** 3
+
+
+@st.composite
+def sparse_case(draw):
+    m = draw(st.integers(1, 6))
+    index = st.integers(0, m - 1)
+    kinds = st.sampled_from(["branch", "sum", "negative", "slice", "cubic"])
+    specs = draw(st.lists(st.tuples(kinds, index, index, index), min_size=m, max_size=m))
+    quarters = st.integers(-12, 12)
+    x = draw(st.lists(quarters, min_size=m, max_size=m))
+    y = [draw(quarters.filter(lambda v, xj=xj: v != xj)) for xj in x]
+    return m, specs, x, y, draw(st.booleans()), draw(st.booleans())
+
+
+@given(sparse_case())
+@settings(max_examples=80, deadline=None)
+def test_chains_give_the_dense_chains_operators_bit_for_bit(case):
+    m, specs, xq, yq, supplied, shifted = case
+    system = NonlinearSystem(m, [_sparse_component(*spec, m) for spec in specs])
+    with CTX.activate():
+        x = HPVector(mpf(v) / 4 for v in xq)
+        y = HPVector(mpf(v) / 4 for v in yq)
+        ends = {}
+        if supplied:
+            # the chains may use supplied end values only at their own points
+            shift = 1 if shifted else 0
+            ends = {"fx": system.eval(x) + HPVector([shift] * m),
+                    "fy": system.eval(y) + HPVector([shift] * m)}
+        for build, kind, fresh, with_ends in (
+            (dd_d1, D1, m * (m + 1), m * (m - 1)),
+            (dd_d2, D2, 2 * m * m, 2 * m * (m - 1)),
+        ):
+            counters = OpCounters()
+            got = build(system, y, x, counters, **ends)
+            want = _dense_operator(system, y, x, kind, ends.get("fx"), ends.get("fy"))
+            assert [[e._mpf_ for e in row] for row in got.rows] == [
+                [e._mpf_ for e in row] for row in want
+            ]
+            assert counters.scalar_fn_evals == (with_ends if supplied else fresh)
+
+
 def test_degenerate_pair_rejected():
     with CTX.activate():
         with pytest.raises(DegenerateDividedDifference):

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from ddroots.convergence import eta
 from ddroots.core import HPVector, OpCounters, PrecisionContext, SingularOperator, SolverError, inf_norm
-from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem
+from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem, dd_d1, dd_d2
 from ddroots.methods import (
     MEASURED_COUNTS,
     PRICED_COUNTS,
@@ -181,6 +181,71 @@ def test_solve_counter_deltas_every_pair():
                         assert all(
                             t <= c for t, c in zip(totals, report.counters.snapshot())
                         )
+
+
+def _broyden_tridiagonal(m):
+    """F_i = (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1, x_0 = x_{m+1} = 0
+    (More, Garbow & Hillstrom, ACM TOMS 7 (1981), problem 30)."""
+
+    def make(i):
+        def component(p):
+            left = p[i - 1] if i > 0 else 0
+            right = p[i + 1] if i < m - 1 else 0
+            return (3 - 2 * p[i]) * p[i] - left - 2 * right + 1
+
+        return component
+
+    return [make(i) for i in range(m)]
+
+
+# chains and residuals F(x) per outer iteration
+@pytest.mark.parametrize("method, dd, chains, residuals", [(PHI0, D1, 1, 1), (PHI2, D2, 4, 3)])
+def test_tridiagonal_chains_perform_few_evaluations(method, dd, chains, residuals):
+    # each component reads at most three coordinates, so a chain evaluates
+    # about 3m components where the model charges m(m+1) or m(m-1)
+    m = 32
+    calls = []
+
+    def counted(component):
+        return lambda p: calls.append(1) or component(p)
+
+    ctx = PrecisionContext(256)
+    with ctx.activate():
+        system = NonlinearSystem(m, [counted(f) for f in _broyden_tridiagonal(m)])
+        x0 = HPVector(-1 + mpf(k % 7 - 3) / 100 for k in range(m))
+        report = solve(system, x0, method, dd, ctx, order_hint=theoretical_order(method, D2))
+    deltas = report.trace.counter_deltas
+    assert report.stop_reason == "ratio"
+    assert deltas and all(d == expected_iteration_counts(method, dd, m) for d in deltas)
+    assert len(calls) <= len(deltas) * (residuals * m + chains * 4 * m)
+
+
+def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
+    # a fresh chain evaluates all m components at x, then the two or three
+    # that read each changed coordinate: m + 3(m - 2) + 2 * 2 = 4m - 2.  The
+    # reversed chain of the symmetrized operator starts from the forward
+    # chain's read sets at y (3m - 4 more); after a supplied end value, whose
+    # read sets are unknown, a chain evaluates every component once more
+    m = 32
+    calls = []
+
+    def counted(component):
+        return lambda p: calls.append(1) or component(p)
+
+    system = NonlinearSystem(m, [counted(f) for f in _broyden_tridiagonal(m)])
+    with PrecisionContext(64).activate():
+        x = HPVector(mpf(k) / 8 for k in range(m))
+        y = HPVector(mpf(k) / 8 + 1 for k in range(m))
+        ends = {"fx": system.eval(x), "fy": system.eval(y)}
+        for build, kwargs, performed in (
+            (dd_d1, {}, 4 * m - 2),
+            (dd_d2, {}, 7 * m - 6),
+            (dd_d1, ends, 4 * m - 6),
+            (dd_d2, ends, 8 * m - 12),
+        ):
+            calls.clear()
+            build(system, y, x, **kwargs)
+            assert len(calls) == performed
 
 
 def test_trace_shape_and_contraction():
