@@ -16,8 +16,17 @@ from mpmath import mp, mpf
 from . import efficiency
 # unused here since solve reports the ACOC spread; perfbench/tracer.py patches this name
 from .convergence import acoc as _acoc  # noqa: F401
-from .core import HPVector, OpCounters, PrecisionContext, SolverError, mat_inf_norm, to_decimal
+from .core import (
+    HPVector,
+    OpCounters,
+    PrecisionContext,
+    SolverError,
+    count_at,
+    mat_inf_norm,
+    to_decimal,
+)
 from .divdiff import (
+    OPERATOR_COUNTS,
     DividedDifferenceKind,
     check_potra,
     check_secant,
@@ -33,7 +42,7 @@ from .efficiency import (
     cost,
     time_factor,
 )
-from .methods import MethodKind, expected_iteration_counts, operator_evals, solve, theoretical_order
+from .methods import MethodKind, expected_iteration_counts, solve, theoretical_order
 from .problems import REGISTRY, ProblemSpec
 
 D1 = DividedDifferenceKind.D1
@@ -327,11 +336,15 @@ def suite_tables() -> list[CheckResult]:
     return results
 
 
-def _random_pairs(problem: ProblemSpec, count: int) -> list[tuple]:
+_OPERATOR_PAIRS = 100  # random point pairs per system
+_HALVINGS = 3  # displacement halvings of the accuracy-order check
+
+
+def _random_pairs(problem: ProblemSpec) -> list[tuple]:
     rng = random.Random(20130828)  # fixed: every run checks the same pairs
     center = [float(s) for s in problem.x0]
     pairs = []
-    for _ in range(count):
+    for _ in range(_OPERATOR_PAIRS):
         x = [c + rng.uniform(-0.4, 0.4) for c in center]
         y = [
             xi + rng.choice((-1, 1)) * rng.uniform(0.05, 0.35)
@@ -342,19 +355,19 @@ def _random_pairs(problem: ProblemSpec, count: int) -> list[tuple]:
     return pairs
 
 
-def suite_operators(digits: int = 256, pairs: int = 100) -> list[CheckResult]:
+def suite_operators(digits: int = 256) -> list[CheckResult]:
     """Operator axioms: secant identity, symmetry, the mean-value
     characterization residuals, and the accuracy orders against the
     integral oracle."""
     ctx = PrecisionContext(digits)
-    tol = mpf(10) ** (-mpf(digits) / 2)
+    tol = ctx.check_tolerance
     results = []
     with ctx.activate():
         for problem in REGISTRY.values():
             system = problem.build_system(with_reference=False)
             worst = {D1: mpf(0), D2: mpf(0)}
             worst_sym = mpf(0)
-            for x, y in _random_pairs(problem, pairs):
+            for x, y in _random_pairs(problem):
                 for kind, build in ((D1, dd_d1), (D2, dd_d2)):
                     op = build(system, y, x)
                     worst[kind] = max(worst[kind], check_secant(op, system, y, x))
@@ -364,7 +377,7 @@ def suite_operators(digits: int = 256, pairs: int = 100) -> list[CheckResult]:
                     CheckResult(
                         f"operators/secant/{problem.name}/{kind.value}",
                         worst[kind] <= tol,
-                        f"max residual {mp.nstr(worst[kind], 4)} over {pairs} pairs"
+                        f"max residual {mp.nstr(worst[kind], 4)} over {_OPERATOR_PAIRS} pairs"
                         f" (tol {mp.nstr(tol, 4)})",
                     )
                 )
@@ -409,7 +422,7 @@ def suite_operators(digits: int = 256, pairs: int = 100) -> list[CheckResult]:
     return results
 
 
-def accuracy_order_ratios(halvings: int = 3) -> dict[DividedDifferenceKind, list[float]]:
+def accuracy_order_ratios() -> dict[DividedDifferenceKind, list[float]]:
     """Error-shrink factors against the integral oracle under step halving.
 
     Uses the trigonometric benchmark system, a base displacement of
@@ -424,7 +437,7 @@ def accuracy_order_ratios(halvings: int = 3) -> dict[DividedDifferenceKind, list
     for kind, build in ((D1, dd_d1), (D2, dd_d2)):
         errors = []
         h = list(base)
-        for _ in range(halvings + 1):
+        for _ in range(_HALVINGS + 1):
             y = HPVector(xi + hi for xi, hi in zip(x, h))
             op = build(system, y, x)
             oracle = integral_dd_oracle(system, y, x, nodes=24)
@@ -434,7 +447,7 @@ def accuracy_order_ratios(halvings: int = 3) -> dict[DividedDifferenceKind, list
             ]
             errors.append(mat_inf_norm(type(op)(diff)))
             h = [hi / 2 for hi in h]
-        out[kind] = [float(errors[k] / errors[k + 1]) for k in range(halvings)]
+        out[kind] = [float(errors[k] / errors[k + 1]) for k in range(_HALVINGS)]
     return out
 
 
@@ -466,13 +479,13 @@ def suite_counters(digits: int = 128) -> list[CheckResult]:
             x = problem.x0_vector()
             y = HPVector(xi + mpf("0.125") for xi in x)
             for build, kind in ((dd_d1, D1), (dd_d2, D2)):
-                fresh, supplied = operator_evals(kind, problem.m)
+                fresh, supplied = (
+                    count_at(unit[0], problem.m) for unit in OPERATOR_COUNTS[kind]
+                )
                 c1 = OpCounters()
                 build(system, y, x, c1)
                 c2 = OpCounters()
-                fx = system.eval(x)
-                fy = system.eval(y)
-                build(system, y, x, c2, fx=fx, fy=fy)
+                build(system, y, x, c2, ends=(system.eval(x), system.eval(y)))
                 ok = c1.scalar_fn_evals == fresh and c2.scalar_fn_evals == supplied
                 results.append(
                     CheckResult(

@@ -1,7 +1,8 @@
 """Command-line interface: rerun benchmark problems, export boundary-curve
 data, and run the invariant check suites.
 
-A key=value config file can seed any flag; explicit flags win.  Exit codes:
+A key=value config file can supply any flag; the command line's own flags
+win.  Exit codes:
 0 ok, 1 a row or a check failed, 2 bad input or config.
 """
 from __future__ import annotations
@@ -24,8 +25,14 @@ from .methods import MethodKind
 from .problems import REGISTRY
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+def _config_args(path: str) -> list[str]:
+    """The flags a key=value config file stands for, in file order.
+
+    ``key=value`` is ``--key=value`` (underscores in the key read as
+    dashes), a comma-separated value repeats the flag, and ``true`` or
+    ``false`` gives the bare flag or nothing.
+    """
+    args = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -34,41 +41,30 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            flag = "--" + key.strip().replace("_", "-")
+            value = value.strip()
+            if value.lower() == "true":
+                args.append(flag)
+            elif value.lower() != "false":
+                args += [f"{flag}={item.strip()}" for item in value.split(",")]
+    return args
 
 
-def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise LookupError(command)
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
-    # parse once to find --config, seed the subcommand's defaults from it,
-    # then parse again so explicit flags win
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
-        raw = _read_config(probe.config)
-        defaults = {}
-        for key, value in raw.items():
-            if key in ("method", "dd"):
-                defaults[key] = value.split(",")
-            elif key in ("digits", "max_iters", "samples"):
-                defaults[key] = int(value)
-            elif key in ("m_min", "m_max"):
-                defaults[key] = float(value)
-            elif key == "estimate_mu":
-                defaults[key] = value.lower() in ("1", "true", "yes")
-            else:
-                defaults[key] = value
-        sub = _subparser_for(parser, probe.command)
-        known = {a.dest for a in sub._actions}
-        unknown = set(defaults) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        sub.set_defaults(**defaults)
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the flags of its --config file, if any, inserted
+    right after the command.  A flag the command line names, in full or
+    abbreviated, is not taken from the file, so a repeatable flag such as
+    --method replaces the file's list instead of extending it."""
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--config")
+    path = probe.parse_known_args(argv)[0].config
+    if path:
+        named = [a.partition("=")[0] for a in argv[1:] if a.startswith("--") and a != "--"]
+        seeded = [
+            a for a in _config_args(path)
+            if not any(a.partition("=")[0].startswith(n) for n in named)
+        ]
+        argv = argv[:1] + seeded + argv[1:]
     return parser.parse_args(argv)
 
 
@@ -76,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = REGISTRY[args.problem]
     mu = args.mu
     if args.estimate_mu:
-        if mu is not None:  # both can come from a config file
+        if mu is not None:
             raise ValueError("--mu and --estimate-mu are exclusive")
         mu = repr(estimate_mu(problem.op_profile, m=problem.m))
     methods = tuple(MethodKind(m) for m in args.method) if args.method else None
@@ -131,10 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dd", action="append", choices=[d.value for d in DividedDifferenceKind])
     run.add_argument("--digits", type=int, default=4096)
     run.add_argument("--ell", default="2.5")
-    mu = run.add_mutually_exclusive_group()
-    mu.add_argument("--mu", default=None)
-    mu.add_argument("--estimate-mu", action="store_true", dest="estimate_mu",
-                    help="price mu from the problem's operation profile")
+    run.add_argument("--mu", default=None)
+    run.add_argument("--estimate-mu", action="store_true", dest="estimate_mu",
+                     help="price mu from the problem's operation profile")
     run.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     run.add_argument("--format", default="md", choices=sorted(FORMATTERS))
     run.add_argument("--config", default=None, help="key=value file seeding these flags")
@@ -161,10 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = _apply_config(parser, list(argv) if argv is not None else sys.argv[1:])
+        args = _parse_args(parser, list(argv) if argv is not None else sys.argv[1:])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return exc.code
     try:
         return args.func(args)
     except ValueError as exc:  # an out-of-range value met by the library

@@ -2,9 +2,9 @@
 instrumented LU factorization, and operation counters.
 
 All arithmetic is done with mpmath under an explicitly activated working
-precision measured in decimal digits.  The LU routines charge products and
-quotients by closed form, so the tallies depend only on the dimension,
-never on the matrix values, while their loops skip exact zeros.
+precision measured in decimal digits.  Each counted routine charges its own
+unit of the count table, so the tallies depend only on the dimension, never
+on the values, while the loops skip exact zeros.
 """
 from __future__ import annotations
 
@@ -70,6 +70,21 @@ class PrecisionContext:
             return mpf(10) ** (-mpf(self.digits) / 2)
 
 
+# The count table.  A unit is the (evaluations, products, quotients) of one
+# call of the routine that charges it, each a polynomial in the dimension m
+# stored as its integer coefficients of (1, m, m^2, m^3) over the common
+# denominator 6.  The LU units are here; the residual and operator units
+# are beside their builders in ``divdiff``.
+FACTOR_COUNTS = ((), (0, 1, -3, 2), (0, -3, 3))
+SOLVE_COUNTS = ((), (0, -6, 6), (0, 6))
+
+
+def count_at(poly: tuple, m):
+    """Value at m of a coefficient tuple over 6: an exact int for int m."""
+    total = sum(c * m**k for k, c in enumerate(poly))
+    return total // 6 if isinstance(total, int) else total / 6
+
+
 @dataclass
 class OpCounters:
     """Mutable tallies of the cost-bearing operations of a solve.
@@ -83,14 +98,12 @@ class OpCounters:
     products: int = 0
     quotients: int = 0
 
-    def add_evals(self, n: int = 1) -> None:
-        self.scalar_fn_evals += n
-
-    def add_products(self, n: int) -> None:
-        self.products += n
-
-    def add_quotients(self, n: int) -> None:
-        self.quotients += n
+    def charge(self, unit: tuple, m: int) -> None:
+        """Add one call of a count-table unit at dimension m."""
+        evals, products, quotients = (count_at(poly, m) for poly in unit)
+        self.scalar_fn_evals += evals
+        self.products += products
+        self.quotients += quotients
 
     def snapshot(self) -> tuple[int, int, int]:
         return (self.scalar_fn_evals, self.products, self.quotients)
@@ -190,14 +203,12 @@ class LUFactorization:
     """Combined LU storage with partial-pivot permutation.
 
     ``matrix`` keeps the factored input so callers may reuse the operator
-    entries themselves (not just the factorization).  ``singular_flag`` is
-    set instead of raising so the caller can attach context to the failure.
+    entries themselves (not just the factorization).
     """
 
     matrix: HPMatrix
     lu: tuple
     perm: tuple
-    singular_flag: bool
 
     @property
     def m(self) -> int:
@@ -205,35 +216,30 @@ class LUFactorization:
 
 
 def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
-    """LU factorization with partial pivoting and exact operation counting.
+    """LU factorization with partial pivoting; charges ``FACTOR_COUNTS``.
 
-    Counts m(m-1)(2m-1)/6 products and m(m-1)/2 quotients for an m-by-m
-    matrix; pivot-search comparisons are not counted.  The tallies are
-    charged by closed form, step by step, so they are input independent.
-    The loops skip exact zeros: the pivot search skips zero candidates, and
-    the elimination skips zero multipliers and runs over the pivot row's
-    nonzero columns only.  That changes no bit of the result: a zero is
-    never the largest candidate of a nonzero column, mpmath has no signed
-    zero, and x - 0 y = x for finite entries already rounded to the working
-    precision.  A pivot smaller in magnitude than the working epsilon flags
-    the factorization as singular and stops.
+    Pivot-search comparisons are not counted, and the unit is charged on
+    entry, whatever the loops then perform.  The loops skip exact zeros: the
+    pivot search skips zero candidates, and the elimination skips zero
+    multipliers and runs over the pivot row's nonzero columns only.  That
+    changes no bit of the result: a zero is never the largest candidate of a
+    nonzero column, mpmath has no signed zero, and x - 0 y = x for finite
+    entries already rounded to the working precision.  A pivot smaller in
+    magnitude than the working epsilon raises SingularOperator.
     """
     m = a.m
+    counters.charge(FACTOR_COUNTS, m)
     tol = working_eps()
     lu = [list(row) for row in a.rows]
     perm = list(range(m))
-    singular = False
     for k in range(m):
         candidates = [i for i in range(k, m) if lu[i][k]]
         p = max(candidates, key=lambda i: abs(lu[i][k]), default=k)
         if abs(lu[p][k]) < tol:
-            singular = True
-            break
+            raise SingularOperator(f"no pivot in column {k} above the working epsilon")
         if p != k:
             lu[k], lu[p] = lu[p], lu[k]
             perm[k], perm[p] = perm[p], perm[k]
-        if k == m - 1:
-            continue
         pivot = lu[k][k]
         row_k = lu[k]
         nonzero = [(j, row_k[j]) for j in range(k + 1, m) if row_k[j]]
@@ -245,25 +251,19 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
             row_i[k] = lik
             for j, ukj in nonzero:
                 row_i[j] -= lik * ukj
-        counters.add_quotients(m - 1 - k)
-        counters.add_products((m - 1 - k) ** 2)
     return LUFactorization(
-        matrix=a,
-        lu=tuple(tuple(row) for row in lu),
-        perm=tuple(perm),
-        singular_flag=singular,
+        matrix=a, lu=tuple(tuple(row) for row in lu), perm=tuple(perm)
     )
 
 
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
-    """Solve A x = b from a factorization, counting m(m-1) products + m quotients.
+    """Solve A x = b from a factorization; charges ``SOLVE_COUNTS``.
 
-    The tallies are charged by closed form; terms whose factor from the
-    factorization is zero are skipped, which changes no bit of x.
+    Terms whose factor from the factorization is zero are skipped, which
+    changes no bit of x.
     """
-    if fact.singular_flag:
-        raise SingularOperator("cannot solve with a singular operator")
     m = fact.m
+    counters.charge(SOLVE_COUNTS, m)
     lu = fact.lu
     y = [mpf(b[p]) for p in fact.perm]
     for i in range(1, m):
@@ -281,6 +281,4 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
             if row[j]:
                 acc -= row[j] * x[j]
         x[i] = acc / row[i]
-    counters.add_products(m * (m - 1))
-    counters.add_quotients(m)
     return HPVector(x)

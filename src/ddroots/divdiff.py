@@ -55,6 +55,17 @@ class DividedDifferenceKind(str, enum.Enum):
     D2 = "d2"
 
 
+# Count-table units (see ``core``) of one residual F(x) and, per operator
+# kind, of one build with a fresh pair and with both end values supplied.
+RESIDUAL_COUNTS = ((0, 6), (), ())
+OPERATOR_COUNTS = {
+    DividedDifferenceKind.D1: (((0, 6, 6), (), (0, 0, 6)), ((0, -6, 6), (), (0, 0, 6))),
+    DividedDifferenceKind.D2: (
+        ((0, 0, 12), (0, 0, 6), (0, 0, 6)),
+        ((0, -12, 12), (0, 0, 6), (0, 0, 6)),
+    ),
+}
+
 ComponentFn = Callable[[Sequence], mpf]
 
 
@@ -68,13 +79,13 @@ class NonlinearSystem:
     chains record which coordinates each evaluation reads and evaluate a
     component again only after one of those changes, so a component that
     reads few coordinates costs few evaluations.  The counters still charge
-    the paper's model, m(m+1) evaluations for a fresh one-sided operator
-    whatever the sparsity, while the wall time follows the evaluations
-    performed.  Counters are passed explicitly, so solves over one system
-    definition share no tallies.  They do share precision: it lives in
-    mpmath's process-global ``mp``, and ``solve`` switches it on every
-    iteration, so parallel solves must run in separate processes, not
-    threads.
+    the paper's model, ``RESIDUAL_COUNTS`` per ``eval`` and
+    ``OPERATOR_COUNTS`` per operator build whatever the sparsity, while the
+    wall time follows the evaluations performed.  Counters are passed
+    explicitly, so solves over one system definition share no tallies.  They
+    do share precision: it lives in mpmath's process-global ``mp``, and
+    ``solve`` switches it on every iteration, so parallel solves must run in
+    separate processes, not threads.
     """
 
     def __init__(
@@ -93,17 +104,15 @@ class NonlinearSystem:
         self.name = name
         self.reference_root = reference_root
 
-    def eval_component(self, i: int, point: Sequence, counters: Optional[OpCounters] = None) -> mpf:
-        """Evaluate F_i at ``point``; counts exactly one scalar evaluation."""
-        if counters is not None:
-            counters.add_evals(1)
+    def eval_component(self, i: int, point: Sequence) -> mpf:
+        """Evaluate F_i at ``point``, uncounted."""
         return self.components[i](point)
 
     def eval(self, point: Sequence, counters: Optional[OpCounters] = None) -> HPVector:
-        """Evaluate the full vector F(x); counts exactly m scalar evaluations."""
-        return HPVector(
-            self.eval_component(i, point, counters) for i in range(self.m)
-        )
+        """Evaluate the full vector F(x); charges ``RESIDUAL_COUNTS``."""
+        if counters is not None:
+            counters.charge(RESIDUAL_COUNTS, self.m)
+        return HPVector(self.eval_component(i, point) for i in range(self.m))
 
     def with_reference_root(self, root: HPVector) -> "NonlinearSystem":
         return NonlinearSystem(self.m, self.components, self.name, root)
@@ -164,9 +173,7 @@ def _forward_chain(
     system: NonlinearSystem,
     y: Sequence,
     x: Sequence,
-    counters,
-    fx,
-    fy,
+    ends=None,
     fx_reads=None,
 ) -> tuple[list, list]:
     """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y, and the
@@ -176,28 +183,23 @@ def _forward_chain(
     again just the components whose latest value read it; every other keeps
     that value object.  A pure component would reproduce it bit for bit,
     since the evaluation behind it read none of the coordinates changed
-    since.  Supplied end values come with no read sets (None, unless
-    ``fx_reads`` gives those of ``fx``), so the step after one evaluates
-    every component.
-
-    The counters are charged the paper's model whatever is performed: m(m+1)
-    scalar evaluations for a fresh pair, m(m-1) with both endpoint values
-    supplied.
+    since.  ``ends``, when given, is (F(x), F(y)); supplied end values come
+    with no read sets (None, unless ``fx_reads`` gives those of F(x)), so
+    the step after one evaluates every component.  Nothing is counted here:
+    the builders charge their ``OPERATOR_COUNTS`` unit.
     """
     m = system.m
-    if counters is not None:
-        counters.add_evals(m * (m + 1 - (fx is not None) - (fy is not None)))
     current = list(x)
-    if fx is None:
+    if ends is None:
         point = tuple(current)
         values, reads = map(list, zip(*(_evaluate(system, i, point, None) for i in range(m))))
     else:
-        values, reads = list(fx), list(fx_reads or [None] * m)
+        values, reads = list(ends[0]), list(fx_reads or [None] * m)
     chain = [values]
     for j in range(1, m + 1):
         current[j - 1] = y[j - 1]
-        if j == m and fy is not None:
-            values, reads = list(fy), [None] * m
+        if j == m and ends is not None:
+            values, reads = list(ends[1]), [None] * m
         else:
             values = list(values)
             point = tuple(current)
@@ -213,19 +215,21 @@ def dd_d1(
     y: HPVector | Sequence,
     x: HPVector | Sequence,
     counters: Optional[OpCounters] = None,
-    fx=None,
-    fy=None,
+    ends=None,
 ) -> HPMatrix:
     """Classical divided-difference operator on the points (y, x).
 
     Entry (i, j) is the quotient of consecutive mixed-coordinate values of
     F_i along the forward chain by y_j - x_j, or an exact zero, with no
-    arithmetic, when the chain kept F_i's value object over that step.  Adds
-    m^2 quotients to the counters.
+    arithmetic, when the chain kept F_i's value object over that step.
+    ``ends``, when given, is (F(x), F(y)).  Charges the ``OPERATOR_COUNTS``
+    unit of D1, fresh or supplied, once the points are found separated.
     """
     m = system.m
     _check_separation(y, x)
-    chain, _ = _forward_chain(system, y, x, counters, fx, fy)
+    if counters is not None:
+        counters.charge(OPERATOR_COUNTS[DividedDifferenceKind.D1][ends is not None], m)
+    chain, _ = _forward_chain(system, y, x, ends)
     denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
     columns = [
@@ -233,8 +237,6 @@ def dd_d1(
          for before, after in zip(chain[j], chain[j + 1])]
         for j, d in enumerate(denoms)
     ]
-    if counters is not None:
-        counters.add_quotients(m * m)
     return HPMatrix(zip(*columns))
 
 
@@ -243,24 +245,25 @@ def dd_d2(
     y: HPVector | Sequence,
     x: HPVector | Sequence,
     counters: Optional[OpCounters] = None,
-    fx=None,
-    fy=None,
+    ends=None,
 ) -> HPMatrix:
     """Symmetrized divided-difference operator on the points (y, x).
 
-    Averages the forward chain with the chain walked from y back to x, which
-    doubles the scalar evaluations: 2m^2 for a fresh pair, 2m(m-1) with both
-    endpoint values supplied.  Each entry is one quotient by y_j - x_j plus
-    one product by the constant one-half, or an exact zero, with no
-    arithmetic, when both chains kept F_i's value object over step j; the
-    counters record the quotient and the product for every entry.
+    Averages the forward chain with the chain walked from y back to x.  Each
+    entry is one quotient by y_j - x_j plus one product by the constant
+    one-half, or an exact zero, with no arithmetic, when both chains kept
+    F_i's value object over step j.  ``ends``, when given, is (F(x), F(y)).
+    Charges the ``OPERATOR_COUNTS`` unit of D2, fresh or supplied, once the
+    points are found separated.
     """
     m = system.m
     _check_separation(y, x)
-    fwd, reads = _forward_chain(system, y, x, counters, fx, fy)
+    if counters is not None:
+        counters.charge(OPERATOR_COUNTS[DividedDifferenceKind.D2][ends is not None], m)
+    fwd, reads = _forward_chain(system, y, x, ends)
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values at y and x
-    rev, _ = _forward_chain(system, x, y, counters, fwd[m], fwd[0], reads)
+    rev, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), reads)
     half = mpf(1) / 2
     denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
@@ -269,9 +272,6 @@ def dd_d2(
          for f0, f1, r0, r1 in zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])]
         for j, d in enumerate(denoms)
     ]
-    if counters is not None:
-        counters.add_quotients(m * m)
-        counters.add_products(m * m)
     return HPMatrix(zip(*columns))
 
 

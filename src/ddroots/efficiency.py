@@ -18,9 +18,9 @@ from typing import Mapping, Union
 
 from mpmath import mp, mpf
 
-from .core import SolverError, working_eps
+from .core import SolverError, count_at, working_eps
 from .divdiff import DividedDifferenceKind
-from .methods import PRICED_COUNTS, MethodKind, count_at
+from .methods import PRICED_COUNTS, MethodKind
 
 Real = Union[int, float, str, mpf]
 

@@ -18,6 +18,8 @@ from .convergence import acoc as _acoc
 from .convergence import correct_decimals as _correct_decimals
 from .convergence import eta as _eta
 from .core import (
+    FACTOR_COUNTS,
+    SOLVE_COUNTS,
     HPMatrix,
     HPVector,
     LUFactorization,
@@ -25,11 +27,14 @@ from .core import (
     PrecisionContext,
     SingularOperator,
     SolverError,
+    count_at,
     inf_norm,
     lu_factor,
     lu_solve,
 )
 from .divdiff import (
+    OPERATOR_COUNTS,
+    RESIDUAL_COUNTS,
     DegenerateDividedDifference,
     DividedDifferenceKind,
     NonlinearSystem,
@@ -73,21 +78,10 @@ def theoretical_order(method: MethodKind, dd_kind: DividedDifferenceKind) -> int
     return _ORDERS[MethodKind(method)][DividedDifferenceKind(dd_kind)]
 
 
-# The count table, the one place the operation counts are written down.  Each
-# entry is a polynomial in the dimension m, stored as its integer coefficients
-# of (1, m, m^2, m^3) over the common denominator 6.  Per operator build:
-# evaluations for a fresh pair, evaluations with both endpoint values
-# supplied, products (the one-half factor) and quotients.
-_OPERATOR_COUNTS = {
-    DividedDifferenceKind.D1: ((0, 6, 6), (0, -6, 6), (), (0, 0, 6)),
-    DividedDifferenceKind.D2: ((0, 0, 12), (0, -12, 12), (0, 0, 6), (0, 0, 6)),
-}
-# (evals, products, quotients) of one residual F(x), one lu_factor, one lu_solve
-_RESIDUAL_COUNTS = ((0, 6), (), ())
-_FACTOR_COUNTS = ((), (0, 1, -3, 2), (0, -3, 3))
-_SOLVE_COUNTS = ((), (0, -6, 6), (0, 6))
-# per outer iteration: fresh builds, supplied builds, residuals, factorizations
-# and triangular-pair solves
+# How many of each count-table unit one outer iteration charges: fresh
+# operator builds, supplied builds, residuals, factorizations and
+# triangular-pair solves.  The units are written beside the routines that
+# charge them, in ``core`` and ``divdiff``.
 _METHOD_STEPS = {
     MethodKind.PHI0: (1, 0, 1, 1, 1),
     MethodKind.PHI1: (1, 1, 2, 2, 2),
@@ -97,9 +91,7 @@ _METHOD_STEPS = {
 
 def _measured(method: MethodKind, dd_kind: DividedDifferenceKind) -> tuple:
     """(evals, products, quotients) coefficients of one outer iteration."""
-    fresh, supplied, products, quotients = _OPERATOR_COUNTS[dd_kind]
-    builds = ((fresh, products, quotients), (supplied, products, quotients))
-    units = builds + (_RESIDUAL_COUNTS, _FACTOR_COUNTS, _SOLVE_COUNTS)
+    units = OPERATOR_COUNTS[dd_kind] + (RESIDUAL_COUNTS, FACTOR_COUNTS, SOLVE_COUNTS)
     weighted = tuple(zip(_METHOD_STEPS[method], units))
     return tuple(
         tuple(sum(n * u[j][k] for n, u in weighted if k < len(u[j])) for k in range(4))
@@ -128,17 +120,6 @@ PRICED_COUNTS = {
     )
     for method, dd_kind in MEASURED_COUNTS
 }
-
-
-def count_at(poly: tuple, m):
-    """Value at m of a coefficient tuple over 6: an exact int for int m."""
-    total = sum(c * m**k for k, c in enumerate(poly))
-    return total // 6 if isinstance(total, int) else total / 6
-
-
-def operator_evals(dd_kind: DividedDifferenceKind, m: int) -> tuple[int, int]:
-    """Scalar evaluations of one operator build: fresh pair, endpoints supplied."""
-    return tuple(count_at(poly, m) for poly in _OPERATOR_COUNTS[DividedDifferenceKind(dd_kind)][:2])
 
 
 def expected_iteration_counts(
@@ -204,8 +185,6 @@ def step_phi0(
     """
     op, fx = central_dd(system, x, dd_kind, counters)
     fact = lu_factor(op, counters)
-    if fact.singular_flag:
-        raise SingularOperator("central divided-difference operator is singular")
     correction = lu_solve(fact, fx, counters)
     return x - correction, fact, fx
 
@@ -232,7 +211,7 @@ def step_phi1(
     """
     fy = system.eval(y, counters)
     try:
-        op_pair = operator_for(dd_kind)(system, x, y, counters, fx=fy, fy=fx)
+        op_pair = operator_for(dd_kind)(system, x, y, counters, ends=(fy, fx))
     except DegenerateDividedDifference as exc:
         exc.residual, exc.point = fy, y
         raise
@@ -243,8 +222,6 @@ def step_phi1(
         for rb, ra in zip(op_pair.rows, central.rows)
     )
     fact_nu = lu_factor(combined, counters)
-    if fact_nu.singular_flag:
-        raise SingularOperator("combined second-step operator is singular")
     correction = lu_solve(fact_nu, fy, counters)
     return y - correction, fact_nu
 
@@ -257,8 +234,8 @@ def step_phi2(
 ) -> HPVector:
     """Extra correction X = z - M^{-1} F(z) reusing the second-step factorization.
 
-    Marginal cost per iteration: m scalar evaluations, m(m-1) products and
-    m quotients.
+    Marginal cost per iteration: one ``RESIDUAL_COUNTS`` and one
+    ``SOLVE_COUNTS``.
     """
     fz = system.eval(z, counters)
     correction = lu_solve(fact_nu, fz, counters)

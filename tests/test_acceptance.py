@@ -153,7 +153,7 @@ def test_criterion_4_acoc_order_recovery(full_runs):
 
 def test_criterion_5_operator_axioms():
     results = [
-        r for r in suite_operators(digits=256, pairs=100)
+        r for r in suite_operators(digits=256)
         if not r.name.startswith("operators/accuracy-order")
     ]
     failures = [r.name for r in results if not r.passed]
@@ -167,7 +167,7 @@ def test_criterion_5_operator_axioms():
 
 def test_criterion_6_accuracy_orders():
     with PrecisionContext(256).activate():
-        ratios = accuracy_order_ratios(halvings=3)
+        ratios = accuracy_order_ratios()
     d1_ok = all(1.7 <= v <= 2.3 for v in ratios[D1])
     d2_ok = all(3.4 <= v <= 4.6 for v in ratios[D2])
     _report(

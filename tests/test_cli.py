@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,44 @@ def test_flags_beat_config(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["digits"] == 192
+
+
+def test_required_flags_can_come_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem=quad2\ndigits=192\nmethod=phi0\ndd=d1\nformat=json\n")
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert [(r["problem"], r["method"], r["dd"]) for r in json.loads(out)] == [
+        ("quad2", "phi0", "d1")
+    ]
+    cfg.write_text("which=g11\nm_min=2\nm-max=6\nsamples=5\n")
+    code, out = run_cli(capsys, "curves", "--config", str(cfg))
+    assert code == 0
+    flags = ("--which", "g11", "--m-min", "2", "--m-max", "6", "--samples", "5")
+    assert out == run_cli(capsys, "curves", *flags)[1]
+
+
+@pytest.mark.parametrize("flag", [("--method", "phi0"), ("--method=phi0",), ("--meth", "phi0")])
+def test_an_explicit_list_flag_replaces_the_config_files_list(tmp_path, capsys, flag):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("digits=192\nmethod=phi1,phi2\ndd=d1\nformat=json\n")
+    code, out = run_cli(capsys, "run", "--problem", "quad2", "--config", str(cfg), *flag)
+    assert code == 0
+    assert [(r["method"], r["dd"]) for r in json.loads(out)] == [("phi0", "d1")]
+
+
+def test_the_readme_config_example_runs_verbatim(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"run as `ddroots run --config FILE`:\n\n```\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example.group(1))
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["problem"], r["method"], r["dd"], r["digits"]) for r in rows] == [
+        ("quad2", "phi1", "d2", 1024),
+        ("quad2", "phi2", "d2", 1024),
+    ]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

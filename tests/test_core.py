@@ -101,8 +101,7 @@ def test_lu_identity_counts_are_loop_shaped():
     # closed-form tallies: the identity costs the same as any 3x3 matrix
     with PrecisionContext(64).activate():
         counters = OpCounters()
-        fact = lu_factor(HPMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), counters)
-        assert not fact.singular_flag
+        lu_factor(HPMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), counters)
         assert counters.products == 5
         assert counters.quotients == 3
         assert counters.scalar_fn_evals == 0
@@ -123,7 +122,6 @@ def test_lu_hand_example():
 def test_lu_pivoted_permutation_matrix():
     with PrecisionContext(64).activate():
         fact = lu_factor(HPMatrix([[0, 1], [1, 0]]), OpCounters())
-        assert not fact.singular_flag
         x = lu_solve(fact, HPVector([2, 5]), OpCounters())
         assert list(x) == [5, 2]
 
@@ -134,12 +132,13 @@ def test_lu_diagonal_solve():
         assert list(lu_solve(fact, HPVector([2, 8]), OpCounters())) == [1, 2]
 
 
-def test_singular_matrix_flagged_and_refused():
+def test_singular_matrix_raises_naming_the_pivot_column():
     with PrecisionContext(64).activate():
-        fact = lu_factor(HPMatrix([[1, 2], [2, 4]]), OpCounters())
-        assert fact.singular_flag
-        with pytest.raises(SingularOperator):
-            lu_solve(fact, HPVector([1, 1]), OpCounters())
+        counters = OpCounters()
+        with pytest.raises(SingularOperator, match="column 1"):
+            lu_factor(HPMatrix([[1, 2], [2, 4]]), counters)
+        # the unit is charged on entry: the whole factorization's count
+        assert counters.snapshot() == (0, 1, 1)
 
 
 @st.composite
@@ -168,7 +167,6 @@ def test_counter_exactness_and_residual(case):
         counters = OpCounters()
         a = HPMatrix(rows)
         fact = lu_factor(a, counters)
-        assert not fact.singular_flag
         rhs = HPVector(b)
         x = lu_solve(fact, rhs, counters)
         # value-independent tallies
@@ -261,13 +259,14 @@ def test_zero_skipping_lu_is_bit_identical_to_the_dense_loop(case):
         a = HPMatrix([[mpf(n) / d for n, d in row] for row in rows])
         rhs = HPVector(mpf(n) / d for n, d in b)
         counters = OpCounters()
-        fact = lu_factor(a, counters)
         lu, perm, singular = _dense_lu_factor(a)
-        assert fact.singular_flag == singular
+        if singular:
+            with pytest.raises(SingularOperator):
+                lu_factor(a, counters)
+            return
+        fact = lu_factor(a, counters)
         assert fact.perm == tuple(perm)
         assert [[e._mpf_ for e in row] for row in fact.lu] == [[e._mpf_ for e in row] for row in lu]
-        if singular:
-            return
         # the closed forms, whatever the zero pattern
         assert counters.snapshot() == (0, m * (m - 1) * (2 * m - 1) // 6, m * (m - 1) // 2)
         x = lu_solve(fact, rhs, counters)
@@ -285,8 +284,7 @@ def test_mat_inf_norm_is_max_row_sum():
 
 
 def test_counters_snapshot():
+    # a unit of 3 evaluations, 2 products and m quotients, over 6
     c = OpCounters()
-    c.add_evals(3)
-    c.add_products(2)
-    c.add_quotients(1)
-    assert c.snapshot() == (3, 2, 1)
+    c.charge(((18,), (12,), (0, 6)), 4)
+    assert c.snapshot() == (3, 2, 4)

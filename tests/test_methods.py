@@ -5,7 +5,15 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ddroots.convergence import eta
-from ddroots.core import HPVector, OpCounters, PrecisionContext, SingularOperator, SolverError, inf_norm
+from ddroots.core import (
+    HPVector,
+    OpCounters,
+    PrecisionContext,
+    SingularOperator,
+    SolverError,
+    count_at,
+    inf_norm,
+)
 from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem, dd_d1, dd_d2
 from ddroots.methods import (
     MEASURED_COUNTS,
@@ -14,7 +22,6 @@ from ddroots.methods import (
     MaxIterationsExceeded,
     MethodKind,
     PrecisionChanged,
-    count_at,
     expected_iteration_counts,
     solve,
     step_phi0,
@@ -98,10 +105,9 @@ def test_marginal_counts_third_step():
 def test_scalar_first_step_example():
     with PrecisionContext(96).activate():
         f = NonlinearSystem(1, [lambda p: p[0] * p[0] - 1])
-        y, fact, fx = step_phi0(f, HPVector(["2"]), D1, OpCounters())
+        y, _, fx = step_phi0(f, HPVector(["2"]), D1, OpCounters())
         assert y[0] == mpf("1.25")
         assert fx[0] == 3
-        assert not fact.singular_flag
 
 
 def affine_system():
@@ -236,16 +242,42 @@ def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
     with PrecisionContext(64).activate():
         x = HPVector(mpf(k) / 8 for k in range(m))
         y = HPVector(mpf(k) / 8 + 1 for k in range(m))
-        ends = {"fx": system.eval(x), "fy": system.eval(y)}
-        for build, kwargs, performed in (
-            (dd_d1, {}, 4 * m - 2),
-            (dd_d2, {}, 7 * m - 6),
+        ends = (system.eval(x), system.eval(y))
+        for build, supplied, performed in (
+            (dd_d1, None, 4 * m - 2),
+            (dd_d2, None, 7 * m - 6),
             (dd_d1, ends, 4 * m - 6),
             (dd_d2, ends, 8 * m - 12),
         ):
             calls.clear()
-            build(system, y, x, **kwargs)
+            build(system, y, x, ends=supplied)
             assert len(calls) == performed
+
+
+def test_repeated_tridiagonal_solves_are_bit_identical():
+    # the read-set chains keep no state between solves: a second round of
+    # solves on the same system object repeats the first bit for bit
+    m = 32
+    ctx = PrecisionContext(256)
+    with ctx.activate():
+        system = NonlinearSystem(m, _broyden_tridiagonal(m))
+        x0 = HPVector(-1 + mpf(k % 7 - 3) / 100 for k in range(m))
+
+        def solve_every_pair():
+            out = []
+            for method in MethodKind:
+                for dd in (D1, D2):
+                    report = solve(system, x0, method, dd, ctx, order_hint=theoretical_order(method, D2))
+                    trace = report.trace
+                    out.append((
+                        [[e._mpf_ for e in iterate] for iterate in trace.iterates],
+                        trace.counter_deltas,
+                        report.counters.snapshot(),
+                        trace.working_digits,
+                    ))
+            return out
+
+        assert solve_every_pair() == solve_every_pair()
 
 
 def test_trace_shape_and_contraction():
