@@ -35,13 +35,7 @@ from .divdiff import (
     dd_d2,
     integral_dd_oracle,
 )
-from .efficiency import (
-    CostModel,
-    cei,
-    comparison_ratio,
-    cost,
-    time_factor,
-)
+from .efficiency import cei, comparison_ratio, cost, time_factor
 from .methods import MethodKind, expected_iteration_counts, solve, theoretical_order
 from .problems import REGISTRY, ProblemSpec
 
@@ -122,7 +116,7 @@ def efficiency_columns(
     floats, so they are computed at 60 digits whatever the working precision.
     """
     with mp.workdps(60):
-        c_value = cost(CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd))
+        c_value = cost(method, dd, m, mu, ell)
         cei_str = f"{float(cei(order, c_value)):.9f}"
         return f"{float(c_value):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
 
@@ -549,8 +543,8 @@ def suite_theorems() -> list[CheckResult]:
                     elif r10 >= 1:
                         violations.append(("d2_phi1_phi0:m>2", m, mu, ell))
                     for dd in (D1, D2):
-                        c1 = cost(CostModel(m, mu, ell, MethodKind.PHI1, dd))
-                        c2 = cost(CostModel(m, mu, ell, MethodKind.PHI2, dd))
+                        c1 = cost(MethodKind.PHI1, dd, m, mu, ell)
+                        c2 = cost(MethodKind.PHI2, dd, m, mu, ell)
                         marginal = (
                             m * efficiency.as_mpf(mu)
                             + m * (m - 1)
@@ -635,7 +629,7 @@ def _worked_case_checks() -> list[CheckResult]:
             (MethodKind.PHI0, D1), (MethodKind.PHI1, D1), (MethodKind.PHI1, D2),
             (MethodKind.PHI2, D1), (MethodKind.PHI2, D2),
         )
-        return [cei(theoretical_order(*p), cost(CostModel(m, mu, "2.5", *p))) for p in pairs]
+        return [cei(theoretical_order(*p), cost(*p, m, mu, "2.5")) for p in pairs]
 
     c0, c11, c12, c21, c22 = ceis(2, "1.5")
     quad_ok = (

@@ -100,7 +100,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     kwargs = {}
-    if args.suite in ("operators", "counters") and args.digits is not None:
+    if args.digits is not None:
+        if args.suite not in ("operators", "counters"):
+            raise ValueError("--digits applies only to the operators and counters suites")
         kwargs["digits"] = args.digits
     results = SUITES[args.suite](**kwargs)
     failed = [r for r in results if not r.passed]

@@ -200,13 +200,8 @@ def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """Combined LU storage with partial-pivot permutation.
+    """Combined LU storage with partial-pivot permutation."""
 
-    ``matrix`` keeps the factored input so callers may reuse the operator
-    entries themselves (not just the factorization).
-    """
-
-    matrix: HPMatrix
     lu: tuple
     perm: tuple
 
@@ -251,9 +246,7 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
             row_i[k] = lik
             for j, ukj in nonzero:
                 row_i[j] -= lik * ukj
-    return LUFactorization(
-        matrix=a, lu=tuple(tuple(row) for row in lu), perm=tuple(perm)
-    )
+    return LUFactorization(lu=tuple(tuple(row) for row in lu), perm=tuple(perm))
 
 
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:

@@ -13,7 +13,6 @@ comparisons are exact rather than float-lucky.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from mpmath import mp, mpf
@@ -41,25 +40,6 @@ def as_mpf(value: Real) -> mpf:
     return mpf(value)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Parameters of one method/operator pair on an m-dimensional system."""
-
-    m: int
-    mu: Real
-    ell: Real
-    method: MethodKind
-    dd_kind: DividedDifferenceKind
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("cost model requires dimension m >= 2")
-        if float(as_mpf(self.mu)) <= 0:
-            raise ValueError("mu must be positive")
-        if float(as_mpf(self.ell)) < 1:
-            raise ValueError("ell must be at least 1")
-
-
 # Cost of one elementary operation in product units (a product costs 1);
 # ``estimate_mu`` prices an operation profile with it.
 ELEMENTARY_COSTS: dict[str, float] = {
@@ -81,10 +61,25 @@ def _cost_terms(method: MethodKind, dd_kind: DividedDifferenceKind, m: Real, ell
     return evals, products + ell * quotients
 
 
-def cost(model: CostModel) -> mpf:
+def _check_domain(m: mpf, mu: mpf, ell: mpf) -> None:
+    """Reject model inputs outside the domain: finite m > 0, finite mu > 0
+    and finite ell >= 1."""
+    if not (mp.isfinite(m) and m > 0):
+        raise ValueError(f"dimension m must be finite and positive, not {m}")
+    if not (mp.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be positive and finite, not {mu}")
+    if not (mp.isfinite(ell) and ell >= 1):
+        raise ValueError(f"ell must be at least 1 and finite, not {ell}")
+
+
+def cost(method: MethodKind, dd_kind: DividedDifferenceKind, m: int, mu: Real, ell: Real) -> mpf:
     """Closed-form per-iteration cost C(mu, m, ell) in product units."""
-    evals, rest = _cost_terms(model.method, model.dd_kind, model.m, as_mpf(model.ell))
-    return evals * as_mpf(model.mu) + rest
+    if m < 2:
+        raise ValueError("cost model requires dimension m >= 2")
+    mu_v, ell_v = as_mpf(mu), as_mpf(ell)
+    _check_domain(as_mpf(m), mu_v, ell_v)
+    evals, rest = _cost_terms(method, dd_kind, m, ell_v)
+    return evals * mu_v + rest
 
 
 def cei(rho: Real, c: Real) -> mpf:
@@ -104,22 +99,6 @@ def time_factor(cei_value: Real) -> mpf:
     if v <= 1:
         raise ValueError("CEI must exceed 1")
     return 1 / mp.log10(v)
-
-
-def ratio(model_a: CostModel, model_b: CostModel, order_a: Real, order_b: Real) -> mpf:
-    """Efficiency ratio log(CEI_a)/log(CEI_b) = log(rho_a) C_b / (log(rho_b) C_a).
-
-    Values above 1 mean the first pair is the more efficient one.  The orders
-    are the local orders the two pairs attain on the system at hand.
-    """
-    if (model_a.m, as_mpf(model_a.mu), as_mpf(model_a.ell)) != (
-        model_b.m,
-        as_mpf(model_b.mu),
-        as_mpf(model_b.ell),
-    ):
-        raise ValueError("ratio requires both models to share (m, mu, ell)")
-    rho_a, rho_b = as_mpf(order_a), as_mpf(order_b)
-    return (mp.log(rho_a) * cost(model_b)) / (mp.log(rho_b) * cost(model_a))
 
 
 # Named comparisons: (method, dd kind, local order) for each side.  The
@@ -167,10 +146,17 @@ BOUNDARY_TOLERANCE = mpf("1e-12")
 
 
 def comparison_ratio(pair: str, m: int, mu: Real, ell: Real) -> mpf:
-    spec_a, spec_b = COMPARISONS[pair]
-    model_a = CostModel(m, mu, ell, spec_a[0], spec_a[1])
-    model_b = CostModel(m, mu, ell, spec_b[0], spec_b[1])
-    return ratio(model_a, model_b, order_a=spec_a[2], order_b=spec_b[2])
+    """Efficiency ratio log(CEI_a)/log(CEI_b) = log(rho_a) C_b / (log(rho_b) C_a)
+    of a named comparison.
+
+    Values above 1 mean the first pair is the more efficient one.  The orders
+    are the local orders the two pairs attain on the systems the comparison
+    is drawn for.
+    """
+    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[pair]
+    c_a = cost(method_a, dd_a, m, mu, ell)
+    c_b = cost(method_b, dd_b, m, mu, ell)
+    return (mp.log(rho_a) * c_b) / (mp.log(rho_b) * c_a)
 
 
 def classify_region(pair: str, m: int, mu: Real, ell: Real) -> str:
@@ -192,16 +178,15 @@ def boundary_g(which: str, m: Real, ell: Real) -> mpf:
     symmetrized pairs against the base method and against their degraded
     one-sided counterparts.  The balance log(rho_a) C_b = log(rho_b) C_a is
     linear in mu: mu = (log(rho_b) p_a - log(rho_a) p_b) / gap with
-    gap = log(rho_a) a_b - log(rho_b) a_a.  Like ``CostModel``, it rejects
-    ell < 1.
+    gap = log(rho_a) a_b - log(rho_b) a_a.  It checks ell as ``cost`` does,
+    but takes any finite real m > 0: the curves are drawn below m = 2 too.
     """
     which = which.lower()
     if which not in COMPARISONS:
         raise ValueError(f"unknown boundary curve {which!r}")
     (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which]
     m_v, ell_v = as_mpf(m), as_mpf(ell)
-    if ell_v < 1:
-        raise ValueError("ell must be at least 1")
+    _check_domain(m_v, mpf(1), ell_v)  # mu is what the curve solves for
     log_a, log_b = mp.log(rho_a), mp.log(rho_b)
     a_a, p_a = _cost_terms(method_a, dd_a, m_v, ell_v)
     a_b, p_b = _cost_terms(method_b, dd_b, m_v, ell_v)

@@ -177,23 +177,22 @@ def step_phi0(
     x: HPVector,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
-) -> tuple[HPVector, LUFactorization, HPVector]:
+) -> tuple[HPVector, HPMatrix, HPVector]:
     """Newton-like step with the central divided difference.
 
-    Returns the new iterate together with the operator factorization and
-    F(x), both of which the higher-order steps reuse.
+    Returns the new iterate together with the central operator and F(x),
+    both of which the higher-order steps reuse.
     """
     op, fx = central_dd(system, x, dd_kind, counters)
-    fact = lu_factor(op, counters)
-    correction = lu_solve(fact, fx, counters)
-    return x - correction, fact, fx
+    correction = lu_solve(lu_factor(op, counters), fx, counters)
+    return x - correction, op, fx
 
 
 def step_phi1(
     system: NonlinearSystem,
     x: HPVector,
     y: HPVector,
-    fact_central: LUFactorization,
+    central: HPMatrix,
     fx: HPVector,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
@@ -215,7 +214,6 @@ def step_phi1(
     except DegenerateDividedDifference as exc:
         exc.residual, exc.point = fy, y
         raise
-    central = fact_central.matrix
     # doubling is a shift-add, not a counted product; two zeros give a zero
     combined = HPMatrix(
         (2 * b - a if b or a else a for b, a in zip(rb, ra))
@@ -250,10 +248,10 @@ def _outer_step(
     counters: OpCounters,
 ) -> tuple[HPVector, HPVector]:
     """The next iterate, and F(x)."""
-    y, fact_central, fx = step_phi0(system, x, dd_kind, counters)
+    y, central, fx = step_phi0(system, x, dd_kind, counters)
     if method is MethodKind.PHI0:
         return y, fx
-    z, fact_nu = step_phi1(system, x, y, fact_central, fx, dd_kind, counters)
+    z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters)
     if method is MethodKind.PHI1:
         return z, fx
     return step_phi2(system, z, fact_nu, counters), fx

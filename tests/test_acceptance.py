@@ -17,7 +17,7 @@ from ddroots.benchmark import (
 )
 from ddroots.core import PrecisionContext
 from ddroots.divdiff import DividedDifferenceKind
-from ddroots.efficiency import cei, cost, CostModel, time_factor
+from ddroots.efficiency import cei, cost, time_factor
 from ddroots.methods import MethodKind
 from ddroots.problems import REGISTRY
 
@@ -64,9 +64,7 @@ def test_criterion_1_cost_table_exactness():
         bad = []
         for name, spec in REGISTRY.items():
             for (method, dd), row in spec.rows.items():
-                value = cost(
-                    CostModel(m=spec.m, mu=spec.mu_paper, ell="2.5", method=method, dd_kind=dd)
-                )
+                value = cost(method, dd, spec.m, spec.mu_paper, "2.5")
                 if f"{float(value):.1f}" != row.cost:
                     bad.append((name, method.value, dd.value, f"{float(value):.1f}", row.cost))
         _report(1, not bad, f"13 published cost values to the printed decimal; mismatches: {bad}")
@@ -77,7 +75,7 @@ def test_criterion_2_cei_tf_exactness():
         bad = []
         for name, spec in REGISTRY.items():
             for (method, dd), row in spec.rows.items():
-                c = cost(CostModel(m=spec.m, mu=spec.mu_paper, ell="2.5", method=method, dd_kind=dd))
+                c = cost(method, dd, spec.m, spec.mu_paper, "2.5")
                 cei_str = f"{float(cei(row.order, c)):.9f}"
                 tf_str = f"{float(time_factor(mpf(cei_str))):.2f}"
                 if (cei_str, tf_str) != (row.cei, row.tf):

@@ -19,7 +19,7 @@ from ddroots.benchmark import (
 )
 from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import DividedDifferenceKind
-from ddroots.efficiency import CostModel, cei, cost, estimate_mu, time_factor
+from ddroots.efficiency import cei, cost, estimate_mu, time_factor
 from ddroots.methods import MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
 
@@ -52,11 +52,9 @@ def test_rows_match_efficiency_model(quad2_rows):
     # emitted C/CEI/TF are pure functions of (m, mu, ell, method, dd, order)
     with mp.workdps(60):
         for row in quad2_rows:
-            model = CostModel(
-                m=2, mu=row.mu, ell=row.ell,
-                method=MethodKind(row.method), dd_kind=DividedDifferenceKind(row.dd),
+            c_val = cost(
+                MethodKind(row.method), DividedDifferenceKind(row.dd), 2, row.mu, row.ell
             )
-            c_val = cost(model)
             assert row.cost == f"{float(c_val):.1f}"
             cei_val = cei(row.order, c_val)
             assert row.cei == f"{float(cei_val):.9f}"
@@ -66,7 +64,7 @@ def test_rows_match_efficiency_model(quad2_rows):
 def _columns_at(digits, m, mu, ell, method, dd, order):
     """The model columns computed throughout at the given precision."""
     with mp.workdps(digits):
-        c_val = cost(CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd))
+        c_val = cost(method, dd, m, mu, ell)
         cei_str = f"{float(cei(order, c_val)):.9f}"
         return f"{float(c_val):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
 

@@ -173,6 +173,18 @@ def test_run_failure_exit_code(capsys):
         ("curves", "--which", "g20", "--ell", "0.5"),
         ("check", "--suite", "counters", "--digits", "16"),
         ("run", "--problem", "quad2", "--mu", "5", "--estimate-mu"),
+        # non-finite or non-positive model inputs, met before any solve
+        ("run", "--problem", "quad2", "--digits", "64", "--method", "phi0", "--dd", "d1",
+         "--mu", "nan"),
+        ("run", "--problem", "quad2", "--digits", "64", "--method", "phi0", "--dd", "d1",
+         "--ell", "nan"),
+        ("curves", "--which", "g20", "--ell", "nan"),
+        ("curves", "--which", "g20", "--m-min", "0", "--m-max", "3", "--samples", "4"),
+        ("curves", "--which", "g20", "--m-min", "nan"),
+        ("curves", "--which", "g20", "--m-max", "inf"),
+        # --digits sets the precision of two suites only
+        ("check", "--suite", "tables", "--digits", "7"),
+        ("check", "--suite", "theorems", "--digits", "7"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -183,6 +195,13 @@ def test_bad_input_exits_2(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_digits_names_the_suites_it_applies_to(capsys):
+    assert main(["check", "--suite", "tables", "--digits", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "operators and counters suites" in captured.err
 
 
 def test_mu_and_estimate_mu_from_a_config_file_are_rejected(tmp_path, capsys):

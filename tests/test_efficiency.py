@@ -4,8 +4,8 @@ from mpmath import mp, mpf
 
 from ddroots.divdiff import DividedDifferenceKind
 from ddroots.efficiency import (
+    COMPARISONS,
     ELEMENTARY_COSTS,
-    CostModel,
     PoleAtAsymptote,
     as_mpf,
     asymptote_m,
@@ -15,7 +15,6 @@ from ddroots.efficiency import (
     comparison_ratio,
     cost,
     estimate_mu,
-    ratio,
     time_factor,
 )
 from ddroots.methods import MethodKind
@@ -23,10 +22,6 @@ from ddroots.methods import MethodKind
 D1 = DividedDifferenceKind.D1
 D2 = DividedDifferenceKind.D2
 PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
-
-
-def model(m, mu, ell, method, dd):
-    return CostModel(m=m, mu=mu, ell=ell, method=method, dd_kind=dd)
 
 
 @pytest.mark.parametrize(
@@ -49,15 +44,15 @@ def model(m, mu, ell, method, dd):
 )
 def test_published_costs(m, mu, method, dd, expected):
     with mp.workdps(50):
-        value = cost(model(m, mu, "2.5", method, dd))
+        value = cost(method, dd, m, mu, "2.5")
         assert abs(value - mpf(expected)) < mpf("1e-30")
         assert f"{float(value):.1f}" == expected
 
 
 def test_base_method_cost_ignores_operator_kind():
     with mp.workdps(50):
-        a = cost(model(4, "10", "2.5", PHI0, D1))
-        b = cost(model(4, "10", "2.5", PHI0, D2))
+        a = cost(PHI0, D1, 4, "10", "2.5")
+        b = cost(PHI0, D2, 4, "10", "2.5")
         assert a == b
 
 
@@ -87,33 +82,46 @@ def test_time_factor_examples(cei_value, expected):
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        CostModel(m=1, mu="1", ell="2.5", method=PHI0, dd_kind=D1)
-    with pytest.raises(ValueError):
-        CostModel(m=2, mu="0", ell="2.5", method=PHI0, dd_kind=D1)
-    with pytest.raises(ValueError):
-        CostModel(m=2, mu="1", ell="0.5", method=PHI0, dd_kind=D1)
+    with pytest.raises(ValueError, match="cost model requires dimension m >= 2"):
+        cost(PHI0, D1, 1, "1", "2.5")
+    with pytest.raises(ValueError, match="mu must be positive"):
+        cost(PHI0, D1, 2, "0", "2.5")
+    with pytest.raises(ValueError, match="ell must be at least 1"):
+        cost(PHI0, D1, 2, "1", "0.5")
     with pytest.raises(ValueError):
         cei(1.5, "10")
     with pytest.raises(ValueError):
         time_factor("0.99")
 
 
-def test_ratio_reflexive_and_shared_params():
+@given(
+    pair=st.sampled_from(sorted(COMPARISONS)),
+    m=st.integers(2, 50),
+    mu=st.floats(0, 300, exclude_min=True),
+    ell=st.floats(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_comparison_ratio_is_the_log_cost_balance(pair, m, mu, ell):
+    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[pair]
     with mp.workdps(50):
-        a = model(5, "87.8", "2.5", PHI2, D1)
-        assert ratio(a, a, order_a=6, order_b=6) == 1
-        b = model(5, "87.8", "2.5", PHI1, D1)
-        assert ratio(a, b, order_a=6, order_b=4) > 1
-        with pytest.raises(ValueError):
-            ratio(a, model(4, "87.8", "2.5", PHI1, D1), order_a=6, order_b=4)
+        c_a = cost(method_a, dd_a, m, mu, ell)
+        c_b = cost(method_b, dd_b, m, mu, ell)
+        want = mp.log(rho_a) * c_b / (mp.log(rho_b) * c_a)
+        assert abs(comparison_ratio(pair, m, mu, ell) - want) <= mpf("1e-45") * want
+
+
+@pytest.mark.parametrize("mu, ell", [("nan", "2.5"), ("inf", "2.5"), ("1", "nan"), ("1", "inf")])
+def test_cost_rejects_non_finite_inputs(mu, ell):
+    with mp.workdps(50):
+        with pytest.raises(ValueError, match="finite"):
+            cost(PHI0, D1, 2, mu, ell)
+        with pytest.raises(ValueError, match="finite"):
+            comparison_ratio("g20", 2, mu, ell)
 
 
 def test_ratio_equality_at_dimension_two():
     with mp.workdps(50):
-        a = model(2, "7.25", "3", PHI1, D2)
-        b = model(2, "7.25", "3", PHI0, D1)
-        assert abs(ratio(a, b, order_a=4, order_b=2) - 1) < mpf("1e-45")
+        assert abs(comparison_ratio("d2_phi1_phi0", 2, "7.25", "3") - 1) < mpf("1e-45")
 
 
 @pytest.mark.parametrize(
@@ -196,12 +204,20 @@ def test_boundary_pole_raises():
 
 @pytest.mark.parametrize("which", ["g20", "g22", "g11"])
 def test_boundary_rejects_ell_below_one(which):
-    # the rule CostModel applies; m stays unbounded, curves are drawn below 2
+    # the rule cost applies; m need only be positive, curves are drawn below 2
     with mp.workdps(50):
         with pytest.raises(ValueError, match="ell must be at least 1"):
             boundary_g(which, 4, "0.999")
         boundary_g(which, 4, "1")
         boundary_g(which, "0.5", "2.5")
+
+
+@pytest.mark.parametrize("which", ["g20", "g22", "g11"])
+@pytest.mark.parametrize("m, ell", [("0", "2.5"), ("-1", "2.5"), ("nan", "2.5"), ("inf", "2.5"), ("4", "nan")])
+def test_boundary_rejects_non_finite_or_non_positive_inputs(which, m, ell):
+    with mp.workdps(50):
+        with pytest.raises(ValueError):
+            boundary_g(which, m, ell)
 
 
 def test_classify_examples():
@@ -236,8 +252,8 @@ def test_marginal_cost_identity(m, mu_tenths, ell_tenths, dd):
     with mp.workdps(50):
         mu = mpf(mu_tenths) / 10
         ell = mpf(ell_tenths) / 10
-        c1 = cost(model(m, mu, ell, PHI1, dd))
-        c2 = cost(model(m, mu, ell, PHI2, dd))
+        c1 = cost(PHI1, dd, m, mu, ell)
+        c2 = cost(PHI2, dd, m, mu, ell)
         assert abs((c2 - c1) - (m * mu + m * (m - 1) + ell * m)) < mpf("1e-40")
 
 

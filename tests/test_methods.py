@@ -14,7 +14,14 @@ from ddroots.core import (
     count_at,
     inf_norm,
 )
-from ddroots.divdiff import DegenerateDividedDifference, DividedDifferenceKind, NonlinearSystem, dd_d1, dd_d2
+from ddroots.divdiff import (
+    DegenerateDividedDifference,
+    DividedDifferenceKind,
+    NonlinearSystem,
+    central_dd,
+    dd_d1,
+    dd_d2,
+)
 from ddroots.methods import (
     MEASURED_COUNTS,
     PRICED_COUNTS,
@@ -138,12 +145,28 @@ def test_steps_compose_like_solve():
         system = REGISTRY["quad2"].build_system(with_reference=False)
         x = REGISTRY["quad2"].x0_vector()
         counters = OpCounters()
-        y, fact_c, fx = step_phi0(system, x, D2, counters)
-        z, fact_nu = step_phi1(system, x, y, fact_c, fx, D2, counters)
+        y, central, fx = step_phi0(system, x, D2, counters)
+        z, fact_nu = step_phi1(system, x, y, central, fx, D2, counters)
         x_next = step_phi2(system, z, fact_nu, counters)
         assert counters.snapshot() == expected_iteration_counts(PHI2, D2, 2)
         report = solve(system, x, PHI2, D2, ctx, max_iters=5)
         assert report.trace.iterates[1].entries == x_next.entries
+
+
+@pytest.mark.parametrize("name", ["quad2", "exp5"])
+@pytest.mark.parametrize("dd", [D1, D2])
+def test_first_step_returns_the_central_operator(name, dd):
+    # step_phi1 builds M = 2 (pair operator) - central from this matrix
+    with PrecisionContext(128).activate():
+        spec = REGISTRY[name]
+        system = spec.build_system(with_reference=False)
+        x = spec.x0_vector()
+        _, central, fx = step_phi0(system, x, dd, OpCounters())
+        want, want_fx = central_dd(system, x, dd, OpCounters())
+        assert [[e._mpf_ for e in row] for row in central.rows] == [
+            [e._mpf_ for e in row] for row in want.rows
+        ]
+        assert [e._mpf_ for e in fx] == [e._mpf_ for e in want_fx]
 
 
 def test_first_step_contracts_toward_printed_root():
