@@ -112,13 +112,17 @@ def efficiency_columns(
     """(C, CEI, TF) display strings for one row.
 
     CEI is rounded to its 9 published decimals before the time factor is
-    taken; the published tables were produced that way.  The columns are
-    floats, so they are computed at 60 digits whatever the working precision.
+    taken; the published tables were produced that way.  Where that rounding
+    leaves exactly 1 (a cost above about 1e9 products), TF is C / log10(rho),
+    the unrounded 1 / log10(CEI).  The columns are floats, so they are
+    computed at 60 digits whatever the working precision.
     """
     with mp.workdps(60):
         c_value = cost(method, dd, m, mu, ell)
         cei_str = f"{float(cei(order, c_value)):.9f}"
-        return f"{float(c_value):.1f}", cei_str, f"{float(time_factor(mpf(cei_str))):.2f}"
+        rounded = mpf(cei_str)
+        tf = c_value / mp.log10(order) if rounded == 1 else time_factor(rounded)
+        return f"{float(c_value):.1f}", cei_str, f"{float(tf):.2f}"
 
 
 def run_row(

@@ -29,9 +29,23 @@ class SingularOperator(SolverError):
     """The operator matrix is numerically singular; the solve must abort."""
 
 
+_EPS_CACHE: dict = {}
+# binary precisions whose epsilon is kept before the cache starts over
+_EPS_ENTRIES = 64
+
+
 def working_eps() -> mpf:
-    """10**(-digits) at the currently active working precision."""
-    return mpf(10) ** (-mp.dps)
+    """10**(-digits) at the currently active working precision.
+
+    Cached per binary precision, not per ``mp.dps``: 99 and 100 bits share
+    dps 29 but round 10**(-29) differently.
+    """
+    eps = _EPS_CACHE.get(mp.prec)
+    if eps is None:
+        if len(_EPS_CACHE) >= _EPS_ENTRIES:
+            _EPS_CACHE.clear()
+        eps = _EPS_CACHE[mp.prec] = mpf(10) ** (-mp.dps)
+    return eps
 
 
 def to_decimal(x) -> str:

@@ -123,9 +123,12 @@ class NonlinearSystem:
 
 def _check_separation(y: Sequence, x: Sequence) -> None:
     eps = working_eps()
-    one = mpf(1)
-    for j in range(len(x)):
-        if abs(y[j] - x[j]) < eps * max(one, abs(x[j])):
+    # the bound's operands are rounded to 30 digits first: a product of
+    # full-precision operands costs a full multiplication before it rounds
+    with mp.workdps(30):
+        bounds = [+eps * max(1, abs(v)) for v in x]
+    for j, bound in enumerate(bounds):
+        if abs(y[j] - x[j]) < bound:
             raise DegenerateDividedDifference(
                 f"coordinates {j} of the two points coincide at working precision"
             )

@@ -271,11 +271,17 @@ def _outer_step(
 # row matches beyond q + 10 at 1024 and 4096 digits.
 _RAMP_FACTOR = 1.25
 _RAMP_GUARD_DIGITS = 40
+# Iteration 1 runs at these digits, and x_1 is kept only if its own
+# correction shows they held what x_1 needs (see ``solve``).
+_FIRST_STEP_DIGITS = 2 * _RAMP_GUARD_DIGITS
 _LOG10_2 = math.log10(2)
 
 
-def _ramp_digits(rho: float, correction: mpf, x: HPVector, full: int) -> int:
-    """Working digits for the outer step from x after a correction of this norm.
+def _ramp_digits(power: float, correction: mpf, x: HPVector, full: int) -> int:
+    """Working digits for an error of 10^(-power D) after a correction of
+    norm 10^(-D) that ended at x: with power rho, the digits x itself needs,
+    which the step that produced it must have carried; with rho^2, those of
+    the next outer step from x.
 
     D counts the correction's digits relative to ||x|| (absolutely while
     ||x|| < 4): the working precision is relative, and absolute digits would
@@ -285,7 +291,7 @@ def _ramp_digits(rho: float, correction: mpf, x: HPVector, full: int) -> int:
     # log2(v) < mag(v) <= log2(v) + 1, so D is rounded down, by under 3 bits
     scale = max(max(mp.mag(e) for e in x) - 2, 0)
     digits = max((scale - mp.mag(correction)) * _LOG10_2, 0.0)
-    return min(full, math.ceil(_RAMP_FACTOR * rho * rho * digits) + _RAMP_GUARD_DIGITS)
+    return min(full, math.ceil(_RAMP_FACTOR * power * digits) + _RAMP_GUARD_DIGITS)
 
 
 def solve(
@@ -307,13 +313,13 @@ def solve(
     report counts the iterations up to the confirmed iterate and returns it;
     the trace keeps the confirming step for order estimation.
 
-    Iteration 1 runs at ``ctx.digits``; every later one runs at the digits
-    its result can hold, rho^2 times those of the latest correction plus a
-    margin, capped at ``ctx.digits``.  Correction norms and ratios are
-    computed at ``ctx.digits``; the threshold, ACOC and correct decimals only
-    carry the few digits they report, so they are computed at 30, 60 and 30
-    digits (correct decimals at ``ctx.digits`` when -log10 of the error lies
-    within 1e-20 of an integer).  A step that finds ``mp.prec`` changed by
+    Iteration 1 runs at min(``ctx.digits``, 80) digits; every later one runs
+    at the digits its result can hold, rho^2 times those of the latest
+    correction plus a margin, capped at ``ctx.digits``.  Correction norms
+    and ratios are computed at ``ctx.digits``; the threshold, ACOC and
+    correct decimals only carry the few digits they report, so they are
+    computed at 30, 60 and 30 digits (correct decimals at ``ctx.digits``
+    when -log10 of the error lies within 1e-20 of an integer).  A step that finds ``mp.prec`` changed by
     something else raises PrecisionChanged.
 
     ``order_hint`` overrides the order used for eta and the ramp (systems
@@ -325,10 +331,18 @@ def solve(
     judged by ||F(y)||_inf, and y is then the final iterate.  A ``ratio`` or
     ``exact_repeat`` stop at an iterate whose ||F||_inf is not below
     10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
-    coordinate stalled.  An underflow,
-    an exact repeat or a singular operator met below ``ctx.digits`` says
-    nothing about the target epsilon: that iteration is redone at
-    ``ctx.digits``, and every later one runs there too.
+    coordinate stalled.
+
+    An underflow, an exact repeat or a singular operator met below
+    ``ctx.digits`` says nothing about the target epsilon: that iteration is
+    redone at ``ctx.digits``, and every later one runs there too.  Iteration
+    1 is redone at ``ctx.digits`` with the ramp kept on, after those and
+    when its correction of norm 10^(-D_0) shows that its digits could not
+    hold the rho D_0 digits of x_1 with the ramp's margin.  Until iteration
+    2 completes, x_1 from below ``ctx.digits`` is provisional: if iteration
+    2 meets a redo trigger, at any precision, x_1 is dropped and iteration 1
+    redone at ``ctx.digits``.  Aborted attempts count in ``counters`` but
+    have no counter delta.
     """
     method = MethodKind(method)
     dd_kind = DividedDifferenceKind(dd_kind)
@@ -351,8 +365,17 @@ def solve(
         stop_reason = None
         growth_streak = 0
         ramping = True
+        start_digits = min(full, _FIRST_STEP_DIGITS)
         while len(corr_norms) < max_iters:
-            digits = _ramp_digits(rho, corr_norms[-1], x, full) if ramping and corr_norms else full
+            if not corr_norms:
+                digits = start_digits
+            elif ramping:
+                digits = _ramp_digits(rho * rho, corr_norms[-1], x, full)
+            else:
+                digits = full
+            # iteration 1 below full precision, or iteration 2 from its x_1
+            provisional = start_digits < full and len(corr_norms) <= 1
+            below_full = digits < full or provisional
             before = counters.snapshot()
             try:
                 with mp.workdps(digits):
@@ -366,32 +389,42 @@ def solve(
                                 f"began and {mp.prec} when it ended"
                             )
             except (DegenerateDividedDifference, SingularOperator) as exc:
-                if digits < full:
-                    # says nothing about the target precision: redo at it
+                # below full precision this says nothing about the target
+                redo = below_full
+                if not redo:
+                    if isinstance(exc, SingularOperator):
+                        raise
+                    norm = inf_norm(exc.residual)
+                    if norm > ctx.check_tolerance:
+                        where = "" if exc.point is None else "the first step from "
+                        raise DegenerateDividedDifference(
+                            f"{exc} at {where}x_{len(corr_norms)}, but ||F||_inf = "
+                            f"{mp.nstr(norm, 8)} is above the check tolerance",
+                            exc.residual,
+                            exc.point,
+                        ) from exc
+                    if exc.point is not None:
+                        # the first step landed on a root: it is the final iterate
+                        iterates.append(exc.point)
+                        corr_norms.append(inf_norm(exc.point - x))
+                        if len(corr_norms) >= 2:
+                            ratios.append(corr_norms[-1] / corr_norms[-2])
+                    stop_reason = "residual_underflow"
+                    break
+            else:
+                c = inf_norm(x_next - x)
+                # an exact repeat, or a first step whose digits could not
+                # hold the rho D_0 digits x_1 has after a correction of 10^-D_0
+                redo = below_full and (
+                    c == 0 or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
+                )
+            if redo:
+                if provisional:
+                    # x_1 is dropped: redo iteration 1 at full precision
+                    del iterates[1:], corr_norms[:], deltas[:], working[:]
+                    x, start_digits = iterates[0], full
+                else:
                     ramping = False
-                    continue
-                if isinstance(exc, SingularOperator):
-                    raise
-                norm = inf_norm(exc.residual)
-                if norm > ctx.check_tolerance:
-                    where = "" if exc.point is None else "the first step from "
-                    raise DegenerateDividedDifference(
-                        f"{exc} at {where}x_{len(corr_norms)}, but ||F||_inf = "
-                        f"{mp.nstr(norm, 8)} is above the check tolerance",
-                        exc.residual,
-                        exc.point,
-                    ) from exc
-                if exc.point is not None:
-                    # the first step landed on a root: it is the final iterate
-                    iterates.append(exc.point)
-                    corr_norms.append(inf_norm(exc.point - x))
-                    if len(corr_norms) >= 2:
-                        ratios.append(corr_norms[-1] / corr_norms[-2])
-                stop_reason = "residual_underflow"
-                break
-            c = inf_norm(x_next - x)
-            if c == 0 and digits < full:
-                ramping = False
                 continue
             if not corr_norms:  # F(x_0) sets the scale of the stall test
                 f0_scale = max(mpf(1), inf_norm(fx))

@@ -63,9 +63,7 @@ class ProblemSpec:
 
     def build_system(self, with_reference: bool = True) -> NonlinearSystem:
         """Instantiate the system under the active precision."""
-        root = None
-        if with_reference:
-            root = HPVector.from_decimals(load_reference_root(self.name))
+        root = _parsed_reference_root(self.name) if with_reference else None
         return NonlinearSystem(
             self.m,
             self.component_factory(),
@@ -227,6 +225,27 @@ def _root_data() -> dict:
 def load_reference_root(name: str) -> list[str]:
     """Full-precision decimal strings of the stored root of a problem."""
     return _root_data()[name]["components"]
+
+
+_PARSED_ROOTS: dict = {}
+# (problem, binary precision) pairs kept before the cache starts over
+_PARSED_ROOT_ENTRIES = 64
+
+
+def _parsed_reference_root(name: str) -> HPVector:
+    """The stored root of a problem rounded to the active precision.
+
+    Parsing its 8192-digit strings costs more than some whole solves, so
+    each (problem, ``mp.prec``) pair is parsed once; an ``HPVector`` is
+    immutable, so every caller may share it.
+    """
+    key = (name, mp.prec)
+    root = _PARSED_ROOTS.get(key)
+    if root is None:
+        if len(_PARSED_ROOTS) >= _PARSED_ROOT_ENTRIES:
+            _PARSED_ROOTS.clear()
+        root = _PARSED_ROOTS[key] = HPVector.from_decimals(load_reference_root(name))
+    return root
 
 
 def reference_root_digits(name: str) -> int:

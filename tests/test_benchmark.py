@@ -129,7 +129,8 @@ def test_json_round_trip(quad2_rows):
             for s in entry["final_iterate"]:
                 assert to_decimal(mpf(s)) == s
             assert to_decimal(mpf(entry["acoc_full"])) == entry["acoc_full"]
-            assert entry["working_digits"][0] == entry["digits"]
+            # iteration 1 runs at 80 digits and is kept on these rows
+            assert entry["working_digits"][0] == min(entry["digits"], 80)
             assert len(entry["working_digits"]) >= entry["iterations"]
 
 

@@ -197,6 +197,19 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cei_that_rounds_to_one_keeps_its_time_factor(capsys):
+    # C = 8000000020.5 gives CEI = 2^(1/C) = 1.000000000 to 9 decimals; TF
+    # is then C / log10(2), not an error
+    code, out = run_cli(
+        capsys, "run", "--problem", "quad2", "--digits", "64",
+        "--method", "phi0", "--dd", "d1", "--mu", "1e9", "--format", "csv",
+    )
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert (row["cost"], row["cei"], row["tf"]) == ("8000000020.5", "1.000000000", "26575424827.20")
+    assert row["error"] == ""
+
+
 def test_check_digits_names_the_suites_it_applies_to(capsys):
     assert main(["check", "--suite", "tables", "--digits", "256"]) == 2
     captured = capsys.readouterr()
@@ -229,11 +242,14 @@ def test_estimate_mu_prices_the_operation_profile(capsys):
         (("curves", "--which", "g20"), "curves_g20.csv"),
         (("curves", "--which", "g22"), "curves_g22.csv"),
         (("curves", "--which", "g11"), "curves_g11.csv"),
+        (("run", "--problem", "quad2", "--digits", "1024", "--format", "csv"), "run_quad2_1024.csv"),
+        (("run", "--problem", "cos3", "--digits", "1024", "--format", "csv"), "run_cos3_1024.csv"),
+        (("run", "--problem", "exp5", "--digits", "1024", "--format", "csv"), "run_exp5_1024.csv"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, golden):
-    # the published tables, the theorem and counter certificates and the
-    # boundary curves are pinned byte for byte
+    # the published tables, the theorem and counter certificates, the
+    # boundary curves and the 1024-digit rows are pinned byte for byte
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

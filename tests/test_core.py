@@ -35,6 +35,26 @@ def test_context_tolerances():
         assert mp.prec >= math.ceil(128 * math.log2(10))
 
 
+def test_working_eps_is_cached_per_binary_precision():
+    # 99, 100 and 101 bits share mp.dps = 29, and 99 and 100 bits round
+    # 10^-29 differently; the cached epsilon must match a fresh one bit for
+    # bit after every switch
+    def fresh():
+        return mpf(10) ** -mp.dps
+
+    for _ in range(2):
+        for prec in (99, 100, 101, 13610, 99):
+            with mp.workprec(prec):
+                assert working_eps()._mpf_ == fresh()._mpf_
+        with mp.workdps(4096):
+            assert working_eps()._mpf_ == fresh()._mpf_
+    with mp.workprec(99):
+        a = working_eps()
+    with mp.workprec(100):
+        b = working_eps()
+    assert a._mpf_ != b._mpf_
+
+
 def test_workdps_restores_precision():
     before = mp.dps
     with PrecisionContext(777).activate():

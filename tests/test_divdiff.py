@@ -1,8 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from ddroots.core import HPMatrix, HPVector, OpCounters, PrecisionContext, inf_norm, mat_inf_norm
+from ddroots.core import (
+    HPMatrix,
+    HPVector,
+    OpCounters,
+    PrecisionContext,
+    inf_norm,
+    mat_inf_norm,
+    working_eps,
+)
 from ddroots.divdiff import (
     DegenerateDividedDifference,
     DividedDifferenceKind,
@@ -379,3 +387,23 @@ def test_potra_residuals():
         affine, _ = affine_system([[5, 1], [-2, 3]], [2, 2])
         assert check_potra(affine, D1, u, v) == 0
         assert check_potra(affine, D2, u, v) == 0
+
+
+@pytest.mark.parametrize("magnitude", ["0.5", "1e40"])
+@pytest.mark.parametrize("factor, degenerate", [("0.1", True), ("10", False)])
+def test_separation_bound_is_relative_to_the_coordinate(magnitude, factor, degenerate):
+    # two points coincide in a coordinate when their gap is below
+    # eps max(1, |x_j|); gaps 10x below and 10x above that bound
+    with PrecisionContext(256).activate():
+        system = NonlinearSystem(2, [lambda p: p[0] * p[1] - 1, lambda p: p[0] + p[1]])
+        xj = mpf(magnitude)
+        gap = mpf(factor) * working_eps() * max(1, xj)
+        x = HPVector([xj, "2"])
+        y = HPVector([xj + gap, "3"])
+        assert y[0] - x[0] != 0
+        for build in (dd_d1, dd_d2):
+            if degenerate:
+                with pytest.raises(DegenerateDividedDifference, match="coordinates 0"):
+                    build(system, y, x)
+            else:
+                build(system, y, x)

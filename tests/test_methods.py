@@ -22,6 +22,7 @@ from ddroots.divdiff import (
     dd_d1,
     dd_d2,
 )
+import ddroots.methods
 from ddroots.methods import (
     MEASURED_COUNTS,
     PRICED_COUNTS,
@@ -145,11 +146,14 @@ def test_steps_compose_like_solve():
         system = REGISTRY["quad2"].build_system(with_reference=False)
         x = REGISTRY["quad2"].x0_vector()
         counters = OpCounters()
-        y, central, fx = step_phi0(system, x, D2, counters)
-        z, fact_nu = step_phi1(system, x, y, central, fx, D2, counters)
-        x_next = step_phi2(system, z, fact_nu, counters)
+        # solve runs iteration 1 at 80 digits, and keeps it here
+        with mp.workdps(80):
+            y, central, fx = step_phi0(system, x, D2, counters)
+            z, fact_nu = step_phi1(system, x, y, central, fx, D2, counters)
+            x_next = step_phi2(system, z, fact_nu, counters)
         assert counters.snapshot() == expected_iteration_counts(PHI2, D2, 2)
         report = solve(system, x, PHI2, D2, ctx, max_iters=5)
+        assert report.trace.working_digits[0] == 80
         assert report.trace.iterates[1].entries == x_next.entries
 
 
@@ -355,8 +359,9 @@ def test_start_on_one_equations_zero_set_is_not_convergence(start, norm):
             solve(system, HPVector(start), PHI1, D1, ctx)
         assert f"||F||_inf = {norm}" in str(info.value)
         assert inf_norm(info.value.residual) == mpf(norm)
-    # the norm comes from the F(x_0) the central operator already computed
-    assert calls == [0, 1]
+    # the norm comes from the F(x_0) the central operator already computed:
+    # once at 80 digits, whose underflow redoes iteration 1, then at 128
+    assert calls == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("method", [PHI1, PHI2])
@@ -418,7 +423,8 @@ def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
 def test_foreign_precision_change_is_raised(call, step):
     # a component that sets mp.dps on its k-th call: the step that saw it
     # raises, naming the precision it set and the one it found (quad2
-    # phi2/d2 spends 18 evaluations per outer step, the second at 81 digits)
+    # phi2/d2 spends 18 evaluations per outer step, the first at 80 digits
+    # and the second at 81)
     ctx = PrecisionContext(128)
     components = REGISTRY["quad2"].component_factory()
     calls = []
@@ -433,7 +439,7 @@ def test_foreign_precision_change_is_raised(call, step):
         return component
 
     precs = {}
-    for digits in (50, 81, 128):
+    for digits in (50, 80, 81):
         with mp.workdps(digits):
             precs[digits] = mp.prec
     with ctx.activate():
@@ -443,7 +449,7 @@ def test_foreign_precision_change_is_raised(call, step):
         assert mp.dps == 128
     found = re.fullmatch(r"mp.prec was (\d+) when outer step (\d+) began and (\d+) when it ended",
                          str(info.value))
-    began = precs[128 if step == 1 else 81]
+    began = precs[80 if step == 1 else 81]
     assert tuple(map(int, found.groups())) == (began, step, precs[50])
 
 
@@ -509,9 +515,10 @@ def test_precision_ramp_on_exp5():
     digits = report.trace.working_digits
     assert report.iterations == 9 and report.stop_reason == "ratio"
     assert len(digits) == len(report.trace.counter_deltas) == report.iterations + 1
-    # iteration 1 and the confirming iteration run at the target precision,
-    # every iteration before the last two below it, and the ramp only rises
-    assert digits[0] == digits[-1] == 1024
+    # iteration 1 runs at 80 digits, the confirming iteration at the target
+    # precision, every iteration before the last two below it, and the ramp
+    # only rises after iteration 1
+    assert digits[0] == 80 and digits[-1] == 1024
     assert all(d < 1024 for d in digits[1:-2])
     assert list(digits[1:]) == sorted(digits[1:])
 
@@ -534,11 +541,98 @@ def test_underflow_below_full_precision_redoes_the_iteration_at_full():
         assert trace.working_digits == (256,) * len(trace.counter_deltas)
         expected = expected_iteration_counts(PHI1, D1, 2)
         assert all(d == expected for d in trace.counter_deltas)
-        # the aborted attempt evaluated F(x_1) before the underflow stopped
-        # it: the totals count those 2 evaluations, no iteration delta does
+        # iteration 1 at 80 digits is kept until iteration 2 from its x_1
+        # underflows; x_1 is dropped and iteration 1 redone at 256 digits,
+        # then iteration 2 underflows again below 256.  Each aborted
+        # iteration 2 evaluated F(x_1) before the underflow stopped it: the
+        # totals count the dropped iteration and those 2 + 2 evaluations,
+        # no iteration delta does
         totals = [sum(d[i] for d in trace.counter_deltas) for i in range(3)]
-        assert report.counters.snapshot() == (totals[0] + 2, totals[1], totals[2])
+        dropped = (expected[0] + 4, expected[1], expected[2])
+        assert report.counters.snapshot() == tuple(t + d for t, d in zip(totals, dropped))
         assert inf_norm(system.eval(report.final_iterate)) < mpf(10) ** -report.eta_used
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("dd", [D1, D2])
+def test_affine_totals_count_the_dropped_first_step(method, dd):
+    # iteration 1 at 80 digits is kept, x_1 holds every digit it has, and
+    # iteration 2 from it underflows at 40 digits: x_1 is dropped and
+    # iteration 1 redone at 96 digits.  Iteration 2 from the new x_1 then
+    # underflows at 40 digits and at 96, which ends the run.  Each of the
+    # three evaluated F(x_1), 3 evaluations, without a counter delta
+    ctx = PrecisionContext(96)
+    with ctx.activate():
+        report = solve(affine_system(), HPVector(["7", "-3", "0.5"]), method, dd, ctx)
+    expected = expected_iteration_counts(method, dd, 3)
+    assert (report.iterations, report.stop_reason) == (1, "residual_underflow")
+    assert report.trace.counter_deltas == (expected,)
+    assert report.trace.working_digits == (96,)
+    assert report.counters.snapshot() == (2 * expected[0] + 9, 2 * expected[1], 2 * expected[2])
+
+
+# a start 10^-20 from the root asks for 1.25 * 2 * 20 + 40 = 90 digits from
+# a completed 80-digit step; one 10^-200 from it underflows F(x_0) at 80
+@pytest.mark.parametrize(
+    "accuracy, aborted, q",
+    [pytest.param(20, (10, 7, 7), 656, id="20"), pytest.param(200, (2, 0, 0), 801, id="200")],
+)
+def test_start_more_accurate_than_the_first_step_digits_is_redone_at_full(accuracy, aborted, q):
+    spec = REGISTRY["quad2"]
+    ctx = PrecisionContext(1024)
+    with ctx.activate():
+        root = spec.build_system().reference_root
+        x0 = HPVector(e + mpf(10) ** -accuracy for e in root)
+        report = solve(spec.build_system(), x0, PHI0, D2, ctx, order_hint=2)
+    trace = report.trace
+    assert (report.stop_reason, report.correct_decimals) == ("ratio", q)
+    assert trace.working_digits[0] == 1024
+    assert all(d == expected_iteration_counts(PHI0, D2, 2) for d in trace.counter_deltas)
+    totals = [sum(d[i] for d in trace.counter_deltas) for i in range(3)]
+    assert report.counters.snapshot() == tuple(t + a for t, a in zip(totals, aborted))
+
+
+@pytest.mark.parametrize("digits", [32, 64, 80])
+def test_at_most_80_digits_the_first_step_is_unchanged(monkeypatch, digits):
+    # with ctx.digits <= 80 iteration 1 runs at ctx.digits and x_1 is never
+    # provisional: a solve matches one whose first step is pinned to full
+    # precision, bit for bit and count for count
+    ctx = PrecisionContext(digits)
+    scale = mpf(10) ** -20
+
+    def scaled():
+        return NonlinearSystem(
+            2, [lambda p: scale * (p[0] * p[0] - 2), lambda p: p[1] * p[1] - 3]
+        )
+
+    cases = [
+        *((REGISTRY[name].build_system, REGISTRY[name].x0, method, dd)
+          for name, method, dd in (("quad2", PHI2, D2), ("cos3", PHI1, D1), ("exp5", PHI0, D1))),
+        (affine_system, ("7", "-3", "0.5"), PHI1, D2),
+        (scaled, ("1.5", "1.7"), PHI1, D1),
+    ]
+
+    def run():
+        out = []
+        with ctx.activate():
+            for make, start, method, dd in cases:
+                system, x0 = make(), HPVector(start)
+                report = solve(system, x0, method, dd, ctx)
+                trace = report.trace
+                out.append((
+                    report.iterations,
+                    report.stop_reason,
+                    [[e._mpf_ for e in x] for x in trace.iterates],
+                    trace.counter_deltas,
+                    trace.working_digits,
+                    report.counters.snapshot(),
+                ))
+        return out
+
+    now = run()
+    monkeypatch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
+    assert now == run()
+    assert all(r[4][0] == digits for r in now)
 
 
 @pytest.mark.parametrize("exponent, ramps", [(30, True), (60, False)])

@@ -78,6 +78,18 @@ def test_reference_root_attached_by_builder():
         assert bare.reference_root is None
 
 
+def test_reference_roots_are_parsed_at_each_precision():
+    # a root parsed once per precision equals a fresh parse at that
+    # precision, whichever precision came before
+    for digits in (64, 128, 64):
+        with PrecisionContext(digits).activate():
+            for spec in REGISTRY.values():
+                root = spec.build_system().reference_root
+                fresh = HPVector.from_decimals(load_reference_root(spec.name))
+                assert [e._mpf_ for e in root] == [e._mpf_ for e in fresh]
+                assert spec.build_system().reference_root is root
+
+
 def test_printed_prefix_matcher():
     with PrecisionContext(64).activate():
         assert printed_prefix_matches(mpf("6.4634633739496"), "6.463463374")
