@@ -3,11 +3,13 @@ data, and run the invariant check suites.
 
 A key=value config file can supply any flag; the command line's own flags
 win.  Exit codes:
-0 ok, 1 a row or a check failed, 2 bad input or config.
+0 ok, 1 a row or a check failed or the reader closed stdout, 2 bad input
+or config.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -165,7 +167,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse has printed the help or a usage error
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout
+        # on devnull, the interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # an out-of-range value met by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2

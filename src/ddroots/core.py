@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
@@ -29,23 +30,19 @@ class SingularOperator(SolverError):
     """The operator matrix is numerically singular; the solve must abort."""
 
 
-_EPS_CACHE: dict = {}
-# binary precisions whose epsilon is kept before the cache starts over
-_EPS_ENTRIES = 64
-
-
 def working_eps() -> mpf:
     """10**(-digits) at the currently active working precision.
 
     Cached per binary precision, not per ``mp.dps``: 99 and 100 bits share
     dps 29 but round 10**(-29) differently.
     """
-    eps = _EPS_CACHE.get(mp.prec)
-    if eps is None:
-        if len(_EPS_CACHE) >= _EPS_ENTRIES:
-            _EPS_CACHE.clear()
-        eps = _EPS_CACHE[mp.prec] = mpf(10) ** (-mp.dps)
-    return eps
+    return _eps_at(mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _eps_at(prec: int) -> mpf:
+    with mp.workprec(prec):
+        return mpf(10) ** (-mp.dps)
 
 
 def to_decimal(x) -> str:

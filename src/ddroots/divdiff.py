@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -31,10 +32,12 @@ from .core import (
 class DegenerateDividedDifference(SolverError):
     """Some coordinate pair coincides, so a difference quotient is undefined.
 
-    In the iterative methods a residual component has underflowed, or an
-    iterate pair coincides in one coordinate; ``residual`` then carries F at
-    ``point`` (None: the iterate the step started from), so a caller can tell
-    a root from a zero of one equation.
+    Two points coincide in coordinate j when |y_j - x_j| is below the working
+    epsilon times max(1, |x_j|).  In the iterative methods that pair is the
+    probe pair x -/+ F(x), so some f_j is negligible against x_j, or an
+    iterate pair; ``residual`` then carries F at ``point`` (None: the iterate
+    the step started from), so a caller can tell a root from a zero of one
+    equation.
     """
 
     def __init__(
@@ -298,24 +301,16 @@ def central_dd(
     orientation is the one the published iteration counts pin down.  Returns
     the operator together with F(x) so the caller evaluates the residual
     exactly once per outer iteration.  Raises DegenerateDividedDifference,
-    carrying F(x), when some residual component is below the working epsilon
-    or the two probe points coincide in a coordinate relative to x.
+    carrying F(x), when the two probe points coincide in some coordinate
+    relative to x, i.e. when |f_i| is negligible against max(1, |x_i|); an
+    exact zero f_i is that case too.
     """
     fxv = system.eval(x, counters)
-    eps = working_eps()
-    for i, f in enumerate(fxv):
-        if abs(f) < eps:
-            raise DegenerateDividedDifference(
-                f"residual component {i} underflowed the working precision", fxv
-            )
     try:
         return operator_for(kind)(system, x - fxv, x + fxv, counters), fxv
     except DegenerateDividedDifference as exc:
         exc.residual = fxv
         raise
-
-
-_GL_CACHE: dict = {}
 
 
 def _legendre_pair(n: int, x):
@@ -326,27 +321,25 @@ def _legendre_pair(n: int, x):
     return p1, dp
 
 
-def _gauss_legendre_01(n: int):
-    """Nodes/weights on [0, 1], cached per (n, binary precision)."""
-    key = (n, mp.prec)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
+@lru_cache(maxsize=64)
+def _gauss_legendre_01(n: int, prec: int):
+    """Nodes/weights of the n-point rule on [0, 1] at binary precision prec."""
     nodes, weights = [], []
-    tol = mpf(10) ** (-(mp.dps - 4))
-    for k in range(1, n + 1):
-        x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(200):
-            p, dp = _legendre_pair(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < tol:
-                break
-        _, dp = _legendre_pair(n, x)
-        w = 2 / ((1 - x * x) * dp * dp)
-        nodes.append((1 + x) / 2)
-        weights.append(w / 2)
-    _GL_CACHE[key] = (nodes, weights)
-    return _GL_CACHE[key]
+    with mp.workprec(prec):
+        tol = mpf(10) ** (-(mp.dps - 4))
+        for k in range(1, n + 1):
+            x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(200):
+                p, dp = _legendre_pair(n, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) < tol:
+                    break
+            _, dp = _legendre_pair(n, x)
+            w = 2 / ((1 - x * x) * dp * dp)
+            nodes.append((1 + x) / 2)
+            weights.append(w / 2)
+    return tuple(nodes), tuple(weights)
 
 
 def _fd_jacobian(system: NonlinearSystem, point: Sequence, step) -> list:
@@ -379,7 +372,7 @@ def integral_dd_oracle(
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     m = system.m
-    ts, ws = _gauss_legendre_01(nodes)
+    ts, ws = _gauss_legendre_01(nodes, mp.prec)
     h = [y[j] - x[j] for j in range(m)]
     step = mpf(10) ** (-(mp.dps // 4))
     acc = [[mpf(0)] * m for _ in range(m)]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf
 
@@ -63,7 +64,7 @@ class ProblemSpec:
 
     def build_system(self, with_reference: bool = True) -> NonlinearSystem:
         """Instantiate the system under the active precision."""
-        root = _parsed_reference_root(self.name) if with_reference else None
+        root = _parsed_reference_root(self.name, mp.prec) if with_reference else None
         return NonlinearSystem(
             self.m,
             self.component_factory(),
@@ -78,8 +79,8 @@ class ProblemSpec:
         return theoretical_order(method, D1)
 
 
-# entries one memo holds before it starts over; a registered row's solve
-# stores at most about 180 (cos3 phi1/d2 at 4096 digits)
+# arguments one memo holds; a registered row's solve stores at most about
+# 180 (cos3 phi1/d2 at 4096 digits)
 _MEMO_ENTRIES = 256
 
 
@@ -91,33 +92,28 @@ class ArgumentBeyondPrecision(SolverError):
 
 
 def _memo(name: str) -> Callable:
-    """``mp.<name>`` cached on the argument's bits and the working precision.
+    """``mp.<name>`` cached on the argument's value and the working precision.
 
     Consecutive points of a divided-difference chain differ in one
     coordinate, so most elementary values along a chain repeat.  Each
     component factory call makes its own memos, shared by that factory's
     components, so a cache lives as long as one ``build_system()``.  The
     value is bit-identical to a fresh call; ``mp.<name>`` is looked up at
-    call time, and the evaluations the counters see are unchanged.  An
+    call time, and the evaluations the counters see are unchanged.  The
+    least recently used argument is dropped past ``_MEMO_ENTRIES``.  An
     argument of magnitude 2^prec or more raises ArgumentBeyondPrecision.
     """
-    cache: dict = {}
 
-    def cached(v):
-        key = (getattr(v, "_mpf_", v), mp.prec)
-        value = cache.get(key)
-        if value is None:
-            if mp.mag(v) > mp.prec:
-                raise ArgumentBeyondPrecision(
-                    f"{name} at an argument of about 2^{mp.mag(v)} determines no digit "
-                    f"at {mp.prec} bits: the iteration diverged"
-                )
-            if len(cache) >= _MEMO_ENTRIES:
-                cache.clear()
-            value = cache[key] = getattr(mp, name)(v)
-        return value
+    @lru_cache(maxsize=_MEMO_ENTRIES)
+    def at(v, prec):
+        if mp.mag(v) > prec:
+            raise ArgumentBeyondPrecision(
+                f"{name} at an argument of about 2^{mp.mag(v)} determines no digit "
+                f"at {prec} bits: the iteration diverged"
+            )
+        return getattr(mp, name)(v)
 
-    return cached
+    return lambda v: at(v, mp.prec)
 
 
 def _exp5_components():
@@ -211,15 +207,10 @@ REGISTRY: dict[str, ProblemSpec] = {
 }
 
 
-_ROOT_CACHE: Optional[dict] = None
-
-
+@cache
 def _root_data() -> dict:
-    global _ROOT_CACHE
-    if _ROOT_CACHE is None:
-        path = resources.files(__package__) / "data" / "reference_roots.json"
-        _ROOT_CACHE = json.loads(path.read_text())
-    return _ROOT_CACHE
+    path = resources.files(__package__) / "data" / "reference_roots.json"
+    return json.loads(path.read_text())
 
 
 def load_reference_root(name: str) -> list[str]:
@@ -227,25 +218,16 @@ def load_reference_root(name: str) -> list[str]:
     return _root_data()[name]["components"]
 
 
-_PARSED_ROOTS: dict = {}
-# (problem, binary precision) pairs kept before the cache starts over
-_PARSED_ROOT_ENTRIES = 64
-
-
-def _parsed_reference_root(name: str) -> HPVector:
-    """The stored root of a problem rounded to the active precision.
+@lru_cache(maxsize=64)
+def _parsed_reference_root(name: str, prec: int) -> HPVector:
+    """The stored root of a problem rounded to binary precision ``prec``.
 
     Parsing its 8192-digit strings costs more than some whole solves, so
-    each (problem, ``mp.prec``) pair is parsed once; an ``HPVector`` is
+    each (problem, precision) pair is parsed once; an ``HPVector`` is
     immutable, so every caller may share it.
     """
-    key = (name, mp.prec)
-    root = _PARSED_ROOTS.get(key)
-    if root is None:
-        if len(_PARSED_ROOTS) >= _PARSED_ROOT_ENTRIES:
-            _PARSED_ROOTS.clear()
-        root = _PARSED_ROOTS[key] = HPVector.from_decimals(load_reference_root(name))
-    return root
+    with mp.workprec(prec):
+        return HPVector.from_decimals(load_reference_root(name))
 
 
 def reference_root_digits(name: str) -> int:

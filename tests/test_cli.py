@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,11 +248,38 @@ def test_estimate_mu_prices_the_operation_profile(capsys):
         (("run", "--problem", "quad2", "--digits", "1024", "--format", "csv"), "run_quad2_1024.csv"),
         (("run", "--problem", "cos3", "--digits", "1024", "--format", "csv"), "run_cos3_1024.csv"),
         (("run", "--problem", "exp5", "--digits", "1024", "--format", "csv"), "run_exp5_1024.csv"),
+        (("run", "--problem", "quad2", "--digits", "256", "--format", "json"), "run_quad2_256.json"),
+        (("run", "--problem", "cos3", "--digits", "256", "--format", "json"), "run_cos3_256.json"),
+        (("run", "--problem", "exp5", "--digits", "256", "--format", "json"), "run_exp5_256.json"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, golden):
     # the published tables, the theorem and counter certificates, the
-    # boundary curves and the 1024-digit rows are pinned byte for byte
+    # boundary curves and the 1024-digit rows are pinned byte for byte; the
+    # 256-digit JSON rows pin every field, final-iterate bits, working
+    # digits and full ACOC included
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--suite", "tables"), ("run", "--problem", "quad2", "--digits", "64", "--format", "csv")],
+)
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    # the reader closes the pipe before the child writes: whether the write
+    # fails in print or in the final flush, the child prints no traceback
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "ddroots.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (1, b"")

@@ -144,10 +144,14 @@ def test_memo_is_bounded(monkeypatch):
             exp(v)
         exp(values[0])
         assert len(calls) == _MEMO_ENTRIES
-        # one entry past the bound empties the cache
+        # one argument past the bound drops the least recently used one,
+        # values[1], and keeps values[0], used again just before
         exp(values[-1])
         exp(values[0])
+        assert len(calls) == _MEMO_ENTRIES + 1
+        exp(values[1])
         assert len(calls) == _MEMO_ENTRIES + 2
+        assert calls[-1] is values[1]
 
 
 def test_two_systems_share_no_cache(monkeypatch):

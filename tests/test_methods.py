@@ -354,13 +354,14 @@ def test_start_on_one_equations_zero_set_is_not_convergence(start, norm):
 
     with ctx.activate():
         system = NonlinearSystem(2, [counted(0), counted(1)])
-        message = re.escape("residual component 1 underflowed the working precision at x_0")
+        message = re.escape("coordinates 1 of the two points coincide at working precision at x_0")
         with pytest.raises(DegenerateDividedDifference, match=message) as info:
             solve(system, HPVector(start), PHI1, D1, ctx)
         assert f"||F||_inf = {norm}" in str(info.value)
         assert inf_norm(info.value.residual) == mpf(norm)
     # the norm comes from the F(x_0) the central operator already computed:
-    # once at 80 digits, whose underflow redoes iteration 1, then at 128
+    # once at 80 digits, whose degenerate probe pair redoes iteration 1,
+    # then at 128
     assert calls == [0, 1, 0, 1]
 
 
@@ -730,3 +731,23 @@ def test_every_returned_report_is_accurate(name, shifts, digits, method, dd):
         else:
             assert report.stop_reason in ("ratio", "exact_repeat")
             assert residual < mpf(10) ** -mpf(report.eta_used)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("method", [PHI0, PHI2])
+def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
+    # the unscaled residual at x_0 is 0.75, yet 1e-300 F(x_0) is below the
+    # absolute check tolerance, so the start is returned as the root; at
+    # scale 1 the same start raises a SolverError
+    ctx = PrecisionContext(128)
+    with ctx.activate():
+        scale = mpf(10) ** -300
+        unscaled = NonlinearSystem(
+            2, [lambda p: p[0] * p[0] + p[1] - 3, lambda p: p[0] - p[1] * p[1] + 1]
+        )
+        system = NonlinearSystem(2, [lambda p, f=f: scale * f(p) for f in unscaled.components])
+        try:
+            report = solve(system, HPVector(["1.5", "1.5"]), method, D2, ctx)
+        except SolverError:
+            return
+        assert inf_norm(unscaled.eval(report.final_iterate)) <= ctx.check_tolerance
