@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
@@ -106,6 +107,14 @@ class BenchmarkRow:
     error: Optional[str] = None
 
 
+def _as_float(name: str, value: mpf) -> float:
+    """The float of a model value, refusing one beyond the float range."""
+    result = float(value)
+    if math.isinf(result):
+        raise ValueError(f"{name} = {mp.nstr(value, 8)} is beyond the float range")
+    return result
+
+
 def efficiency_columns(
     m: int, mu: str, ell: str, method: MethodKind, dd: DividedDifferenceKind, order: int
 ) -> tuple[str, str, str]:
@@ -122,7 +131,7 @@ def efficiency_columns(
         cei_str = f"{float(cei(order, c_value)):.9f}"
         rounded = mpf(cei_str)
         tf = c_value / mp.log10(order) if rounded == 1 else time_factor(rounded)
-        return f"{float(c_value):.1f}", cei_str, f"{float(tf):.2f}"
+        return f"{_as_float('C', c_value):.1f}", cei_str, f"{_as_float('TF', tf):.2f}"
 
 
 def run_row(
@@ -279,14 +288,8 @@ def export_boundary_curves(
             m = m_min + i * step
             if abs(m - pole) < step / 2:
                 continue
-            mu = efficiency.boundary_g(which, repr(m), ell)
-            rows.append(
-                {
-                    "m": m,
-                    "mu": float(mu),
-                    "in_domain": float(mu) > 0,
-                }
-            )
+            mu = _as_float("mu", efficiency.boundary_g(which, repr(m), ell))
+            rows.append({"m": m, "mu": mu, "in_domain": mu > 0})
         return rows
 
 

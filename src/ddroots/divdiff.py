@@ -313,33 +313,12 @@ def central_dd(
         raise
 
 
-def _legendre_pair(n: int, x):
-    p0, p1 = mpf(1), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
 @lru_cache(maxsize=64)
 def _gauss_legendre_01(n: int, prec: int):
     """Nodes/weights of the n-point rule on [0, 1] at binary precision prec."""
-    nodes, weights = [], []
     with mp.workprec(prec):
-        tol = mpf(10) ** (-(mp.dps - 4))
-        for k in range(1, n + 1):
-            x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
-            for _ in range(200):
-                p, dp = _legendre_pair(n, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            _, dp = _legendre_pair(n, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((1 + x) / 2)
-            weights.append(w / 2)
-    return tuple(nodes), tuple(weights)
+        ts, ws = mp.gauss_quadrature(n, "legendre")
+        return tuple((1 + t) / 2 for t in ts), tuple(w / 2 for w in ws)
 
 
 def _fd_jacobian(system: NonlinearSystem, point: Sequence, step) -> list:
@@ -364,7 +343,8 @@ def integral_dd_oracle(
 ) -> HPMatrix:
     """Quadrature approximation of the mean-value integral of the Jacobian.
 
-    Gauss-Legendre quadrature over the segment [x, y] applied to a
+    Gauss-Legendre quadrature over the segment [x, y], with the rule of
+    mpmath's ``gauss_quadrature`` (Golub-Welsch), applied to a
     high-precision central-difference Jacobian (step 10^(-digits/4)).  Test
     oracle only: evaluations are not counted and accuracy is far looser than
     the working tolerance (about 10^(-digits/8) should be assumed).

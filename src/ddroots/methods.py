@@ -340,9 +340,10 @@ def solve(
     when its correction of norm 10^(-D_0) shows that its digits could not
     hold the rho D_0 digits of x_1 with the ramp's margin.  Until iteration
     2 completes, x_1 from below ``ctx.digits`` is provisional: if iteration
-    2 meets a redo trigger, at any precision, x_1 is dropped and iteration 1
-    redone at ``ctx.digits``.  Aborted attempts count in ``counters`` but
-    have no counter delta.
+    2 meets a redo trigger, at any precision, x_1 is dropped, iteration 1
+    is redone at ``ctx.digits`` and every later iteration runs there too.
+    Aborted attempts count in ``counters`` but have no counter delta.
+    Three consecutive ratios of at least 1 raise MaxIterationsExceeded.
     """
     method = MethodKind(method)
     dd_kind = DividedDifferenceKind(dd_kind)
@@ -356,17 +357,16 @@ def solve(
         # the threshold only has to order the ratios, not carry the target
         with mp.workdps(30):
             threshold = mpf("0.5") * mpf(10) ** (-mpf(eta_used))
-        x = HPVector(x0)
-        iterates = [x]
+        iterates = [HPVector(x0)]
         corr_norms: list = []
         ratios: list = []
         deltas: list = []
         working: list = []
         stop_reason = None
-        growth_streak = 0
         ramping = True
         start_digits = min(full, _FIRST_STEP_DIGITS)
         while len(corr_norms) < max_iters:
+            x = iterates[-1]
             if not corr_norms:
                 digits = start_digits
             elif ramping:
@@ -419,12 +419,12 @@ def solve(
                     c == 0 or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
                 )
             if redo:
+                # only a failed iteration 1 below full precision keeps the ramp
+                ramping = provisional and not corr_norms
                 if provisional:
                     # x_1 is dropped: redo iteration 1 at full precision
                     del iterates[1:], corr_norms[:], deltas[:], working[:]
-                    x, start_digits = iterates[0], full
-                else:
-                    ramping = False
+                    start_digits = full
                 continue
             if not corr_norms:  # F(x_0) sets the scale of the stall test
                 f0_scale = max(mpf(1), inf_norm(fx))
@@ -441,28 +441,18 @@ def solve(
                 if ratio <= threshold:
                     stop_reason = "ratio"
                     break
-                if ratio >= 1:
-                    growth_streak += 1
-                    if growth_streak >= 3:
-                        raise MaxIterationsExceeded(
-                            "correction norms failed to contract for 3 "
-                            "consecutive iterations"
-                        )
-                else:
-                    growth_streak = 0
-            x = x_next
+                if len(ratios) >= 3 and min(ratios[-3:]) >= 1:
+                    raise MaxIterationsExceeded(
+                        "correction norms failed to contract for 3 consecutive iterations"
+                    )
         if stop_reason is None:
             raise MaxIterationsExceeded(
                 f"no convergence within {max_iters} iterations "
                 f"(last ratio {mp.nstr(ratios[-1], 8) if ratios else 'n/a'})"
             )
-        if stop_reason == "ratio":
-            # the last iteration only confirmed its predecessor
-            final = iterates[-2]
-            iterations = len(iterates) - 2
-        else:
-            final = iterates[-1]
-            iterations = len(iterates) - 1
+        # a ratio stop's last iteration only confirmed its predecessor
+        iterations = len(iterates) - (2 if stop_reason == "ratio" else 1)
+        final = iterates[iterations]
         # the last step started from final (or from its exact repeat):
         # corrections also collapse when one coordinate stalls away from the
         # root, its operator column too large to move it

@@ -188,6 +188,10 @@ def test_run_failure_exit_code(capsys):
         # --digits sets the precision of two suites only
         ("check", "--suite", "tables", "--digits", "7"),
         ("check", "--suite", "theorems", "--digits", "7"),
+        # finite model inputs whose C, TF or boundary mu overflows a float
+        ("run", "--problem", "quad2", "--digits", "64", "--mu", "1e400", "--format", "csv"),
+        ("run", "--problem", "exp5", "--digits", "64", "--ell", "1e400", "--format", "csv"),
+        ("curves", "--which", "g20", "--ell", "1e400", "--samples", "3"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -211,6 +215,17 @@ def test_cei_that_rounds_to_one_keeps_its_time_factor(capsys):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert (row["cost"], row["cei"], row["tf"]) == ("8000000020.5", "1.000000000", "26575424827.20")
     assert row["error"] == ""
+
+
+def test_a_mu_below_the_float_range_is_accepted(capsys):
+    # mu = 1e-400 is positive and finite: C rounds to the cost without evaluations
+    code, out = run_cli(
+        capsys, "run", "--problem", "quad2", "--digits", "64",
+        "--method", "phi0", "--dd", "d1", "--mu", "1e-400", "--format", "csv",
+    )
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert (row["cost"], row["cei"], row["tf"], row["error"]) == ("20.5", "1.034390183", "68.10", "")
 
 
 def test_check_digits_names_the_suites_it_applies_to(capsys):
@@ -251,13 +266,15 @@ def test_estimate_mu_prices_the_operation_profile(capsys):
         (("run", "--problem", "quad2", "--digits", "256", "--format", "json"), "run_quad2_256.json"),
         (("run", "--problem", "cos3", "--digits", "256", "--format", "json"), "run_cos3_256.json"),
         (("run", "--problem", "exp5", "--digits", "256", "--format", "json"), "run_exp5_256.json"),
+        (("check", "--suite", "operators", "--digits", "256"), "check_operators_256.txt"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, golden):
     # the published tables, the theorem and counter certificates, the
-    # boundary curves and the 1024-digit rows are pinned byte for byte; the
-    # 256-digit JSON rows pin every field, final-iterate bits, working
-    # digits and full ACOC included
+    # boundary curves, the 1024-digit rows and the operator checks against
+    # the integral oracle are pinned byte for byte; the 256-digit JSON rows
+    # pin every field, final-iterate bits, working digits and full ACOC
+    # included
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
