@@ -333,15 +333,15 @@ def solve(
     10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
     coordinate stalled.
 
-    An underflow, an exact repeat or a singular operator met below
-    ``ctx.digits`` says nothing about the target epsilon: that iteration is
-    redone at ``ctx.digits``, and every later one runs there too.  Iteration
-    1 is redone at ``ctx.digits`` with the ramp kept on, after those and
-    when its correction of norm 10^(-D_0) shows that its digits could not
-    hold the rho D_0 digits of x_1 with the ramp's margin.  Until iteration
-    2 completes, x_1 from below ``ctx.digits`` is provisional: if iteration
-    2 meets a redo trigger, at any precision, x_1 is dropped, iteration 1
-    is redone at ``ctx.digits`` and every later iteration runs there too.
+    One rule covers the ramp's failures.  An underflow, an exact repeat or
+    a singular operator decides the run only in a step that ran at
+    ``ctx.digits`` from x_0 or from an iterate computed at ``ctx.digits``.
+    Met in any other step it says nothing about the target epsilon, and the
+    solve starts over from x_0 at ``ctx.digits``; so does iteration 1 when
+    its correction of norm 10^(-D_0) shows that its digits could not hold
+    the rho D_0 digits of x_1 with the ramp's margin.  A start-over from a
+    failed iteration 1 keeps the ramp, since nothing was kept yet; any other
+    runs every iteration at ``ctx.digits``, as a fixed-precision solve does.
     Aborted attempts count in ``counters`` but have no counter delta.
     Three consecutive ratios of at least 1 raise MaxIterationsExceeded.
     """
@@ -373,9 +373,8 @@ def solve(
                 digits = _ramp_digits(rho * rho, corr_norms[-1], x, full)
             else:
                 digits = full
-            # iteration 1 below full precision, or iteration 2 from its x_1
-            provisional = start_digits < full and len(corr_norms) <= 1
-            below_full = digits < full or provisional
+            # a step below full precision, or from an iterate computed there
+            partial = digits < full or bool(working) and working[-1] < full
             before = counters.snapshot()
             try:
                 with mp.workdps(digits):
@@ -389,8 +388,8 @@ def solve(
                                 f"began and {mp.prec} when it ended"
                             )
             except (DegenerateDividedDifference, SingularOperator) as exc:
-                # below full precision this says nothing about the target
-                redo = below_full
+                # a partial step says nothing about the target
+                redo = partial
                 if not redo:
                     if isinstance(exc, SingularOperator):
                         raise
@@ -415,16 +414,15 @@ def solve(
                 c = inf_norm(x_next - x)
                 # an exact repeat, or a first step whose digits could not
                 # hold the rho D_0 digits x_1 has after a correction of 10^-D_0
-                redo = below_full and (
+                redo = partial and (
                     c == 0 or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
                 )
             if redo:
-                # only a failed iteration 1 below full precision keeps the ramp
-                ramping = provisional and not corr_norms
-                if provisional:
-                    # x_1 is dropped: redo iteration 1 at full precision
-                    del iterates[1:], corr_norms[:], deltas[:], working[:]
-                    start_digits = full
+                # start over from x_0 at full precision; only a failed
+                # iteration 1 keeps the ramp, since nothing was kept yet
+                ramping = not corr_norms
+                start_digits = full
+                del iterates[1:], corr_norms[:], ratios[:], deltas[:], working[:]
                 continue
             if not corr_norms:  # F(x_0) sets the scale of the stall test
                 f0_scale = max(mpf(1), inf_norm(fx))
@@ -432,19 +430,18 @@ def solve(
             working.append(digits)
             iterates.append(x_next)
             corr_norms.append(c)
+            if len(corr_norms) >= 2:
+                ratios.append(c / corr_norms[-2])
             if c == 0:
                 stop_reason = "exact_repeat"
                 break
-            if len(corr_norms) >= 2:
-                ratio = c / corr_norms[-2]
-                ratios.append(ratio)
-                if ratio <= threshold:
-                    stop_reason = "ratio"
-                    break
-                if len(ratios) >= 3 and min(ratios[-3:]) >= 1:
-                    raise MaxIterationsExceeded(
-                        "correction norms failed to contract for 3 consecutive iterations"
-                    )
+            if ratios and ratios[-1] <= threshold:
+                stop_reason = "ratio"
+                break
+            if len(ratios) >= 3 and min(ratios[-3:]) >= 1:
+                raise MaxIterationsExceeded(
+                    "correction norms failed to contract for 3 consecutive iterations"
+                )
         if stop_reason is None:
             raise MaxIterationsExceeded(
                 f"no convergence within {max_iters} iterations "

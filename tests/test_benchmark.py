@@ -5,6 +5,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
+import ddroots.benchmark
 from ddroots.benchmark import (
     RunConfig,
     curves_to_csv,
@@ -17,6 +18,7 @@ from ddroots.benchmark import (
     run_row,
     suite_tables,
 )
+from ddroots.cli import main
 from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import DividedDifferenceKind
 from ddroots.efficiency import cei, cost, estimate_mu, time_factor
@@ -183,3 +185,19 @@ def test_row_error_is_contained():
     rows = run_benchmark(REGISTRY["quad2"], RunConfig(digits=512, max_iters=2))
     assert all(r.error for r in rows)
     assert all("MaxIterationsExceeded" in r.error for r in rows)
+
+
+def test_a_counter_mismatch_fails_the_row(monkeypatch, capsys):
+    # a closed form that disagrees with what solve spends: the row names
+    # both tuples, the markdown flags it and the CLI exits 1
+    monkeypatch.setattr(ddroots.benchmark, "expected_iteration_counts", lambda *args: (1, 2, 3))
+    row = run_row(REGISTRY["quad2"], PHI0, D1, RunConfig(digits=128))
+    assert row.counters_ok is False
+    assert row.counts_measured == (8, 3, 7)
+    assert row.error == "per-iteration counters (8, 3, 7) differ from formula (1, 2, 3)"
+    header, _, cells = (line.split("|") for line in rows_to_markdown([row]).splitlines())
+    counters = [h.strip() for h in header].index("counters")
+    assert cells[counters].strip() == "MISMATCH"
+    argv = ["run", "--problem", "quad2", "--method", "phi0", "--dd", "d1", "--digits", "128"]
+    assert main(argv) == 1
+    assert "MISMATCH" in capsys.readouterr().out

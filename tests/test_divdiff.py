@@ -190,6 +190,8 @@ def _sparse_component(kind, a, b, c, m):
     if kind == "slice":
         lo, hi = min(a, c), max(a, c)
         return lambda p: sum(v * v for v in p[lo:hi + 1])
+    if kind == "len":  # sizes the point, which reads no coordinate
+        return lambda p: p[len(p) - 1 - a] * p[b]
     return lambda p: p[a] * p[b] - p[c] ** 3
 
 
@@ -197,7 +199,7 @@ def _sparse_component(kind, a, b, c, m):
 def sparse_case(draw):
     m = draw(st.integers(1, 6))
     index = st.integers(0, m - 1)
-    kinds = st.sampled_from(["branch", "sum", "negative", "slice", "cubic"])
+    kinds = st.sampled_from(["branch", "sum", "negative", "slice", "len", "cubic"])
     specs = draw(st.lists(st.tuples(kinds, index, index, index), min_size=m, max_size=m))
     quarters = st.integers(-12, 12)
     x = draw(st.lists(quarters, min_size=m, max_size=m))

@@ -556,11 +556,10 @@ def test_underflow_below_full_precision_redoes_the_iteration_at_full():
         expected = expected_iteration_counts(PHI1, D1, 2)
         assert all(d == expected for d in trace.counter_deltas)
         # iteration 1 at 80 digits is kept until iteration 2 from its x_1
-        # underflows; x_1 is dropped, iteration 1 redone at 256 digits and
-        # every later iteration runs there.  The aborted iteration 2
-        # evaluated F(x_1) before the underflow stopped it: the totals count
-        # the dropped iteration and those 2 evaluations, no iteration delta
-        # does
+        # underflows; the solve starts over from x_0 at 256 digits and runs
+        # every iteration there.  The aborted iteration 2 evaluated F(x_1)
+        # before the underflow stopped it: the totals count the discarded
+        # iteration 1 and those 2 evaluations, no iteration delta does
         totals = [sum(d[i] for d in trace.counter_deltas) for i in range(3)]
         dropped = (expected[0] + 2, expected[1], expected[2])
         assert report.counters.snapshot() == tuple(t + d for t, d in zip(totals, dropped))
@@ -571,8 +570,8 @@ def test_underflow_below_full_precision_redoes_the_iteration_at_full():
 @pytest.mark.parametrize("dd", [D1, D2])
 def test_affine_totals_count_the_dropped_first_step(method, dd):
     # iteration 1 at 80 digits is kept, x_1 holds every digit it has, and
-    # iteration 2 from it underflows at 40 digits: x_1 is dropped and
-    # iteration 1 redone at 96 digits.  Iteration 2 from the new x_1 then
+    # iteration 2 from it underflows at 40 digits: the solve starts over
+    # from x_0 at 96 digits.  Iteration 2 from the new x_1 then
     # runs at 96 digits too and underflows, which ends the run.  Each of the
     # two evaluated F(x_1), 3 evaluations, without a counter delta
     ctx = PrecisionContext(96)
@@ -608,8 +607,8 @@ def test_start_more_accurate_than_the_first_step_digits_is_redone_at_full(accura
 
 @pytest.mark.parametrize("digits", [32, 64, 80])
 def test_at_most_80_digits_the_first_step_is_unchanged(monkeypatch, digits):
-    # with ctx.digits <= 80 iteration 1 runs at ctx.digits and x_1 is never
-    # provisional: a solve matches one whose first step is pinned to full
+    # with ctx.digits <= 80 iteration 1 runs at ctx.digits, full precision:
+    # a solve matches one whose first step is pinned to full
     # precision, bit for bit and count for count
     ctx = PrecisionContext(digits)
     scale = mpf(10) ** -20
@@ -674,6 +673,76 @@ def test_singular_operator_below_full_precision_redoes_the_iteration_at_full(
         expected = expected_iteration_counts(PHI0, D2, 2)
         assert all(d == expected for d in report.trace.counter_deltas)
         assert inf_norm(system.eval(report.final_iterate)) < mpf(10) ** -report.eta_used
+
+
+@pytest.mark.parametrize("digits", [64, 128, 256])
+def test_an_exact_repeat_after_two_corrections_is_reported(digits):
+    # x_1 is 1/3 rounded: F(x_1) = 1000 (x_1 - 1/3) is so small that the
+    # next correction falls below x_1's last digit, and x_2 = x_1.  The
+    # zero correction's ratio goes into the trace with it
+    ctx = PrecisionContext(digits)
+    with ctx.activate():
+        with mp.workdps(4 * digits):
+            root = mpf(1) / 3
+        system = NonlinearSystem(1, [lambda p: 1000 * (p[0] - root)])
+        report = solve(system, HPVector(["0.3"]), PHI0, D1, ctx)
+    trace = report.trace
+    assert (report.stop_reason, report.iterations) == ("exact_repeat", 2)
+    assert trace.correction_norms[1] == 0 and trace.ratios == (0,)
+    assert report.final_iterate.entries == trace.iterates[1].entries
+    assert trace.working_digits == (digits, digits)
+
+
+# systems with dyadic roots, on which rounding at low precision can snap a
+# coordinate onto the root exactly
+_DYADIC = {
+    "x^2 - 1/4": ([lambda p: p[0] * p[0] - mpf(1) / 4], ("0.7",)),
+    "x^3 - 1/8": ([lambda p: p[0] ** 3 - mpf(1) / 8], ("0.9",)),
+    "x^2 - 1 + y, y^2 - y/2": (
+        [lambda p: p[0] * p[0] - 1 + p[1], lambda p: p[1] * p[1] - p[1] / 2],
+        ("1.3", "0.6"),
+    ),
+    "xy - 3/8, x + y - 5/4": (
+        [lambda p: p[0] * p[1] - mpf(3) / 8, lambda p: p[0] + p[1] - mpf(5) / 4],
+        ("0.9", "0.2"),
+    ),
+}
+
+
+def _dyadic_outcome(name, shift, digits, method, dd):
+    components, start = _DYADIC[name]
+    ctx = PrecisionContext(digits)
+    with ctx.activate():
+        x0 = HPVector(mpf(v) + mpf(shift) / 1000 for v in start)
+        try:
+            report = solve(NonlinearSystem(len(components), components), x0, method, dd, ctx)
+        except SolverError as exc:
+            return type(exc)
+    return report.iterations, report.stop_reason, report.trace.counter_deltas
+
+
+@given(
+    name=st.sampled_from(sorted(_DYADIC)),
+    shift=st.integers(-200, 200),
+    digits=st.integers(96, 1024),
+    method=st.sampled_from(list(MethodKind)),
+    dd=st.sampled_from(list(DividedDifferenceKind)),
+)
+@settings(max_examples=100, deadline=None)
+# a ramped iterate snapped onto the root: the run ended on an underflow at
+# I = 4, and on a degenerate operator at x_9 with ||F|| = 3.7e-277
+@example(name="x^2 - 1/4", shift=0, digits=1024, method=PHI1, dd=D1)
+@example(name="x^2 - 1 + y, y^2 - y/2", shift=0, digits=1024, method=PHI0, dd=D2)
+def test_a_ramped_solve_reports_what_a_fixed_precision_solve_does(
+    name, shift, digits, method, dd
+):
+    # I, stop reason and counter deltas, or the SolverError raised
+    ramped = _dyadic_outcome(name, shift, digits, method, dd)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
+        patch.setattr(ddroots.methods, "_ramp_digits", lambda power, c, x, full: full)
+        fixed = _dyadic_outcome(name, shift, digits, method, dd)
+    assert ramped == fixed
 
 
 # a fixed-precision solve leaves relative errors of 1.4e-977 and 1.5e-554
