@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
@@ -23,6 +24,7 @@ from .core import (
     PrecisionContext,
     SolverError,
     count_at,
+    mat_entrywise,
     mat_inf_norm,
     to_decimal,
 )
@@ -37,7 +39,7 @@ from .divdiff import (
     integral_dd_oracle,
 )
 from .efficiency import cei, comparison_ratio, cost, time_factor
-from .methods import MethodKind, expected_iteration_counts, solve, theoretical_order
+from .methods import MethodKind, expected_iteration_counts, solve
 from .problems import REGISTRY, ProblemSpec
 
 D1 = DividedDifferenceKind.D1
@@ -286,7 +288,7 @@ def export_boundary_curves(
         rows = []
         for i in range(samples):
             m = m_min + i * step
-            if abs(m - pole) < step / 2:
+            if abs(m - pole) < abs(step) / 2:
                 continue
             mu = _as_float("mu", efficiency.boundary_g(which, repr(m), ell))
             rows.append({"m": m, "mu": mu, "in_domain": mu > 0})
@@ -369,10 +371,11 @@ def suite_operators(digits: int = 256) -> list[CheckResult]:
             worst = {D1: mpf(0), D2: mpf(0)}
             worst_sym = mpf(0)
             for x, y in _random_pairs(problem):
-                for kind, build in ((D1, dd_d1), (D2, dd_d2)):
-                    op = build(system, y, x)
+                ops = {D1: dd_d1(system, y, x), D2: dd_d2(system, y, x)}
+                for kind, op in ops.items():
                     worst[kind] = max(worst[kind], check_secant(op, system, y, x))
-                worst_sym = max(worst_sym, check_symmetry(system, y, x, D2))
+                sym = mat_entrywise(operator.sub, ops[D2], dd_d2(system, x, y))
+                worst_sym = max(worst_sym, mat_inf_norm(sym))
             for kind in (D1, D2):
                 results.append(
                     CheckResult(
@@ -442,11 +445,7 @@ def accuracy_order_ratios() -> dict[DividedDifferenceKind, list[float]]:
             y = HPVector(xi + hi for xi, hi in zip(x, h))
             op = build(system, y, x)
             oracle = integral_dd_oracle(system, y, x, nodes=24)
-            diff = [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(op.rows, oracle.rows)
-            ]
-            errors.append(mat_inf_norm(type(op)(diff)))
+            errors.append(mat_inf_norm(mat_entrywise(operator.sub, op, oracle)))
             h = [hi / 2 for hi in h]
         out[kind] = [float(errors[k] / errors[k + 1]) for k in range(_HALVINGS)]
     return out
@@ -470,7 +469,8 @@ def _accuracy_order_checks() -> list[CheckResult]:
 
 def suite_counters(digits: int = 128) -> list[CheckResult]:
     """Per-iteration counter tallies equal the closed-form counts, exactly,
-    for every method/operator pair on every registered problem."""
+    for every method/operator pair on every registered problem; each pair is
+    one ``run_row``, and a failed row is a failed check carrying its error."""
     ctx = PrecisionContext(digits)
     results = []
     with ctx.activate():
@@ -498,26 +498,14 @@ def suite_counters(digits: int = 128) -> list[CheckResult]:
                 )
             for method in MethodKind:
                 for dd in (D1, D2):
-                    report = solve(
-                        system,
-                        problem.x0_vector(),
-                        method,
-                        dd,
-                        ctx,
-                        max_iters=60,
-                        order_hint=problem.effective_order(method, dd),
-                    )
-                    expected = expected_iteration_counts(method, dd, problem.m)
-                    bad = [
-                        d for d in report.trace.counter_deltas if d != expected
-                    ]
+                    row = run_row(problem, method, dd, RunConfig(digits=digits, max_iters=60))
                     results.append(
                         CheckResult(
                             f"counters/{problem.name}/{method.value}/{dd.value}",
-                            not bad,
-                            f"{len(report.trace.counter_deltas)} iterations, "
-                            f"formula {expected}"
-                            + (f", first mismatch {bad[0]}" if bad else ""),
+                            row.counters_ok is True,
+                            row.error
+                            or f"{len(row.working_digits)} iterations, "
+                            f"formula {row.counts_expected}",
                         )
                     )
     return results
@@ -631,14 +619,15 @@ def _worked_case_checks() -> list[CheckResult]:
     """CEI orderings of the two worked parameter sets, exactly as printed."""
     results = []
 
-    def ceis(m, mu):
-        pairs = (
-            (MethodKind.PHI0, D1), (MethodKind.PHI1, D1), (MethodKind.PHI1, D2),
-            (MethodKind.PHI2, D1), (MethodKind.PHI2, D2),
-        )
-        return [cei(theoretical_order(*p), cost(*p, m, mu, "2.5")) for p in pairs]
+    def ceis(name):
+        # the published rows, in the order phi0/d1, phi1/d1, phi1/d2, phi2/d1, phi2/d2
+        spec = REGISTRY[name]
+        return [
+            cei(row.order, cost(method, dd, spec.m, spec.mu_paper, "2.5"))
+            for (method, dd), row in spec.rows.items()
+        ]
 
-    c0, c11, c12, c21, c22 = ceis(2, "1.5")
+    c0, c11, c12, c21, c22 = ceis("quad2")
     quad_ok = (
         c22 > c12
         and abs(c12 - c0) < mpf("1e-50")
@@ -652,7 +641,7 @@ def _worked_case_checks() -> list[CheckResult]:
             "CEI2(2) > CEI1(2) = CEI0 > CEI1(1) and CEI2(2) > CEI2(1) at (2, 1.5, 2.5)",
         )
     )
-    c0, c11, c12, c21, c22 = ceis(3, "113.3")
+    c0, c11, c12, c21, c22 = ceis("cos3")
     cos_ok = c21 > c0 > c22 > c12 and c11 > c12
     results.append(
         CheckResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import repr_dps
@@ -202,6 +202,11 @@ def inf_norm(v: HPVector | Sequence) -> mpf:
 def mat_inf_norm(a: HPMatrix) -> mpf:
     """Operator infinity norm (maximum absolute row sum)."""
     return max(sum(abs(e) for e in row) for row in a.rows)
+
+
+def mat_entrywise(fn: Callable, *matrices: HPMatrix) -> HPMatrix:
+    """The matrix of ``fn`` applied to corresponding entries, uncounted."""
+    return HPMatrix(map(fn, *rows) for rows in zip(*(a.rows for a in matrices)))
 
 
 def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:

@@ -23,6 +23,7 @@ from .core import (
     OpCounters,
     SolverError,
     inf_norm,
+    mat_entrywise,
     mat_inf_norm,
     mat_vec,
     working_eps,
@@ -387,11 +388,7 @@ def check_symmetry(
     build = operator_for(kind)
     forward = build(system, y, x)
     backward = build(system, x, y)
-    diff = [
-        [a - b for a, b in zip(ra, rb)]
-        for ra, rb in zip(forward.rows, backward.rows)
-    ]
-    return mat_inf_norm(HPMatrix(diff))
+    return mat_inf_norm(mat_entrywise(operator.sub, forward, backward))
 
 
 def check_potra(
@@ -411,8 +408,4 @@ def check_potra(
     a = build(system, u, v)
     b = build(system, u, w)
     c = build(system, v, w)
-    resid = [
-        [ea - 2 * eb + ec for ea, eb, ec in zip(ra, rb, rc)]
-        for ra, rb, rc in zip(a.rows, b.rows, c.rows)
-    ]
-    return mat_inf_norm(HPMatrix(resid))
+    return mat_inf_norm(mat_entrywise(lambda ea, eb, ec: ea - 2 * eb + ec, a, b, c))

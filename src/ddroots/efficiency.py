@@ -73,7 +73,9 @@ def _check_domain(m: mpf, mu: mpf, ell: mpf) -> None:
 
 
 def cost(method: MethodKind, dd_kind: DividedDifferenceKind, m: int, mu: Real, ell: Real) -> mpf:
-    """Closed-form per-iteration cost C(mu, m, ell) in product units."""
+    """Closed-form per-iteration cost C(mu, m, ell) in product units; m is an int >= 2."""
+    if not isinstance(m, int):
+        raise ValueError(f"dimension m must be an integer, not {m!r}")
     if m < 2:
         raise ValueError("cost model requires dimension m >= 2")
     mu_v, ell_v = as_mpf(mu), as_mpf(ell)

@@ -31,6 +31,7 @@ from .core import (
     inf_norm,
     lu_factor,
     lu_solve,
+    mat_entrywise,
 )
 from .divdiff import (
     OPERATOR_COUNTS,
@@ -215,10 +216,7 @@ def step_phi1(
         exc.residual, exc.point = fy, y
         raise
     # doubling is a shift-add, not a counted product; two zeros give a zero
-    combined = HPMatrix(
-        (2 * b - a if b or a else a for b, a in zip(rb, ra))
-        for rb, ra in zip(op_pair.rows, central.rows)
-    )
+    combined = mat_entrywise(lambda b, a: 2 * b - a if b or a else a, op_pair, central)
     fact_nu = lu_factor(combined, counters)
     correction = lu_solve(fact_nu, fy, counters)
     return y - correction, fact_nu

@@ -22,7 +22,7 @@ from ddroots.cli import main
 from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import DividedDifferenceKind
 from ddroots.efficiency import cei, cost, estimate_mu, time_factor
-from ddroots.methods import MethodKind, theoretical_order
+from ddroots.methods import MaxIterationsExceeded, MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
 
 D1 = DividedDifferenceKind.D1
@@ -161,6 +161,13 @@ def test_boundary_export_skips_pole_and_orders_samples():
     assert all(r["mu"] > 0 for r in rows)
 
 
+def test_a_descending_range_skips_the_sample_next_to_the_pole():
+    # g20's asymptote is at m = 2.9468, a quarter-step from the middle sample
+    for m_min, m_max in ((2.9, 3.0), (3.0, 2.9)):
+        rows = export_boundary_curves("g20", ell="2.5", m_min=m_min, m_max=m_max, samples=3)
+        assert {r["m"] for r in rows} == {2.9, 3.0}
+
+
 def test_boundary_export_tags_out_of_domain():
     rows = export_boundary_curves("g22", ell="2.5", m_min=2.0, m_max=2.03, samples=4)
     assert rows and all(not r["in_domain"] for r in rows)
@@ -185,6 +192,19 @@ def test_row_error_is_contained():
     rows = run_benchmark(REGISTRY["quad2"], RunConfig(digits=512, max_iters=2))
     assert all(r.error for r in rows)
     assert all("MaxIterationsExceeded" in r.error for r in rows)
+
+
+def test_a_failed_solve_fails_its_counter_check(monkeypatch, capsys):
+    # the counters suite runs every pair through run_row: a solve that
+    # raises is a [FAIL] line carrying the error, and the CLI exits 1
+    def fail(*args, **kwargs):
+        raise MaxIterationsExceeded("no convergence")
+
+    monkeypatch.setattr(ddroots.benchmark, "solve", fail)
+    assert main(["check", "--suite", "counters", "--digits", "64"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] counters/quad2/phi0/d1: MaxIterationsExceeded: no convergence" in out
+    assert out.count("[FAIL]") == 18  # every solve; the operator-eval checks pass
 
 
 def test_a_counter_mismatch_fails_the_row(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -8,6 +10,7 @@ from ddroots.core import (
     OpCounters,
     PrecisionContext,
     inf_norm,
+    mat_entrywise,
     mat_inf_norm,
     working_eps,
 )
@@ -23,6 +26,7 @@ from ddroots.divdiff import (
     dd_d2,
     integral_dd_oracle,
 )
+from ddroots.methods import MethodKind, solve
 from ddroots.problems import REGISTRY
 
 D1 = DividedDifferenceKind.D1
@@ -54,6 +58,30 @@ def entrywise_close(got: HPMatrix, want_rows, tol) -> bool:
         for i in range(got.m)
         for j in range(got.m)
     )
+
+
+# --- the system -------------------------------------------------------------
+
+
+def test_system_rejects_a_bad_dimension_or_component_count():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        NonlinearSystem(0, [])
+    with pytest.raises(ValueError, match="expected 2 components, got 1"):
+        NonlinearSystem(2, [lambda p: p[0]])
+
+
+def test_with_reference_root_keeps_the_system_and_lets_solve_report_q():
+    ctx = PrecisionContext(128)
+    with ctx.activate():
+        system = NonlinearSystem(1, [lambda p: p[0] * p[0] - 2], name="sqrt2")
+        rooted = system.with_reference_root(HPVector([mp.sqrt(2)]))
+        assert (rooted.m, rooted.components, rooted.name) == (1, system.components, "sqrt2")
+        assert system.reference_root is None
+        plain = solve(system, HPVector(["1.5"]), MethodKind.PHI0, D1, ctx)
+        report = solve(rooted, HPVector(["1.5"]), MethodKind.PHI0, D1, ctx)
+    assert plain.correct_decimals is None
+    assert report.correct_decimals == 97
+    assert report.final_iterate.entries == plain.final_iterate.entries
 
 
 # --- classical operator -----------------------------------------------------
@@ -270,8 +298,7 @@ def test_central_d2_matches_integral_oracle_on_quadratic():
         op, fx = central_dd(system, x, D2)
         lo, hi = x - fx, x + fx
         oracle = integral_dd_oracle(system, lo, hi, nodes=8)
-        diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(op.rows, oracle.rows)]
-        assert mat_inf_norm(HPMatrix(diff)) <= CTX.check_tolerance
+        assert mat_inf_norm(mat_entrywise(operator.sub, op, oracle)) <= CTX.check_tolerance
 
 
 def test_central_underflow_raises():
@@ -319,11 +346,9 @@ def test_d2_second_order_against_oracle():
         for scale in ("0.001", "0.0005"):
             h = [mpf(scale), mpf(scale) * mpf("0.7"), -mpf(scale) * mpf("0.4")]
             y = HPVector(xi + hi for xi, hi in zip(x, h))
-            diff_rows = []
             op = dd_d2(system, y, x)
             oracle = integral_dd_oracle(system, y, x, nodes=16)
-            diff_rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(op.rows, oracle.rows)]
-            errs.append(mat_inf_norm(HPMatrix(diff_rows)))
+            errs.append(mat_inf_norm(mat_entrywise(operator.sub, op, oracle)))
         ratio = errs[0] / errs[1]
         assert 3.4 <= float(ratio) <= 4.6
 

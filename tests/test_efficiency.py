@@ -94,6 +94,15 @@ def test_validation_errors():
         time_factor("0.99")
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, "3", mpf(3)])
+def test_cost_and_comparison_ratio_take_an_integer_m_only(m):
+    with mp.workdps(50):
+        with pytest.raises(ValueError, match="dimension m must be an integer"):
+            cost(PHI2, D2, m, "1", "2.5")
+        with pytest.raises(ValueError, match="dimension m must be an integer"):
+            comparison_ratio("g20", m, "1", "2.5")
+
+
 @given(
     pair=st.sampled_from(sorted(COMPARISONS)),
     m=st.integers(2, 50),

@@ -404,6 +404,34 @@ def test_iterate_pair_coinciding_on_a_root_is_convergence(method):
         assert base.final_iterate.entries == report.final_iterate.entries
 
 
+def test_iterate_pair_coinciding_on_a_root_after_corrections_closes_the_trace():
+    # from this start the fourth first step lands exactly on the dyadic root
+    # (1/2, 1/4), so the pair operator is degenerate after three corrections:
+    # y is the final iterate and its correction adds a third ratio
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = NonlinearSystem(
+            2,
+            [
+                lambda p: p[0] - mpf(1) / 2 + (p[1] - mpf(1) / 4) ** 2,
+                lambda p: p[1] ** 2 - mpf(1) / 16,
+            ],
+        )
+        start = HPVector(["0.5924347857005463", "0.3067945972899728"])
+        report = solve(system, start, PHI1, D2, ctx)
+        trace = report.trace
+        norms = trace.correction_norms
+        assert len(trace.ratios) == 3
+        assert trace.ratios[-1] == norms[3] / norms[2]
+    assert (report.stop_reason, report.iterations) == ("residual_underflow", 4)
+    assert report.final_iterate.entries == (mpf("0.5"), mpf("0.25"))
+    assert trace.iterates[-1] is report.final_iterate
+    assert (len(trace.iterates), len(norms)) == (5, 4)
+    assert trace.counter_deltas == (expected_iteration_counts(PHI1, D2, 2),) * 3
+    assert trace.working_digits == (64, 59, 64)
+    assert abs(report.acoc - 4) < mpf("0.001")
+
+
 def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
     # one ulp from a root near 1e20, F(x_0) ~ 1e-45 is above the working
     # epsilon but the probe points x -/+ F(x) coincide relative to x: the
