@@ -38,7 +38,7 @@ from .divdiff import (
     dd_d2,
     integral_dd_oracle,
 )
-from .efficiency import cei, comparison_ratio, cost, time_factor
+from .efficiency import DEFAULT_ELL, cei, comparison_ratio, cost, time_factor
 from .methods import MethodKind, expected_iteration_counts, solve
 from .problems import REGISTRY, ProblemSpec
 
@@ -55,7 +55,7 @@ class RunConfig:
     methods: Optional[tuple[MethodKind, ...]] = None
     dd_kinds: Optional[tuple[DividedDifferenceKind, ...]] = None
     max_iters: int = 200
-    ell: str = "2.5"
+    ell: str = DEFAULT_ELL
     mu: Optional[str] = None
 
     def plan_for(self, problem: ProblemSpec) -> tuple:
@@ -270,7 +270,7 @@ FORMATTERS = {"md": rows_to_markdown, "csv": rows_to_csv, "json": rows_to_json}
 
 def export_boundary_curves(
     which: str,
-    ell: str = "2.5",
+    ell: str = DEFAULT_ELL,
     m_min: float = 2.0,
     m_max: float = 20.0,
     samples: int = 64,
@@ -282,6 +282,8 @@ def export_boundary_curves(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if not (math.isfinite(m_min) and math.isfinite(m_max)):
+        raise ValueError(f"the m range [{m_min}, {m_max}] must be finite")
     with mp.workdps(60):
         pole = float(efficiency.asymptote_m(which))
         step = (m_max - m_min) / (samples - 1)
@@ -321,7 +323,7 @@ def suite_tables() -> list[CheckResult]:
     for problem in REGISTRY.values():
         for (method, dd), expected in problem.rows.items():
             got_c, got_cei, got_tf = efficiency_columns(
-                problem.m, problem.mu_paper, "2.5", method, dd, expected.order
+                problem.m, problem.mu_paper, DEFAULT_ELL, method, dd, expected.order
             )
             ok = (got_c, got_cei, got_tf) == (
                 expected.cost,
@@ -586,21 +588,17 @@ def suite_theorems() -> list[CheckResult]:
             ok = True
             detail = []
             for m in m_samples:
-                mu_star = efficiency.boundary_g(which, m, "2.5")
+                mu_star = efficiency.boundary_g(which, m, DEFAULT_ELL)
                 if mu_star <= 0:
                     ok = False
                     detail.append(f"m={m}: boundary mu not positive")
                     continue
-                r = comparison_ratio(which, m, mu_star, "2.5")
+                r = comparison_ratio(which, m, mu_star, DEFAULT_ELL)
                 if abs(r - 1) > mpf("1e-9"):
                     ok = False
                     detail.append(f"m={m}: R at boundary = {mp.nstr(r, 12)}")
-                above = efficiency.classify_region(
-                    which, m, mu_star * mpf("1.01"), "2.5"
-                )
-                below = efficiency.classify_region(
-                    which, m, mu_star * mpf("0.99"), "2.5"
-                )
+                above = efficiency.classify_region(which, m, mu_star * mpf("1.01"), DEFAULT_ELL)
+                below = efficiency.classify_region(which, m, mu_star * mpf("0.99"), DEFAULT_ELL)
                 if above == below or "boundary" in (above, below):
                     ok = False
                     detail.append(f"m={m}: no region flip across the curve")
@@ -623,7 +621,7 @@ def _worked_case_checks() -> list[CheckResult]:
         # the published rows, in the order phi0/d1, phi1/d1, phi1/d2, phi2/d1, phi2/d2
         spec = REGISTRY[name]
         return [
-            cei(row.order, cost(method, dd, spec.m, spec.mu_paper, "2.5"))
+            cei(row.order, cost(method, dd, spec.m, spec.mu_paper, DEFAULT_ELL))
             for (method, dd), row in spec.rows.items()
         ]
 

@@ -22,7 +22,7 @@ from .benchmark import (
     run_benchmark,
 )
 from .divdiff import DividedDifferenceKind
-from .efficiency import estimate_mu
+from .efficiency import DEFAULT_ELL, estimate_mu
 from .methods import MethodKind
 from .problems import REGISTRY
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", action="append", choices=[m.value for m in MethodKind])
     run.add_argument("--dd", action="append", choices=[d.value for d in DividedDifferenceKind])
     run.add_argument("--digits", type=int, default=4096)
-    run.add_argument("--ell", default="2.5")
+    run.add_argument("--ell", default=DEFAULT_ELL)
     run.add_argument("--mu", default=None)
     run.add_argument("--estimate-mu", action="store_true", dest="estimate_mu",
                      help="price mu from the problem's operation profile")
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curves = sub.add_parser("curves", help="sample an equal-efficiency boundary curve")
     curves.add_argument("--which", required=True, choices=("g20", "g22", "g11"))
-    curves.add_argument("--ell", default="2.5")
+    curves.add_argument("--ell", default=DEFAULT_ELL)
     curves.add_argument("--m-min", type=float, default=2.0, dest="m_min")
     curves.add_argument("--m-max", type=float, default=20.0, dest="m_max")
     curves.add_argument("--samples", type=int, default=64)

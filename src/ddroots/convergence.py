@@ -1,6 +1,7 @@
 """Root-free convergence-order estimation and accuracy diagnostics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -64,9 +65,10 @@ def acoc(trace: "IterationTrace") -> OrderEstimate:
 
 
 def eta(rho: float, epsilon_digits: int) -> float:
-    """Digit threshold (rho - 1) / rho^2 * epsilon for root-free stopping."""
-    if rho < 2:
-        raise ValueError("order must be at least 2")
+    """Digit threshold (rho - 1) / rho^2 * epsilon for root-free stopping;
+    the order rho must be finite and at least 2."""
+    if not 2 <= rho < math.inf:
+        raise ValueError(f"order must be finite and at least 2, not {rho}")
     if epsilon_digits < 32:
         raise ValueError("need at least 32 working digits")
     return (rho - 1) / rho**2 * epsilon_digits

@@ -19,9 +19,12 @@ from mpmath import mp, mpf
 
 from .core import SolverError, count_at, working_eps
 from .divdiff import DividedDifferenceKind
-from .methods import PRICED_COUNTS, MethodKind
+from .methods import PRICED_COUNTS, MethodKind, theoretical_order
 
 Real = Union[int, float, str, mpf]
+
+D1, D2 = DividedDifferenceKind.D1, DividedDifferenceKind.D2
+PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
 
 
 class PoleAtAsymptote(SolverError):
@@ -52,6 +55,9 @@ ELEMENTARY_COSTS: dict[str, float] = {
     "cos": 113,
     "arctan": 228,
 }
+
+# the quotient price ell that the benchmark harness and the CLI default to
+DEFAULT_ELL = repr(ELEMENTARY_COSTS["quotient"])
 
 
 def _cost_terms(method: MethodKind, dd_kind: DividedDifferenceKind, m: Real, ell: mpf) -> tuple:
@@ -103,46 +109,39 @@ def time_factor(cei_value: Real) -> mpf:
     return 1 / mp.log10(v)
 
 
-# Named comparisons: (method, dd kind, local order) for each side.  The
-# one-sided entries appear twice where it matters: with their design order
-# (order-preserving systems) and with the degraded order 3 or 4.
-COMPARISONS: dict[str, tuple[tuple, tuple]] = {
+# Named comparisons: the (method, operator) pair of each side, and whether
+# the comparison is drawn for systems on which the one-sided operator keeps
+# the design orders; elsewhere each side has its ``theoretical_order``.
+_SIDES = {
     # design-order comparisons within the one-sided family
-    "t3_phi2_phi1": (
-        (MethodKind.PHI2, DividedDifferenceKind.D1, 6),
-        (MethodKind.PHI1, DividedDifferenceKind.D1, 4),
-    ),
-    "t3_phi1_phi0": (
-        (MethodKind.PHI1, DividedDifferenceKind.D1, 4),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
+    "t3_phi2_phi1": ((PHI2, D1), (PHI1, D1), True),
+    "t3_phi1_phi0": ((PHI1, D1), (PHI0, D1), True),
     # symmetrized-operator family
-    "d2_phi2_phi1": (
-        (MethodKind.PHI2, DividedDifferenceKind.D2, 6),
-        (MethodKind.PHI1, DividedDifferenceKind.D2, 4),
-    ),
-    "d2_phi1_phi0": (
-        (MethodKind.PHI1, DividedDifferenceKind.D2, 4),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
+    "d2_phi2_phi1": ((PHI2, D2), (PHI1, D2), False),
+    "d2_phi1_phi0": ((PHI1, D2), (PHI0, D1), False),
     # boundary-curve comparisons (degraded one-sided orders)
-    "g20": (
-        (MethodKind.PHI2, DividedDifferenceKind.D2, 6),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
-    "g22": (
-        (MethodKind.PHI2, DividedDifferenceKind.D2, 6),
-        (MethodKind.PHI2, DividedDifferenceKind.D1, 4),
-    ),
-    "g11": (
-        (MethodKind.PHI1, DividedDifferenceKind.D2, 4),
-        (MethodKind.PHI1, DividedDifferenceKind.D1, 3),
-    ),
-    "d1_phi2_phi0_degraded": (
-        (MethodKind.PHI2, DividedDifferenceKind.D1, 4),
-        (MethodKind.PHI0, DividedDifferenceKind.D1, 2),
-    ),
+    "g20": ((PHI2, D2), (PHI0, D1), False),
+    "g22": ((PHI2, D2), (PHI2, D1), False),
+    "g11": ((PHI1, D2), (PHI1, D1), False),
+    "d1_phi2_phi0_degraded": ((PHI2, D1), (PHI0, D1), False),
 }
+
+# (method, dd kind, local order) of each side of a named comparison
+COMPARISONS: dict[str, tuple[tuple, tuple]] = {
+    name: tuple(
+        (method, dd, theoretical_order(method, D2 if keeps else dd)) for method, dd in (a, b)
+    )
+    for name, (a, b, keeps) in _SIDES.items()
+}
+
+
+def _sides(name: str) -> tuple:
+    """(method, dd kind, log rho) of each side of a named comparison; an
+    unknown name raises ValueError."""
+    if name not in COMPARISONS:
+        raise ValueError(f"unknown comparison {name!r}")
+    return tuple((method, dd, mp.log(rho)) for method, dd, rho in COMPARISONS[name])
+
 
 BOUNDARY_TOLERANCE = mpf("1e-12")
 
@@ -153,19 +152,19 @@ def comparison_ratio(pair: str, m: int, mu: Real, ell: Real) -> mpf:
 
     Values above 1 mean the first pair is the more efficient one.  The orders
     are the local orders the two pairs attain on the systems the comparison
-    is drawn for.
+    is drawn for.  An unknown name raises ValueError.
     """
-    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[pair]
+    (method_a, dd_a, log_a), (method_b, dd_b, log_b) = _sides(pair)
     c_a = cost(method_a, dd_a, m, mu, ell)
     c_b = cost(method_b, dd_b, m, mu, ell)
-    return (mp.log(rho_a) * c_b) / (mp.log(rho_b) * c_a)
+    return (log_a * c_b) / (log_b * c_a)
 
 
 def classify_region(pair: str, m: int, mu: Real, ell: Real) -> str:
     """Which side of a named comparison wins at (m, mu, ell).
 
     Returns "first_wins", "second_wins", or "boundary" when the efficiency
-    ratio sits within 1e-12 of 1.
+    ratio sits within 1e-12 of 1.  An unknown name raises ValueError.
     """
     r = comparison_ratio(pair, m, mu, ell)
     if abs(r - 1) <= BOUNDARY_TOLERANCE:
@@ -182,14 +181,11 @@ def boundary_g(which: str, m: Real, ell: Real) -> mpf:
     linear in mu: mu = (log(rho_b) p_a - log(rho_a) p_b) / gap with
     gap = log(rho_a) a_b - log(rho_b) a_a.  It checks ell as ``cost`` does,
     but takes any finite real m > 0: the curves are drawn below m = 2 too.
+    Names are case-sensitive; an unknown one raises ValueError.
     """
-    which = which.lower()
-    if which not in COMPARISONS:
-        raise ValueError(f"unknown boundary curve {which!r}")
-    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which]
+    (method_a, dd_a, log_a), (method_b, dd_b, log_b) = _sides(which)
     m_v, ell_v = as_mpf(m), as_mpf(ell)
     _check_domain(m_v, mpf(1), ell_v)  # mu is what the curve solves for
-    log_a, log_b = mp.log(rho_a), mp.log(rho_b)
     a_a, p_a = _cost_terms(method_a, dd_a, m_v, ell_v)
     a_b, p_b = _cost_terms(method_b, dd_b, m_v, ell_v)
     gap = log_a * a_b - log_b * a_a
@@ -202,12 +198,12 @@ def asymptote_m(which: str) -> mpf:
     """Vertical asymptote of a boundary curve: the root of its gap / m.
 
     a(m) = (c1 m + c2 m^2) / 6, so the gap of ``boundary_g`` divided by m is
-    linear in m and its root has a closed form.
+    linear in m and its root has a closed form.  An unknown name raises
+    ValueError.
     """
-    (method_a, dd_a, rho_a), (method_b, dd_b, rho_b) = COMPARISONS[which.lower()]
+    (method_a, dd_a, log_a), (method_b, dd_b, log_b) = _sides(which)
     _, a1, a2, _ = PRICED_COUNTS[method_a, dd_a][0]
     _, b1, b2, _ = PRICED_COUNTS[method_b, dd_b][0]
-    log_a, log_b = mp.log(rho_a), mp.log(rho_b)
     slope = log_a * b2 - log_b * a2
     if slope == 0:
         raise ValueError(f"{which} has no vertical asymptote")

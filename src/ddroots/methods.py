@@ -317,12 +317,16 @@ def solve(
     and ratios are computed at ``ctx.digits``; the threshold, ACOC and
     correct decimals only carry the few digits they report, so they are
     computed at 30, 60 and 30 digits (correct decimals at ``ctx.digits``
-    when -log10 of the error lies within 1e-20 of an integer).  A step that finds ``mp.prec`` changed by
-    something else raises PrecisionChanged.
+    when -log10 of the error lies within 1e-20 of an integer).  A step that
+    finds ``mp.prec`` changed by something else raises PrecisionChanged.
 
     ``order_hint`` overrides the order used for eta and the ramp (systems
     whose mixed second derivatives vanish keep the design orders even with
-    the one-sided operator); ``eta_override`` pins eta directly.  A
+    the one-sided operator); ``eta_override`` pins eta directly.  ValueError
+    refuses an x0 whose length is not the system's dimension or with an
+    entry that is not finite, an order that is not finite and at least 2,
+    and an ``eta_override`` that is not finite and positive; a step whose
+    correction norm is not finite raises MaxIterationsExceeded.  A
     degenerate divided difference at x ends the run as ``residual_underflow``
     if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
     that norm; so does a degenerate iterate pair (x, y) in phi1 and phi2,
@@ -351,11 +355,22 @@ def solve(
     full = ctx.digits
     with ctx.activate():
         rho = order_hint if order_hint is not None else theoretical_order(method, dd_kind)
-        eta_used = float(eta_override) if eta_override is not None else _eta(rho, full)
+        eta_used = _eta(rho, full)  # refuses an order that is not finite and >= 2
+        if eta_override is not None:
+            eta_used = float(eta_override)
+            if not 0 < eta_used < math.inf:
+                raise ValueError(f"eta_override must be positive and finite, not {eta_override}")
         # the threshold only has to order the ratios, not carry the target
         with mp.workdps(30):
             threshold = mpf("0.5") * mpf(10) ** (-mpf(eta_used))
-        iterates = [HPVector(x0)]
+        start = HPVector(x0)
+        if len(start) != system.m:
+            raise ValueError(
+                f"x0 has {len(start)} entries but the system has dimension {system.m}"
+            )
+        if not all(mp.isfinite(e) for e in start):
+            raise ValueError(f"x0 must be finite, not {start}")
+        iterates = [start]
         corr_norms: list = []
         ratios: list = []
         deltas: list = []
@@ -410,6 +425,10 @@ def solve(
                     break
             else:
                 c = inf_norm(x_next - x)
+                if not mp.isfinite(c):
+                    raise MaxIterationsExceeded(
+                        f"outer step {len(corr_norms) + 1} gave a correction of norm {c}"
+                    )
                 # an exact repeat, or a first step whose digits could not
                 # hold the rho D_0 digits x_1 has after a correction of 10^-D_0
                 redo = partial and (

@@ -74,9 +74,7 @@ class ProblemSpec:
 
     def effective_order(self, method: MethodKind, dd_kind: DividedDifferenceKind) -> int:
         """Local order actually attained by (method, operator) on this system."""
-        if dd_kind is D2 or self.d1_order_preserving:
-            return theoretical_order(method, D2)
-        return theoretical_order(method, D1)
+        return theoretical_order(method, D2 if self.d1_order_preserving else dd_kind)
 
 
 # arguments one memo holds; a registered row's solve stores at most about
@@ -265,7 +263,7 @@ def generate_reference_root(
             D2,
             ctx,
             max_iters=60,
-            eta_override=2 * eta(6, digits),
+            eta_override=2 * eta(theoretical_order(PHI2, D2), digits),
         )
         best = report.trace.iterates[-1]
         for value, printed in zip(best, spec.root_printed):

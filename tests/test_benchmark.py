@@ -168,6 +168,24 @@ def test_a_descending_range_skips_the_sample_next_to_the_pole():
         assert {r["m"] for r in rows} == {2.9, 3.0}
 
 
+@pytest.mark.parametrize(
+    "m_min, m_max", [(2.0, float("inf")), (float("-inf"), 3.0), (float("nan"), 3.0)]
+)
+def test_a_non_finite_curve_range_is_refused(m_min, m_max):
+    with pytest.raises(ValueError, match=r"the m range \[.*\] must be finite"):
+        export_boundary_curves("g20", m_min=m_min, m_max=m_max)
+
+
+def test_a_row_named_by_strings_is_the_row_named_by_enums():
+    # quad2 phi2/d2 keeps order 6; a string "d2" once read as d1's order 4
+    config = RunConfig(digits=256)
+    by_str = run_row(REGISTRY["quad2"], "phi2", "d2", config)
+    by_enum = run_row(REGISTRY["quad2"], PHI2, D2, config)
+    fields = ("order", "cost", "cei", "tf", "iterations", "correct_decimals", "acoc_full")
+    assert [getattr(by_str, f) for f in fields] == [getattr(by_enum, f) for f in fields]
+    assert (by_str.order, by_str.cei, by_str.tf) == (6, "1.024177781", "96.38")
+
+
 def test_boundary_export_tags_out_of_domain():
     rows = export_boundary_curves("g22", ell="2.5", m_min=2.0, m_max=2.03, samples=4)
     assert rows and all(not r["in_domain"] for r in rows)

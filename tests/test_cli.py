@@ -204,6 +204,19 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bounds, shown",
+    [
+        pytest.param(("--m-min", "1e400"), "[inf, 20.0]", id="m-min"),
+        pytest.param(("--m-max", "inf"), "[2.0, inf]", id="m-max"),
+    ],
+)
+def test_a_non_finite_curve_range_is_named(capsys, bounds, shown):
+    # the step of an infinite range is NaN, which the error used to name
+    assert main(["curves", "--which", "g20", *bounds]) == 2
+    assert f"the m range {shown} must be finite" in capsys.readouterr().err
+
+
 def test_cei_that_rounds_to_one_keeps_its_time_factor(capsys):
     # C = 8000000020.5 gives CEI = 2^(1/C) = 1.000000000 to 9 decimals; TF
     # is then C / log10(2), not an error

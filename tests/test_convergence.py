@@ -115,6 +115,12 @@ def test_eta_validation():
         eta(2, 16)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), mpf("nan"), mpf("inf")])
+def test_eta_refuses_an_order_that_is_not_finite(rho):
+    with pytest.raises(ValueError, match="order must be finite and at least 2"):
+        eta(rho, 64)
+
+
 def test_correct_decimals_examples():
     ctx = PrecisionContext(256)
     with ctx.activate():

@@ -211,6 +211,22 @@ def test_boundary_pole_raises():
             boundary_g("g20", pole, "2.5")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda name: comparison_ratio(name, 3, "1", "2.5"), id="comparison_ratio"),
+        pytest.param(lambda name: classify_region(name, 3, "1", "2.5"), id="classify_region"),
+        pytest.param(lambda name: boundary_g(name, 3, "2.5"), id="boundary_g"),
+        pytest.param(asymptote_m, id="asymptote_m"),
+    ],
+)
+@pytest.mark.parametrize("name", ["g99", "G20"])
+def test_an_unknown_comparison_raises_value_error(call, name):
+    # names are case-sensitive
+    with mp.workdps(50), pytest.raises(ValueError, match=f"unknown comparison '{name}'"):
+        call(name)
+
+
 @pytest.mark.parametrize("which", ["g20", "g22", "g11"])
 def test_boundary_rejects_ell_below_one(which):
     # the rule cost applies; m need only be positive, curves are drawn below 2

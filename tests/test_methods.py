@@ -504,6 +504,67 @@ def test_singular_central_operator():
 
 
 @pytest.mark.parametrize(
+    "x0",
+    [pytest.param(("3", "0.3", "1"), id="long"), pytest.param(("3",), id="short")],
+)
+def test_a_start_of_the_wrong_length_is_refused(x0):
+    # a long start was truncated to the system's dimension, a short one
+    # raised IndexError from inside a component
+    ctx = PrecisionContext(64)
+    spec = REGISTRY["quad2"]
+    with ctx.activate():
+        system = spec.build_system()
+    message = f"x0 has {len(x0)} entries but the system has dimension 2"
+    with pytest.raises(ValueError, match=message):
+        solve(system, HPVector(x0), PHI2, D2, ctx)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_a_start_with_a_non_finite_entry_is_refused(entry):
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = REGISTRY["quad2"].build_system()
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        solve(system, HPVector([entry, "0.4"]), PHI2, D2, ctx)
+
+
+@pytest.mark.parametrize("hint", [float("nan"), float("inf"), 1.5])
+def test_an_order_hint_that_is_not_finite_and_at_least_2_is_refused(hint):
+    ctx = PrecisionContext(64)
+    spec = REGISTRY["quad2"]
+    with ctx.activate():
+        system = spec.build_system()
+    for eta_override in (None, 10):
+        with pytest.raises(ValueError, match="order must be finite and at least 2"):
+            solve(system, spec.x0_vector(), PHI2, D2, ctx, order_hint=hint,
+                  eta_override=eta_override)
+
+
+@pytest.mark.parametrize("value", [0, -5, float("nan"), float("inf")])
+@pytest.mark.parametrize("digits", [64, 256])
+def test_an_eta_override_that_is_not_positive_and_finite_is_refused(value, digits):
+    # eta_override <= 0 made the threshold at least 0.5, so the first ratio
+    # stopped cos3 phi0/d1 at a non-root with ||F||_inf = 0.045
+    ctx = PrecisionContext(digits)
+    spec = REGISTRY["cos3"]
+    with ctx.activate():
+        system = spec.build_system()
+    with pytest.raises(ValueError, match="eta_override must be positive and finite"):
+        solve(system, spec.x0_vector(), PHI0, D1, ctx, eta_override=value)
+
+
+def test_a_correction_that_is_not_finite_raises_max_iterations_exceeded():
+    # F is NaN off [0, 5]; the first step from 4.9 jumps out of it
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = NonlinearSystem(1, [lambda p: p[0] - 1 if 0 <= p[0] <= 5 else mpf("nan")])
+        with pytest.raises(
+            MaxIterationsExceeded, match="outer step 1 gave a correction of norm nan"
+        ):
+            solve(system, HPVector(["4.9"]), PHI0, D1, ctx)
+
+
+@pytest.mark.parametrize(
     "method, message, performed",
     [
         pytest.param(PHI0, "no convergence within 150 iterations", 450, id="phi0"),

@@ -47,6 +47,16 @@ def test_effective_orders():
     assert quad2.effective_order(MethodKind.PHI0, D1) == 2
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_effective_order_reads_strings_as_enums_and_gives_the_published_order(name):
+    spec = REGISTRY[name]
+    for method in MethodKind:
+        for dd in DividedDifferenceKind:
+            assert spec.effective_order(method.value, dd.value) == spec.effective_order(method, dd)
+    for (method, dd), row in spec.rows.items():
+        assert spec.effective_order(method, dd) == row.order
+
+
 def test_op_profiles_price_mu():
     # two of the three published ratios follow from the cost table directly
     assert estimate_mu(REGISTRY["exp5"].op_profile, m=5) == pytest.approx(87.8)
