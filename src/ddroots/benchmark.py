@@ -29,6 +29,8 @@ from .core import (
     to_decimal,
 )
 from .divdiff import (
+    D1,
+    D2,
     OPERATOR_COUNTS,
     DividedDifferenceKind,
     check_potra,
@@ -39,11 +41,8 @@ from .divdiff import (
     integral_dd_oracle,
 )
 from .efficiency import DEFAULT_ELL, cei, comparison_ratio, cost, time_factor
-from .methods import MethodKind, expected_iteration_counts, solve
+from .methods import PHI1, PHI2, MethodKind, expected_iteration_counts, solve
 from .problems import REGISTRY, ProblemSpec
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
 
 
 @dataclass(frozen=True)
@@ -214,20 +213,12 @@ def run_benchmark(problem: ProblemSpec, config: RunConfig) -> list[BenchmarkRow]
     ]
 
 
-_TABLE_COLUMNS = (
-    "problem",
-    "method",
-    "dd",
-    "order",
-    "iterations",
-    "cost",
-    "cei",
-    "tf",
-    "acoc",
-    "correct_decimals",
-    "counters_ok",
-    "error",
-)
+# each table column's row field, which is its CSV header, and its markdown header
+_TABLE_COLUMNS = {
+    "problem": "problem", "method": "method", "dd": "dd", "order": "rho",
+    "iterations": "I", "cost": "C", "cei": "CEI", "tf": "TF", "acoc": "ACOC",
+    "correct_decimals": "q", "counters_ok": "counters", "error": "error",
+}
 
 
 def _markdown_cell(value) -> str:
@@ -239,8 +230,7 @@ def _markdown_cell(value) -> str:
 
 
 def rows_to_markdown(rows: Sequence[BenchmarkRow]) -> str:
-    # headers of _TABLE_COLUMNS, in its order
-    head = ("problem", "method", "dd", "rho", "I", "C", "CEI", "TF", "ACOC", "q", "counters", "error")
+    head = tuple(_TABLE_COLUMNS.values())
     body = [tuple(_markdown_cell(getattr(r, c)) for c in _TABLE_COLUMNS) for r in rows]
     widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h) for i, h in enumerate(head)]
     def line(cells):
@@ -253,7 +243,7 @@ def rows_to_markdown(rows: Sequence[BenchmarkRow]) -> str:
 def rows_to_csv(rows: Sequence[BenchmarkRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
+    writer.writerow(_TABLE_COLUMNS.keys())
     for r in rows:
         writer.writerow([getattr(r, c) for c in _TABLE_COLUMNS])
     return buf.getvalue()
@@ -540,8 +530,8 @@ def suite_theorems() -> list[CheckResult]:
                     elif r10 >= 1:
                         violations.append(("d2_phi1_phi0:m>2", m, mu, ell))
                     for dd in (D1, D2):
-                        c1 = cost(MethodKind.PHI1, dd, m, mu, ell)
-                        c2 = cost(MethodKind.PHI2, dd, m, mu, ell)
+                        c1 = cost(PHI1, dd, m, mu, ell)
+                        c2 = cost(PHI2, dd, m, mu, ell)
                         marginal = (
                             m * efficiency.as_mpf(mu)
                             + m * (m - 1)

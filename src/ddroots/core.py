@@ -120,6 +120,15 @@ class OpCounters:
         return (self.scalar_fn_evals, self.products, self.quotients)
 
 
+def _zip_equal(*seqs: Sequence) -> zip:
+    """zip of sequences of one length; ValueError naming the lengths otherwise
+    (zip's own ``strict`` error names only the argument positions)."""
+    lengths = [len(s) for s in seqs]
+    if min(lengths) != max(lengths):
+        raise ValueError(f"operands of lengths {' and '.join(map(str, lengths))} do not match")
+    return zip(*seqs)
+
+
 class HPVector:
     """Immutable dense vector of high-precision reals."""
 
@@ -144,10 +153,10 @@ class HPVector:
         return iter(self.entries)
 
     def __add__(self, other: "HPVector") -> "HPVector":
-        return HPVector(a + b for a, b in zip(self.entries, other.entries))
+        return HPVector(a + b for a, b in _zip_equal(self.entries, other.entries))
 
     def __sub__(self, other: "HPVector") -> "HPVector":
-        return HPVector(a - b for a, b in zip(self.entries, other.entries))
+        return HPVector(a - b for a, b in _zip_equal(self.entries, other.entries))
 
     def __repr__(self) -> str:
         shown = ", ".join(mp.nstr(e, 8) for e in self.entries)
@@ -205,13 +214,14 @@ def mat_inf_norm(a: HPMatrix) -> mpf:
 
 
 def mat_entrywise(fn: Callable, *matrices: HPMatrix) -> HPMatrix:
-    """The matrix of ``fn`` applied to corresponding entries, uncounted."""
-    return HPMatrix(map(fn, *rows) for rows in zip(*(a.rows for a in matrices)))
+    """The matrix of ``fn`` applied to corresponding entries, uncounted; the
+    matrices must share one dimension."""
+    return HPMatrix(map(fn, *rows) for rows in _zip_equal(*(a.rows for a in matrices)))
 
 
 def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:
     """Uncounted matrix-vector product, used only by diagnostics."""
-    return HPVector(sum(row[j] * v[j] for j in range(a.m)) for row in a.rows)
+    return HPVector(sum(e * vj for e, vj in _zip_equal(row, v)) for row in a.rows)
 
 
 @dataclass(frozen=True)

@@ -36,20 +36,14 @@ class DegenerateDividedDifference(SolverError):
     Two points coincide in coordinate j when |y_j - x_j| is below the working
     epsilon times max(1, |x_j|).  In the iterative methods that pair is the
     probe pair x -/+ F(x), so some f_j is negligible against x_j, or an
-    iterate pair; ``residual`` then carries F at ``point`` (None: the iterate
-    the step started from), so a caller can tell a root from a zero of one
-    equation.
+    iterate pair.  The builders raise it with a message only; ``central_dd``
+    and ``step_phi1`` then set ``residual`` to F at ``point`` (``point``
+    None: the iterate the step started from), so a caller can tell a root
+    from a zero of one equation.  Both attributes default to None.
     """
 
-    def __init__(
-        self,
-        message: str,
-        residual: Optional[HPVector] = None,
-        point: Optional[HPVector] = None,
-    ):
-        super().__init__(message)
-        self.residual = residual
-        self.point = point
+    residual: Optional[HPVector] = None
+    point: Optional[HPVector] = None
 
 
 class DividedDifferenceKind(str, enum.Enum):
@@ -59,12 +53,14 @@ class DividedDifferenceKind(str, enum.Enum):
     D2 = "d2"
 
 
+D1, D2 = DividedDifferenceKind.D1, DividedDifferenceKind.D2
+
 # Count-table units (see ``core``) of one residual F(x) and, per operator
 # kind, of one build with a fresh pair and with both end values supplied.
 RESIDUAL_COUNTS = ((0, 6), (), ())
 OPERATOR_COUNTS = {
-    DividedDifferenceKind.D1: (((0, 6, 6), (), (0, 0, 6)), ((0, -6, 6), (), (0, 0, 6))),
-    DividedDifferenceKind.D2: (
+    D1: (((0, 6, 6), (), (0, 0, 6)), ((0, -6, 6), (), (0, 0, 6))),
+    D2: (
         ((0, 0, 12), (0, 0, 6), (0, 0, 6)),
         ((0, -12, 12), (0, 0, 6), (0, 0, 6)),
     ),
@@ -103,6 +99,11 @@ class NonlinearSystem:
             raise ValueError("dimension must be at least 1")
         if len(components) != m:
             raise ValueError(f"expected {m} components, got {len(components)}")
+        if reference_root is not None and len(reference_root) != m:
+            raise ValueError(
+                f"the reference root has {len(reference_root)} entries "
+                f"but the system has dimension {m}"
+            )
         self.m = m
         self.components = tuple(components)
         self.name = name
@@ -114,6 +115,10 @@ class NonlinearSystem:
 
     def eval(self, point: Sequence, counters: Optional[OpCounters] = None) -> HPVector:
         """Evaluate the full vector F(x); charges ``RESIDUAL_COUNTS``."""
+        if len(point) != self.m:
+            raise ValueError(
+                f"the point has {len(point)} entries but the system has dimension {self.m}"
+            )
         if counters is not None:
             counters.charge(RESIDUAL_COUNTS, self.m)
         return HPVector(self.eval_component(i, point) for i in range(self.m))
@@ -125,7 +130,15 @@ class NonlinearSystem:
         return f"NonlinearSystem(name={self.name!r}, m={self.m})"
 
 
-def _check_separation(y: Sequence, x: Sequence) -> None:
+def _check_dimension(m: int, y: Sequence, x: Sequence) -> None:
+    if not len(y) == len(x) == m:
+        raise ValueError(
+            f"the points have {len(y)} and {len(x)} entries but the system has dimension {m}"
+        )
+
+
+def _check_separation(m: int, y: Sequence, x: Sequence) -> None:
+    _check_dimension(m, y, x)
     eps = working_eps()
     # the bound's operands are rounded to 30 digits first: a product of
     # full-precision operands costs a full multiplication before it rounds
@@ -233,9 +246,9 @@ def dd_d1(
     unit of D1, fresh or supplied, once the points are found separated.
     """
     m = system.m
-    _check_separation(y, x)
+    _check_separation(m, y, x)
     if counters is not None:
-        counters.charge(OPERATOR_COUNTS[DividedDifferenceKind.D1][ends is not None], m)
+        counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
     chain, _ = _forward_chain(system, y, x, ends)
     denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
@@ -264,9 +277,9 @@ def dd_d2(
     points are found separated.
     """
     m = system.m
-    _check_separation(y, x)
+    _check_separation(m, y, x)
     if counters is not None:
-        counters.charge(OPERATOR_COUNTS[DividedDifferenceKind.D2][ends is not None], m)
+        counters.charge(OPERATOR_COUNTS[D2][ends is not None], m)
     fwd, reads = _forward_chain(system, y, x, ends)
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values at y and x
@@ -282,7 +295,7 @@ def dd_d2(
     return HPMatrix(zip(*columns))
 
 
-_BUILDERS = {DividedDifferenceKind.D1: dd_d1, DividedDifferenceKind.D2: dd_d2}
+_BUILDERS = {D1: dd_d1, D2: dd_d2}
 
 
 def operator_for(kind: DividedDifferenceKind):
@@ -322,20 +335,6 @@ def _gauss_legendre_01(n: int, prec: int):
         return tuple((1 + t) / 2 for t in ts), tuple(w / 2 for w in ws)
 
 
-def _fd_jacobian(system: NonlinearSystem, point: Sequence, step) -> list:
-    m = system.m
-    cols = []
-    for j in range(m):
-        plus = list(point)
-        minus = list(point)
-        plus[j] = plus[j] + step
-        minus[j] = minus[j] - step
-        fp = system.eval(tuple(plus))
-        fm = system.eval(tuple(minus))
-        cols.append([(fp[i] - fm[i]) / (2 * step) for i in range(m)])
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
 def integral_dd_oracle(
     system: NonlinearSystem,
     y: HPVector | Sequence,
@@ -346,23 +345,31 @@ def integral_dd_oracle(
 
     Gauss-Legendre quadrature over the segment [x, y], with the rule of
     mpmath's ``gauss_quadrature`` (Golub-Welsch), applied to a
-    high-precision central-difference Jacobian (step 10^(-digits/4)).  Test
+    high-precision central-difference Jacobian (step 10^(-digits/4)): at
+    each node, column j comes from F at the node -/+ the step in coordinate
+    j, and each entry is weighted into the sum as it is computed.  Test
     oracle only: evaluations are not counted and accuracy is far looser than
-    the working tolerance (about 10^(-digits/8) should be assumed).
+    the working tolerance (about 10^(-digits/8) should be assumed).  Points
+    whose length is not the system's dimension raise ValueError.
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     m = system.m
+    _check_dimension(m, y, x)
     ts, ws = _gauss_legendre_01(nodes, mp.prec)
     h = [y[j] - x[j] for j in range(m)]
     step = mpf(10) ** (-(mp.dps // 4))
     acc = [[mpf(0)] * m for _ in range(m)]
     for t, w in zip(ts, ws):
         point = tuple(x[j] + t * h[j] for j in range(m))
-        jac = _fd_jacobian(system, point, step)
-        for i in range(m):
-            for j in range(m):
-                acc[i][j] += w * jac[i][j]
+        for j in range(m):
+            plus, minus = list(point), list(point)
+            plus[j] += step
+            minus[j] -= step
+            fp = system.eval(tuple(plus))
+            fm = system.eval(tuple(minus))
+            for i in range(m):
+                acc[i][j] += w * ((fp[i] - fm[i]) / (2 * step))
     return HPMatrix(acc)
 
 

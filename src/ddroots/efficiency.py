@@ -18,13 +18,10 @@ from typing import Mapping, Union
 from mpmath import mp, mpf
 
 from .core import SolverError, count_at, working_eps
-from .divdiff import DividedDifferenceKind
-from .methods import PRICED_COUNTS, MethodKind, theoretical_order
+from .divdiff import D1, D2, DividedDifferenceKind
+from .methods import PHI0, PHI1, PHI2, PRICED_COUNTS, MethodKind, theoretical_order
 
 Real = Union[int, float, str, mpf]
-
-D1, D2 = DividedDifferenceKind.D1, DividedDifferenceKind.D2
-PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
 
 
 class PoleAtAsymptote(SolverError):
@@ -215,11 +212,18 @@ def estimate_mu(profile: Mapping[str, int], m: int = 1) -> float:
 
     ``profile`` counts elementary operations in one full evaluation of F,
     each priced by ``ELEMENTARY_COSTS``; the total product-unit cost divided
-    by m prices one scalar component.
+    by m prices one scalar component.  An operation without a price raises
+    ValueError.
     """
     if m < 1:
         raise ValueError("dimension must be at least 1")
     if any(count < 0 for count in profile.values()):
         raise ValueError("operation counts must be non-negative")
+    unknown = sorted(set(profile) - set(ELEMENTARY_COSTS))
+    if unknown:
+        raise ValueError(
+            f"no price for operation {', '.join(unknown)}; "
+            f"priced are {', '.join(ELEMENTARY_COSTS)}"
+        )
     total = sum(count * ELEMENTARY_COSTS[op] for op, count in profile.items())
     return total / m

@@ -34,6 +34,8 @@ from .core import (
     mat_entrywise,
 )
 from .divdiff import (
+    D1,
+    D2,
     OPERATOR_COUNTS,
     RESIDUAL_COUNTS,
     DegenerateDividedDifference,
@@ -61,11 +63,9 @@ class MethodKind(str, enum.Enum):
     PHI2 = "phi2"
 
 
-_ORDERS = {
-    MethodKind.PHI0: {DividedDifferenceKind.D1: 2, DividedDifferenceKind.D2: 2},
-    MethodKind.PHI1: {DividedDifferenceKind.D1: 3, DividedDifferenceKind.D2: 4},
-    MethodKind.PHI2: {DividedDifferenceKind.D1: 4, DividedDifferenceKind.D2: 6},
-}
+PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
+
+_ORDERS = {PHI0: {D1: 2, D2: 2}, PHI1: {D1: 3, D2: 4}, PHI2: {D1: 4, D2: 6}}
 
 
 def theoretical_order(method: MethodKind, dd_kind: DividedDifferenceKind) -> int:
@@ -84,9 +84,9 @@ def theoretical_order(method: MethodKind, dd_kind: DividedDifferenceKind) -> int
 # triangular-pair solves.  The units are written beside the routines that
 # charge them, in ``core`` and ``divdiff``.
 _METHOD_STEPS = {
-    MethodKind.PHI0: (1, 0, 1, 1, 1),
-    MethodKind.PHI1: (1, 1, 2, 2, 2),
-    MethodKind.PHI2: (1, 1, 3, 2, 3),
+    PHI0: (1, 0, 1, 1, 1),
+    PHI1: (1, 1, 2, 2, 2),
+    PHI2: (1, 1, 3, 2, 3),
 }
 
 
@@ -113,11 +113,10 @@ MEASURED_COUNTS = {
 # with the one-sided operator's m(m + 2) evaluations whichever operator it
 # uses, and leaves the symmetrized operator's m^2 one-half products per build
 # out of the products, so its products and quotients are the one-sided ones.
-_D1 = DividedDifferenceKind.D1
 PRICED_COUNTS = {
     (method, dd_kind): (
-        MEASURED_COUNTS[method, _D1 if method is MethodKind.PHI0 else dd_kind][0],
-        *MEASURED_COUNTS[method, _D1][1:],
+        MEASURED_COUNTS[method, D1 if method is PHI0 else dd_kind][0],
+        *MEASURED_COUNTS[method, D1][1:],
     )
     for method, dd_kind in MEASURED_COUNTS
 }
@@ -247,10 +246,10 @@ def _outer_step(
 ) -> tuple[HPVector, HPVector]:
     """The next iterate, and F(x)."""
     y, central, fx = step_phi0(system, x, dd_kind, counters)
-    if method is MethodKind.PHI0:
+    if method is PHI0:
         return y, fx
     z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters)
-    if method is MethodKind.PHI1:
+    if method is PHI1:
         return z, fx
     return step_phi2(system, z, fact_nu, counters), fx
 
@@ -409,12 +408,12 @@ def solve(
                     norm = inf_norm(exc.residual)
                     if norm > ctx.check_tolerance:
                         where = "" if exc.point is None else "the first step from "
-                        raise DegenerateDividedDifference(
+                        err = DegenerateDividedDifference(
                             f"{exc} at {where}x_{len(corr_norms)}, but ||F||_inf = "
-                            f"{mp.nstr(norm, 8)} is above the check tolerance",
-                            exc.residual,
-                            exc.point,
-                        ) from exc
+                            f"{mp.nstr(norm, 8)} is above the check tolerance"
+                        )
+                        err.residual, err.point = exc.residual, exc.point
+                        raise err from exc
                     if exc.point is not None:
                         # the first step landed on a root: it is the final iterate
                         iterates.append(exc.point)

@@ -19,14 +19,8 @@ from mpmath import mp, mpf
 
 from .convergence import eta
 from .core import HPVector, PrecisionContext, SolverError, inf_norm
-from .divdiff import DividedDifferenceKind, NonlinearSystem
-from .methods import MethodKind, solve, theoretical_order
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
-PHI0 = MethodKind.PHI0
-PHI1 = MethodKind.PHI1
-PHI2 = MethodKind.PHI2
+from .divdiff import D1, D2, DividedDifferenceKind, NonlinearSystem
+from .methods import PHI0, PHI1, PHI2, MethodKind, solve, theoretical_order
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,13 @@ class ProblemSpec:
         return HPVector.from_decimals(self.x0)
 
     def build_system(self, with_reference: bool = True) -> NonlinearSystem:
-        """Instantiate the system under the active precision."""
+        """Instantiate the system under the active precision.
+
+        The reference root is parsed at that precision, and a solve's q is
+        measured against it: build under the solve's context, since a root
+        parsed at mpmath's default 15 digits caps q near 16 whatever the
+        solve's digits.
+        """
         root = _parsed_reference_root(self.name, mp.prec) if with_reference else None
         return NonlinearSystem(
             self.m,

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from ddroots.core import (
     inf_norm,
     lu_factor,
     lu_solve,
+    mat_entrywise,
     mat_inf_norm,
     mat_vec,
     to_decimal,
@@ -95,6 +97,29 @@ def test_matrix_must_be_square():
         HPMatrix([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
         HPMatrix([[1, 2]])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_vector_arithmetic_refuses_mismatched_lengths(op):
+    # a truncating zip would give HPVector([0.0]) for the first difference
+    with pytest.raises(ValueError, match="lengths 2 and 1"):
+        op(HPVector(["1", "2"]), HPVector(["1"]))
+    with pytest.raises(ValueError, match="lengths 1 and 3"):
+        op(HPVector(["1"]), HPVector(["1", "2", "3"]))
+
+
+def test_mat_entrywise_refuses_mismatched_dimensions():
+    # a truncating zip would give a 1x1
+    with pytest.raises(ValueError, match="lengths 2 and 1"):
+        mat_entrywise(operator.sub, HPMatrix([[1, 2], [3, 4]]), HPMatrix([[1]]))
+
+
+def test_mat_vec_refuses_a_vector_of_another_length():
+    a = HPMatrix([[1, 2], [3, 4]])
+    assert list(mat_vec(a, HPVector(["1", "-1"]))) == [-1, -1]
+    # a row-length loop would ignore the third entry
+    with pytest.raises(ValueError, match="lengths 2 and 3"):
+        mat_vec(a, HPVector(["1", "2", "3"]))
 
 
 @pytest.mark.parametrize(

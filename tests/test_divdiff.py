@@ -84,6 +84,58 @@ def test_with_reference_root_keeps_the_system_and_lets_solve_report_q():
     assert report.final_iterate.entries == plain.final_iterate.entries
 
 
+def test_system_refuses_a_reference_root_of_another_dimension():
+    spec = REGISTRY["quad2"]
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        components = spec.component_factory()
+        wrong = HPVector(["2.98118805"])
+        with pytest.raises(ValueError, match="reference root has 1 entries .* dimension 2"):
+            NonlinearSystem(2, components, reference_root=wrong)
+        with pytest.raises(ValueError, match="reference root has 1 entries .* dimension 2"):
+            NonlinearSystem(2, components).with_reference_root(wrong)
+        # measured against the 1-vector, this solve would report q = 9
+        report = solve(spec.build_system(), spec.x0_vector(), MethodKind.PHI0, D1, ctx)
+    assert report.correct_decimals == 51
+
+
+@pytest.mark.parametrize("point", [["1", "2", "3"], ["1"]])
+def test_eval_refuses_a_point_of_another_dimension(point):
+    with CTX.activate(), pytest.raises(
+        ValueError, match=f"point has {len(point)} entries but the system has dimension 2"
+    ):
+        quad2().eval(HPVector(point))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [dd_d1, dd_d2, lambda s, y, x: integral_dd_oracle(s, y, x, 4)],
+    ids=["d1", "d2", "oracle"],
+)
+@pytest.mark.parametrize(
+    "y, x, lengths",
+    [
+        (["1", "2", "3"], ["4", "5", "6"], "3 and 3"),  # truncating would ignore coordinate 3
+        (["1"], ["4"], "1 and 1"),  # a short pair would index past its end
+        (["1", "2"], ["4", "5", "6"], "2 and 3"),
+    ],
+)
+def test_operators_refuse_points_of_another_dimension(build, y, x, lengths):
+    with CTX.activate(), pytest.raises(
+        ValueError, match=f"points have {lengths} entries but the system has dimension 2"
+    ):
+        build(quad2(), HPVector(y), HPVector(x))
+
+
+def test_a_degenerate_pair_carries_no_payload_until_a_step_sets_one():
+    exc = DegenerateDividedDifference("coordinates 0 of the two points coincide")
+    assert (str(exc), exc.residual, exc.point) == (
+        "coordinates 0 of the two points coincide",
+        None,
+        None,
+    )
+
+
 # --- classical operator -----------------------------------------------------
 
 

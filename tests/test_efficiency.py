@@ -308,6 +308,24 @@ def test_estimate_mu_validation():
         estimate_mu({"exp": 1}, m=0)
 
 
+def test_estimate_mu_refuses_an_operation_without_a_price():
+    # a bare KeyError: 'tan' named neither the problem nor the priced operations
+    with pytest.raises(ValueError, match="no price for operation tan; priced are product, quotient"):
+        estimate_mu({"tan": 1}, m=1)
+
+
+@pytest.mark.parametrize("c", [0, "-1"])
+def test_cei_refuses_a_cost_that_is_not_positive(c):
+    with mp.workdps(50), pytest.raises(ValueError, match="cost must be positive"):
+        cei(2, c)
+
+
+@pytest.mark.parametrize("which", ["t3_phi1_phi0", "d1_phi2_phi0_degraded"])
+def test_a_comparison_whose_gap_is_constant_has_no_asymptote(which):
+    with mp.workdps(50), pytest.raises(ValueError, match=f"{which} has no vertical asymptote"):
+        asymptote_m(which)
+
+
 def test_cost_table_defaults():
     assert ELEMENTARY_COSTS["product"] == 1
     assert ELEMENTARY_COSTS["quotient"] == 2.5
