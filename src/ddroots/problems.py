@@ -10,12 +10,15 @@ against their first printed digits.
 from __future__ import annotations
 
 import json
+import math
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_float
 
 from .convergence import eta
 from .core import HPVector, PrecisionContext, SolverError, inf_norm
@@ -81,6 +84,24 @@ class ProblemSpec:
 # 180 (cos3 phi1/d2 at 4096 digits)
 _MEMO_ENTRIES = 256
 
+# working precision, in bits, from which a miss may be derived from a cached
+# neighbour; below it every miss calls mpmath.  The rounding test's bound
+# holds where mpmath sums exp and cos by its series (above 600 bits), and
+# from 256 digits (854 bits) up no exp5 or cos3 row ran slower (README)
+_NEIGHBOUR_FLOOR = 700
+
+# fresh values one memo keeps as bases, whatever precisions it sees
+_BASES = 24
+
+# bits that fresh and derived values carry beyond the working precision
+_GUARD = 64
+
+# a base qualifies when its shift's Taylor series takes at most about this
+# many terms: wp <= _TERMS * |log2 h|
+_TERMS = 12
+
+_LN2 = math.log(2)
+
 
 class ArgumentBeyondPrecision(SolverError):
     """exp or cos asked for at an argument of magnitude 2^prec or more, which
@@ -89,33 +110,236 @@ class ArgumentBeyondPrecision(SolverError):
     of that many bits."""
 
 
-def _memo(name: str) -> Callable:
+def _rounds_clear(t: tuple, prec: int, band: int) -> bool:
+    """Whether the raw mpf ``t`` lies farther than 2^-band ulps (of its
+    binade, at ``prec`` bits) from every midpoint between ``prec``-bit
+    numbers, so that every value that close to it rounds to nearest as it
+    does.  Zero never does: no band bounds a value's error relative to it.
+
+    A ``t`` of at most ``prec`` bits is representable, a quarter of an ulp or
+    more from every midpoint (the quarter is the one just below a power of
+    two, in the binade beneath).  That quarter also bounds the case of more
+    bits, so ``band`` must be 3 or more.
+    """
+    man, bc = t[1], t[3]
+    if not man:
+        return False
+    drop = bc - prec
+    if drop <= 0:
+        return True
+    offset = man & ((1 << drop) - 1)
+    return abs(offset - (1 << (drop - 1))) << band > 1 << drop
+
+
+def _fixed(t: tuple, wp: int) -> int:
+    """The raw mpf ``t`` as a signed multiple of 2^-wp, truncated."""
+    sign, man, exp, _ = t
+    shift = exp + wp
+    x = man << shift if shift >= 0 else man >> -shift
+    return -x if sign else x
+
+
+def _powers(x: int, wp: int) -> list[int]:
+    """x^k / k! for k = 1, 2, ..., x >= 0 and each in units of 2^-wp, up to
+    the first zero."""
+    terms, a, k = [], x, 1
+    while a:
+        terms.append(a)
+        k += 1
+        a = (a * x >> wp) // k
+    return terms
+
+
+class _Memo:
     """``mp.<name>`` cached on the argument's value and the working precision.
 
     Consecutive points of a divided-difference chain differ in one
     coordinate, so most elementary values along a chain repeat.  Each
     component factory call makes its own memos, shared by that factory's
-    components, so a cache lives as long as one ``build_system()``.  The
-    value is bit-identical to a fresh call; ``mp.<name>`` is looked up at
-    call time, and the evaluations the counters see are unchanged.  The
+    components, so a cache lives as long as one ``build_system()``.  Every
+    value is bit-identical to a fresh ``mp.<name>(v)``, which is looked up
+    at call time, and the evaluations the counters see are unchanged.  The
     least recently used argument is dropped past ``_MEMO_ENTRIES``.  An
     argument of magnitude 2^prec or more raises ArgumentBeyondPrecision.
+
+    **Neighbours.**  Below ``_NEIGHBOUR_FLOOR`` bits a miss calls
+    ``mp.<name>(v)``.  From there up, most misses of a late iteration lie
+    close to arguments already seen (within 2^-2400 to 2^-11600 at 4096
+    digits), since chain points are x +/- F(x) and mixtures of them.  A
+    miss at v therefore looks among the last ``_BASES`` fresh arguments u at
+    the same precision (never another: the window spans every precision a
+    solve ramps through) for the one nearest v.  Let wp = prec + ``_GUARD``
+    and h = v - u, on integers at wp bits (exact unless |v| < 2^-64).  If
+    the Taylor series below take about ``_TERMS`` terms or fewer,
+    wp <= _TERMS |log2 h|, the value comes from u's stored one by the
+    addition formula,
+
+        exp(v) = exp(u) exp(h),    cos(v) = cos(u) cos(h) - sin(u) sin(h),
+
+    with exp(h), cos(h) and sin(h) summed on integers at wp bits (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 4).  Otherwise the
+    miss is fresh: mpmath at wp bits (``mp.cos_sin`` for cos), kept as a
+    base.  Only fresh values are bases, so a derived value is one shift from
+    mpmath's and lies within 2^-58 ulp (at prec) of the true value.
+
+    **Rounding test.**  ``mp.<name>(v)`` is not always the correctly
+    rounded value: mpmath rounds to prec a fixed-point value that carries g
+    more bits (g = 14 in ``mpf_exp``, at least 10 in ``mpf_cos_sin``) and
+    may miss by a few units of its last place; allow 2^3 (on about 22000 of
+    the arguments covered below, from 700 to 13674 bits, the largest miss
+    was one unit).
+    For exp the unit is relative, and at most 2^-12 ulp of the result
+    (it is 2^-(prec+14) absolute only when |v| < 2, where e^v > 2^-3), so
+    mpmath's value is within 2^-9 ulp of e^v.  For cos the unit is absolute,
+    2^-(prec+10), which is 2^-(10+k) ulp of a value below 2^k, so within
+    2^-(7+k) ulp.  With the 2^-58 of the guarded value g, the two lie
+    within 2^-8 and 2^-(6+k) ulp of each other.  Hence the band: if g lies
+    farther than 2^-BAND ulp from every rounding midpoint, BAND = 8 for exp
+    and 6 + min(k, 0) for cos, then g, the true value and mpmath's round
+    alike, and the memo returns g rounded to prec.  Otherwise it returns
+    ``mp.<name>(v)`` itself (a fallback): either way the value is
+    ``mp.<name>(v)``'s, bit for bit (Ziv, ACM TOMS 17(3), 1991).
+
+    mpmath's miss stays that small only where its own cancellation does not
+    outrun its guard bits, so the memo falls back unconditionally where it
+    may: exp at an integer, which mpmath raises e to; exp whose reduced
+    argument (v mod ln 2, or v when |v| < 2) lies below 2^-8, where mpmath
+    recovers sinh from cosh by a square root (433 ulps off at 2^-29 and
+    13674 bits); and cos below 1/8 in magnitude, which mpmath may take from
+    a sine near its zero.
+
+    ``fresh``, ``neighbours``, ``hits`` and ``fallbacks`` count the misses
+    that called mpmath afresh (below the floor, or as a base), the misses
+    derived from a base, the values returned from the cache, and the misses
+    answered by ``mp.<name>(v)`` above the floor.  ``fresh + fallbacks``
+    calls reached mpmath.
     """
 
-    @lru_cache(maxsize=_MEMO_ENTRIES)
-    def at(v, prec):
-        if mp.mag(v) > prec:
-            raise ArgumentBeyondPrecision(
-                f"{name} at an argument of about 2^{mp.mag(v)} determines no digit "
-                f"at {prec} bits: the iteration diverged"
-            )
-        return getattr(mp, name)(v)
+    def __init__(self):
+        self._values: OrderedDict = OrderedDict()
+        self._bases: deque = deque(maxlen=_BASES)
+        self.fresh = self.neighbours = self.hits = self.fallbacks = 0
 
-    return lambda v: at(v, mp.prec)
+    def __len__(self) -> int:
+        """Entries held: cached values plus bases."""
+        return len(self._values) + len(self._bases)
+
+    def __call__(self, v: mpf) -> mpf:
+        prec = mp.prec
+        key = (v._mpf_, prec)
+        value = self._values.pop(key, None)
+        if value is not None:
+            self.hits += 1
+        elif mp.mag(v) > prec:
+            raise ArgumentBeyondPrecision(
+                f"{self.name} at an argument of about 2^{mp.mag(v)} determines "
+                f"no digit at {prec} bits: the iteration diverged"
+            )
+        elif prec < _NEIGHBOUR_FLOOR:
+            self.fresh += 1
+            value = getattr(mp, self.name)(v)
+        else:
+            value = self._guarded(v, prec)
+        self._values[key] = value
+        if len(self._values) > _MEMO_ENTRIES:
+            self._values.popitem(last=False)
+        return value
+
+    def _guarded(self, v: mpf, prec: int) -> mpf:
+        x, wp = v._mpf_, prec + _GUARD
+        if self._covered(x):
+            near = self._nearest(x, prec, wp)
+            if near is None:
+                self.fresh += 1
+                g, base = self._fresh(v, wp)
+                self._bases.append((x, prec, base))
+            else:
+                self.neighbours += 1
+                g = self._shift(*near, wp)
+            band = self._band(g)
+            if band and _rounds_clear(g, prec, band):
+                return mp.make_mpf(mpf_pos(g, prec, round_nearest))
+        self.fallbacks += 1
+        return getattr(mp, self.name)(v)
+
+    def _nearest(self, x: tuple, prec: int, wp: int):
+        """(base, h) for the base at ``prec`` nearest x, h = x - u as a
+        multiple of 2^-wp, if its shift qualifies; else None.  A qualifying
+        u shares x's sign and, within one, its magnitude.  h is exact unless
+        |x| < 2^-64, and then within 2^-wp."""
+        sign, mag = x[0], x[2] + x[3]
+        fixed_x = best = None
+        for u, p, base in tuple(self._bases):
+            if p != prec or u[0] != sign or abs(u[2] + u[3] - mag) > 1:
+                continue
+            if fixed_x is None:
+                fixed_x = _fixed(x, wp)
+            h = fixed_x - _fixed(u, wp)
+            if best is None or abs(h) < abs(best[1]):
+                best = base, h
+        # |h| < 2^(bits - wp), so the series takes about wp / (wp - bits) terms
+        if best is None or wp > _TERMS * (wp - abs(best[1]).bit_length()):
+            return None
+        return best
+
+    def _covered(self, x: tuple) -> bool:
+        """Whether mpmath's value at x keeps within the band's bound."""
+        return True
+
+
+class _ExpMemo(_Memo):
+    name = "exp"
+
+    def _covered(self, x):
+        # not at an integer (mpmath's power path) nor where mpmath's reduced
+        # argument lies below 2^-8; a float finds it only while |x| < 2^20
+        mag = x[2] + x[3]
+        if x[2] >= 0 or mag > 20:
+            return False
+        if mag <= 1:
+            return mag >= -7
+        t = to_float(x) % _LN2
+        return 2**-8 <= t <= _LN2 - 2**-8
+
+    def _fresh(self, v, wp):
+        g = mp.exp(v, prec=wp)._mpf_
+        return g, g
+
+    def _shift(self, base, h, wp):
+        # e^h - 1; its odd terms are negative when h is
+        r = sum(-a if h < 0 and i % 2 == 0 else a for i, a in enumerate(_powers(abs(h), wp)))
+        _, man, exp, _ = base
+        return from_man_exp(man + (man * r >> wp), exp)
+
+    def _band(self, g):
+        return 8
+
+
+class _CosMemo(_Memo):
+    name = "cos"
+
+    def _fresh(self, v, wp):
+        c, s = mp.cos_sin(v, prec=wp)
+        return c._mpf_, (c._mpf_, s._mpf_)
+
+    def _shift(self, base, h, wp):
+        c, s = (_fixed(t, wp) for t in base)
+        terms = _powers(abs(h), wp)
+        # term i is |h|^(i+1)/(i+1)!: odd powers build sin h, even ones
+        # cos h - 1, with signs + - - + by power mod 4
+        sin_h = sum(a if i % 4 == 0 else -a for i, a in enumerate(terms) if i % 2 == 0)
+        cos_h1 = sum(a if i % 4 == 3 else -a for i, a in enumerate(terms) if i % 2 == 1)
+        if h < 0:
+            sin_h = -sin_h
+        return from_man_exp(c + (c * cos_h1 - s * sin_h >> wp), -wp)
+
+    def _band(self, g):
+        k = g[2] + g[3]
+        return 6 + min(k, 0) if k >= -2 else 0
 
 
 def _exp5_components():
-    exp = _memo("exp")
+    exp = _ExpMemo()
 
     def make(i):
         def component(p):
@@ -134,7 +358,7 @@ def _quad2_components():
 
 
 def _cos3_components():
-    cos = _memo("cos")
+    cos = _CosMemo()
 
     def make(i):
         def component(p):
