@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import repr_dps
+from mpmath.libmp import normalize, normalize1, repr_dps
 
 # decimal I/O of multi-thousand-digit scalars trips the interpreter's
 # int<->str conversion guard at its default of 4300 digits
@@ -53,6 +53,46 @@ def to_decimal(x) -> str:
     binary value.
     """
     return mp.nstr(mpf(x), repr_dps(mp.prec))
+
+
+def quotient(a, b):
+    """``a / b``, bit for bit, under the active precision and rounding.
+
+    mpmath's ``mpf_div`` shifts the numerator's mantissa left by about the
+    working precision before its long division, so an exact quotient, such
+    as the +/-1 or +/-2 of a component linear in a coordinate, comes out
+    with thousands of trailing zero bits that its normalization strips
+    eight at a time, each step shifting the whole mantissa: at 4096 digits,
+    on mpmath's pure-Python backend, that is about 3.5 times the cost of an
+    inexact quotient.  Here the mantissas
+    are divided unshifted first.  Equal mantissas give +/-2^(e_a - e_b) with
+    no arithmetic; a zero remainder gives the exact quotient, rounded to the
+    working precision like any other value; otherwise the remainder is
+    carried into ``mpf_div``'s own shifted division, so the quotient, its
+    sticky bit and its rounding are those of ``mpf_div``.  Zeros, special
+    values, a divisor whose mantissa is 1 and operands that are not both
+    mpf (components may return ints or floats) go through ``a / b`` itself,
+    so a zero divisor raises ZeroDivisionError as ``/`` does.
+    """
+    if type(a) is mpf and type(b) is mpf:
+        sa, ma, ea, na = a._mpf_
+        sb, mb, eb, nb = b._mpf_
+        if ma and mb > 1:
+            sign, exp = sa ^ sb, ea - eb
+            if ma == mb:
+                return mp.make_mpf((sign, 1, exp, 1))
+            prec, rnd = mp._prec_rounding
+            q, r = divmod(ma, mb)
+            if r:
+                # ma << extra == (q << extra) * mb + (r << extra)
+                extra = max(prec - na + nb + 5, 5)
+                low, r = divmod(r << extra, mb)
+                q, exp = q << extra | low, exp - extra
+                if r:
+                    q = q << 1 | 1
+                    return mp.make_mpf(normalize1(sign, q, exp - 1, q.bit_length(), prec, rnd))
+            return mp.make_mpf(normalize(sign, q, exp, q.bit_length(), prec, rnd))
+    return a / b
 
 
 @dataclass(frozen=True)
@@ -245,8 +285,10 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     multipliers and runs over the pivot row's nonzero columns only.  That
     changes no bit of the result: a zero is never the largest candidate of a
     nonzero column, mpmath has no signed zero, and x - 0 y = x for finite
-    entries already rounded to the working precision.  A pivot smaller in
-    magnitude than the working epsilon raises SingularOperator.
+    entries already rounded to the working precision.  The multipliers are
+    ``quotient``s, the bits of ``/``, so an exact one skips the long
+    division.  A pivot smaller in magnitude than the working epsilon raises
+    SingularOperator.
     """
     m = a.m
     counters.charge(FACTOR_COUNTS, m)
@@ -268,7 +310,7 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
             row_i = lu[i]
             if not row_i[k]:
                 continue
-            lik = row_i[k] / pivot
+            lik = quotient(row_i[k], pivot)
             row_i[k] = lik
             for j, ukj in nonzero:
                 row_i[j] -= lik * ukj
@@ -278,8 +320,9 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
     """Solve A x = b from a factorization; charges ``SOLVE_COUNTS``.
 
-    Terms whose factor from the factorization is zero are skipped, which
-    changes no bit of x.
+    Terms whose factor from the factorization is zero are skipped, and the
+    back-substitution divides by the pivots through ``quotient``; neither
+    changes a bit of x.
     """
     m = fact.m
     counters.charge(SOLVE_COUNTS, m)
@@ -299,5 +342,5 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
         for j in range(i + 1, m):
             if row[j]:
                 acc -= row[j] * x[j]
-        x[i] = acc / row[i]
+        x[i] = quotient(acc, row[i])
     return HPVector(x)

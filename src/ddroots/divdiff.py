@@ -26,6 +26,7 @@ from .core import (
     mat_entrywise,
     mat_inf_norm,
     mat_vec,
+    quotient,
     working_eps,
 )
 
@@ -241,7 +242,9 @@ def dd_d1(
 
     Entry (i, j) is the quotient of consecutive mixed-coordinate values of
     F_i along the forward chain by y_j - x_j, or an exact zero, with no
-    arithmetic, when the chain kept F_i's value object over that step.
+    arithmetic, when the chain kept F_i's value object over that step.  The
+    quotient is ``core.quotient``, the bits of ``/`` without the long
+    division where F_i is linear in x_j and the quotient is exact.
     ``ends``, when given, is (F(x), F(y)).  Charges the ``OPERATOR_COUNTS``
     unit of D1, fresh or supplied, once the points are found separated.
     """
@@ -253,7 +256,7 @@ def dd_d1(
     denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
     columns = [
-        [zero if after is before else (after - before) / d
+        [zero if after is before else quotient(after - before, d)
          for before, after in zip(chain[j], chain[j + 1])]
         for j, d in enumerate(denoms)
     ]
@@ -270,9 +273,10 @@ def dd_d2(
     """Symmetrized divided-difference operator on the points (y, x).
 
     Averages the forward chain with the chain walked from y back to x.  Each
-    entry is one quotient by y_j - x_j plus one product by the constant
-    one-half, or an exact zero, with no arithmetic, when both chains kept
-    F_i's value object over step j.  ``ends``, when given, is (F(x), F(y)).
+    entry is one quotient by y_j - x_j (``core.quotient``, the bits of
+    ``/``) then one product by the constant one-half, or an exact zero,
+    with no arithmetic, when both chains kept F_i's value object over
+    step j.  ``ends``, when given, is (F(x), F(y)).
     Charges the ``OPERATOR_COUNTS`` unit of D2, fresh or supplied, once the
     points are found separated.
     """
@@ -288,7 +292,7 @@ def dd_d2(
     denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
     columns = [
-        [zero if f1 is f0 and r0 is r1 else (f1 - f0 + r0 - r1) / d * half
+        [zero if f1 is f0 and r0 is r1 else quotient(f1 - f0 + r0 - r1, d) * half
          for f0, f1, r0, r1 in zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])]
         for j, d in enumerate(denoms)
     ]

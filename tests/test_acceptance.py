@@ -4,6 +4,10 @@ Each test prints one pass/fail line (run with ``pytest -s`` to see them all
 live).  The solve-backed criteria share two cached run sets: the full tier
 at 4096 working digits and a smoke tier at 1024.
 """
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf
 
@@ -137,6 +141,37 @@ def test_smoke_tier_pinned_to_fixed_precision(smoke_runs):
         assert row.counters_ok, key
 
 
+# one line "<sha256>  <problem>/<method>/<dd>" per 4096-digit row; rewrite it
+# with ``PYTHONPATH=src python tests/test_acceptance.py`` only for a change
+# meant to move the bits
+PINS_4096 = Path(__file__).parent / "data" / "acceptance_4096.sha256"
+
+
+def _row_digest(row) -> str:
+    """SHA-256 of the fields of a row that carry its bits: the final iterate
+    (decimal strings that parse back to the exact binary values), the full
+    ACOC and its spread, the working digits, the counter delta, I and the
+    stop reason."""
+    fields = [
+        row.final_iterate, row.acoc_full, row.acoc_spread, row.working_digits,
+        row.counts_measured, row.iterations, row.stop_reason,
+    ]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+
+
+def _digest_lines(runs) -> list[str]:
+    return [
+        f"{_row_digest(row)}  {name}/{method.value}/{dd.value}"
+        for (name, method, dd), row in runs.items()
+    ]
+
+
+def test_4096_digit_rows_pinned_bit_for_bit(full_runs):
+    # the golden files pin bits at 256 and 1024 digits; this pins them at
+    # the precision of the acceptance tier and the benchmark
+    assert _digest_lines(full_runs) == PINS_4096.read_text().splitlines()
+
+
 def test_criterion_4_acoc_order_recovery(full_runs):
     bad = []
     expectations = {key: REGISTRY[key[0]].rows[(key[1], key[2])].order for key in map(tuple, PUBLISHED)}
@@ -221,3 +256,11 @@ def test_criterion_10_correct_decimals_loose(full_runs):
         f"correct decimals within 10% of the published column on 13 rows; failures: {bad} "
         "(wall-clock columns and the order-estimate error bounds are excluded by design)",
     )
+
+
+if __name__ == "__main__":
+    runs = {
+        key: run_row(REGISTRY[key[0]], key[1], key[2], RunConfig(digits=4096))
+        for key in PUBLISHED + EXTRA
+    }
+    PINS_4096.write_text("".join(line + "\n" for line in _digest_lines(runs)))

@@ -4,6 +4,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import finf, fnan, fninf, from_man_exp
 
 from ddroots.core import (
     HPMatrix,
@@ -17,6 +18,7 @@ from ddroots.core import (
     mat_entrywise,
     mat_inf_norm,
     mat_vec,
+    quotient,
     to_decimal,
     working_eps,
 )
@@ -280,8 +282,9 @@ def _dense_lu_solve(lu, perm, b):
 
 @st.composite
 def sparse_system(draw):
-    """A banded or a randomly sparse matrix of fractions, and a right-hand
-    side; zero rows and columns, hence singular matrices, included."""
+    """A banded or a randomly sparse matrix of fractions, a right-hand side
+    and a working precision; zero rows and columns, hence singular
+    matrices, included."""
     m = draw(st.integers(1, 9))
     if draw(st.booleans()):
         below, above = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
@@ -292,15 +295,15 @@ def sparse_system(draw):
     fraction = st.tuples(st.integers(-9, 9), st.integers(1, 7))
     rows = [[draw(fraction) if on else (0, 1) for on in row] for row in pattern]
     b = draw(st.lists(fraction, min_size=m, max_size=m))
-    return rows, b
+    return rows, b, draw(st.sampled_from([64, 1024]))
 
 
 @given(sparse_system())
 @settings(max_examples=150, deadline=None)
 def test_zero_skipping_lu_is_bit_identical_to_the_dense_loop(case):
-    rows, b = case
+    rows, b, digits = case
     m = len(rows)
-    with PrecisionContext(64).activate():
+    with PrecisionContext(digits).activate():
         a = HPMatrix([[mpf(n) / d for n, d in row] for row in rows])
         rhs = HPVector(mpf(n) / d for n, d in b)
         counters = OpCounters()
@@ -320,6 +323,66 @@ def test_zero_skipping_lu_is_bit_identical_to_the_dense_loop(case):
             m * (m - 1) * (2 * m - 1) // 6 + m * (m - 1),
             m * (m - 1) // 2 + m,
         )
+
+
+@st.composite
+def quotient_case(draw):
+    """A binary precision, 13610 bits (4096 digits) included, and operands
+    of up to 128 bits more that take every branch of ``quotient``: equal
+    mantissas, b times an odd integer (an exact quotient, wider than the
+    precision too), a zero numerator, a divisor of mantissa 1, special
+    values and random mantissas."""
+    prec = draw(st.one_of(st.just(13610), st.integers(53, 13700)))
+    rnd = draw(st.randoms(use_true_random=False))
+    wide = prec + 64
+
+    def mantissa(bits):
+        return rnd.getrandbits(bits) | 1 << (bits - 1) | 1
+
+    def value(man, exp):
+        return mp.make_mpf(from_man_exp(man * rnd.choice((1, -1)), exp))
+
+    kind = draw(st.sampled_from(
+        ["equal", "odd multiple", "wide exact", "zero", "unit divisor", "special", "random"]
+    ))
+    exps = st.integers(-20000, 20000)
+    nb = draw(st.integers(2, 64) if kind == "wide exact" else st.integers(2, wide))
+    mb, eb = mantissa(nb), draw(exps)
+    b = value(mb, eb)
+    if kind == "equal":  # b times a power of two
+        a = value(mb, eb + draw(st.integers(-2000, 2000)))
+    elif kind == "odd multiple":
+        a = value(mb * mantissa(draw(st.integers(1, wide - nb + 1))), draw(exps))
+    elif kind == "wide exact":  # a short divisor and an odd factor wider than prec
+        a = value(mb * mantissa(draw(st.integers(prec + 1, wide))), draw(exps))
+    elif kind == "zero":
+        a = mpf(0)
+    elif kind == "special":
+        a, b = draw(st.permutations([mp.make_mpf(draw(st.sampled_from([finf, fninf, fnan]))), b]))
+    else:
+        a = value(mantissa(draw(st.integers(1, wide))), draw(exps))
+        if kind == "unit divisor":
+            b = value(1, eb)
+    return prec, a, b
+
+
+@given(quotient_case())
+@settings(max_examples=300, deadline=None)
+def test_quotient_is_the_bits_of_division(case):
+    prec, a, b = case
+    with mp.workprec(prec):
+        assert quotient(a, b)._mpf_ == (a / b)._mpf_
+        with pytest.raises(ZeroDivisionError):
+            quotient(a, mpf(0))
+
+
+def test_quotient_of_other_operands_is_division():
+    with mp.workdps(30):
+        for a, b in [(3, mpf(2)), (mpf(1), 3), (mp.pi, mpf(7)), (mpf(1), mp.pi)]:
+            assert quotient(a, b)._mpf_ == (a / b)._mpf_
+        assert quotient(1.5, 0.5) == 3.0
+        with pytest.raises(ZeroDivisionError):
+            quotient(mpf(0), mpf(0))
 
 
 def test_mat_inf_norm_is_max_row_sum():

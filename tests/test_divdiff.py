@@ -284,15 +284,15 @@ def sparse_case(draw):
     quarters = st.integers(-12, 12)
     x = draw(st.lists(quarters, min_size=m, max_size=m))
     y = [draw(quarters.filter(lambda v, xj=xj: v != xj)) for xj in x]
-    return m, specs, x, y, draw(st.booleans()), draw(st.booleans())
+    return m, specs, x, y, draw(st.booleans()), draw(st.booleans()), draw(st.sampled_from([64, 1024]))
 
 
 @given(sparse_case())
 @settings(max_examples=80, deadline=None)
 def test_chains_give_the_dense_chains_operators_bit_for_bit(case):
-    m, specs, xq, yq, supplied, shifted = case
+    m, specs, xq, yq, supplied, shifted, digits = case
     system = NonlinearSystem(m, [_sparse_component(*spec, m) for spec in specs])
-    with CTX.activate():
+    with PrecisionContext(digits).activate():
         x = HPVector(mpf(v) / 4 for v in xq)
         y = HPVector(mpf(v) / 4 for v in yq)
         ends = None
