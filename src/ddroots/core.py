@@ -169,10 +169,15 @@ def _zip_equal(*seqs: Sequence) -> zip:
     return zip(*seqs)
 
 
+def _immutable(self, *args) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class HPVector:
     """Immutable dense vector of high-precision reals."""
 
     __slots__ = ("entries",)
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, entries: Iterable):
         object.__setattr__(self, "entries", tuple(mpf(e) for e in entries))
@@ -218,6 +223,7 @@ class HPMatrix:
     """
 
     __slots__ = ("rows",)
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, rows: Iterable[Iterable]):
         object.__setattr__(
@@ -322,9 +328,12 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
 
     Terms whose factor from the factorization is zero are skipped, and the
     back-substitution divides by the pivots through ``quotient``; neither
-    changes a bit of x.
+    changes a bit of x.  A b whose length is not the factorization's
+    dimension raises ValueError.
     """
     m = fact.m
+    if len(b) != m:
+        raise ValueError(f"b has {len(b)} entries but the factorization has dimension {m}")
     counters.charge(SOLVE_COUNTS, m)
     lu = fact.lu
     y = [mpf(b[p]) for p in fact.perm]

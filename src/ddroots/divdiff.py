@@ -138,18 +138,21 @@ def _check_dimension(m: int, y: Sequence, x: Sequence) -> None:
         )
 
 
-def _check_separation(m: int, y: Sequence, x: Sequence) -> None:
+def _separation(m: int, y: Sequence, x: Sequence) -> list:
+    """The differences y_j - x_j, once the points are found separated."""
     _check_dimension(m, y, x)
     eps = working_eps()
     # the bound's operands are rounded to 30 digits first: a product of
     # full-precision operands costs a full multiplication before it rounds
     with mp.workdps(30):
         bounds = [+eps * max(1, abs(v)) for v in x]
+    diffs = [y[j] - x[j] for j in range(m)]
     for j, bound in enumerate(bounds):
-        if abs(y[j] - x[j]) < bound:
+        if abs(diffs[j]) < bound:
             raise DegenerateDividedDifference(
                 f"coordinates {j} of the two points coincide at working precision"
             )
+    return diffs
 
 
 class _RecordingPoint:
@@ -249,11 +252,10 @@ def dd_d1(
     unit of D1, fresh or supplied, once the points are found separated.
     """
     m = system.m
-    _check_separation(m, y, x)
+    denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
     chain, _ = _forward_chain(system, y, x, ends)
-    denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
     columns = [
         [zero if after is before else quotient(after - before, d)
@@ -281,7 +283,7 @@ def dd_d2(
     points are found separated.
     """
     m = system.m
-    _check_separation(m, y, x)
+    denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D2][ends is not None], m)
     fwd, reads = _forward_chain(system, y, x, ends)
@@ -289,7 +291,6 @@ def dd_d2(
     # and its ends reuse the forward chain's values at y and x
     rev, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), reads)
     half = mpf(1) / 2
-    denoms = [y[j] - x[j] for j in range(m)]
     zero = mpf(0)
     columns = [
         [zero if f1 is f0 and r0 is r1 else quotient(f1 - f0 + r0 - r1, d) * half

@@ -334,16 +334,16 @@ def solve(
     10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
     coordinate stalled.
 
-    One rule covers the ramp's failures.  An underflow, an exact repeat or
-    a singular operator decides the run only in a step that ran at
-    ``ctx.digits`` from x_0 or from an iterate computed at ``ctx.digits``.
-    Met in any other step it says nothing about the target epsilon, and the
-    solve starts over from x_0 at ``ctx.digits``; so does iteration 1 when
-    its correction of norm 10^(-D_0) shows that its digits could not hold
-    the rho D_0 digits of x_1 with the ramp's margin.  A start-over from a
-    failed iteration 1 keeps the ramp, since nothing was kept yet; any other
-    runs every iteration at ``ctx.digits``, as a fixed-precision solve does.
-    Aborted attempts count in ``counters`` but have no counter delta.
+    One test decides every start-over.  A partial step, one that ran below
+    ``ctx.digits`` or from an iterate computed below it, says nothing about
+    the target epsilon when its operator failed, when its correction is
+    exactly 0, or when it is iteration 1 and its correction of norm
+    10^(-D_0) shows that its digits could not hold the rho D_0 digits of
+    x_1 with the ramp's margin: the solve then starts over from x_0 at
+    ``ctx.digits``.  A start-over during iteration 1 keeps the ramp, since
+    nothing was kept yet; any other runs every iteration at ``ctx.digits``,
+    as a fixed-precision solve does.  Aborted attempts count in ``counters``
+    but have no counter delta.
     Three consecutive ratios of at least 1 raise MaxIterationsExceeded.
     """
     method = MethodKind(method)
@@ -374,20 +374,17 @@ def solve(
         ratios: list = []
         deltas: list = []
         working: list = []
-        stop_reason = None
         ramping = True
-        start_digits = min(full, _FIRST_STEP_DIGITS)
-        while len(corr_norms) < max_iters:
+        digits = min(full, _FIRST_STEP_DIGITS)
+        while True:
+            if len(corr_norms) >= max_iters:
+                raise MaxIterationsExceeded(
+                    f"no convergence within {max_iters} iterations "
+                    f"(last ratio {mp.nstr(ratios[-1], 8) if ratios else 'n/a'})"
+                )
             x = iterates[-1]
-            if not corr_norms:
-                digits = start_digits
-            elif ramping:
-                digits = _ramp_digits(rho * rho, corr_norms[-1], x, full)
-            else:
-                digits = full
-            # a step below full precision, or from an iterate computed there
-            partial = digits < full or bool(working) and working[-1] < full
             before = counters.snapshot()
+            failure = None
             try:
                 with mp.workdps(digits):
                     prec = mp.prec
@@ -399,84 +396,74 @@ def solve(
                                 f"mp.prec was {prec} when outer step {len(corr_norms) + 1} "
                                 f"began and {mp.prec} when it ended"
                             )
-            except (DegenerateDividedDifference, SingularOperator) as exc:
-                # a partial step says nothing about the target
-                redo = partial
-                if not redo:
-                    if isinstance(exc, SingularOperator):
-                        raise
-                    norm = inf_norm(exc.residual)
-                    if norm > ctx.check_tolerance:
-                        where = "" if exc.point is None else "the first step from "
-                        err = DegenerateDividedDifference(
-                            f"{exc} at {where}x_{len(corr_norms)}, but ||F||_inf = "
-                            f"{mp.nstr(norm, 8)} is above the check tolerance"
-                        )
-                        err.residual, err.point = exc.residual, exc.point
-                        raise err from exc
-                    if exc.point is not None:
-                        # the first step landed on a root: it is the final iterate
-                        iterates.append(exc.point)
-                        corr_norms.append(inf_norm(exc.point - x))
-                        if len(corr_norms) >= 2:
-                            ratios.append(corr_norms[-1] / corr_norms[-2])
-                    stop_reason = "residual_underflow"
-                    break
-            else:
                 c = inf_norm(x_next - x)
                 if not mp.isfinite(c):
                     raise MaxIterationsExceeded(
                         f"outer step {len(corr_norms) + 1} gave a correction of norm {c}"
                     )
-                # an exact repeat, or a first step whose digits could not
-                # hold the rho D_0 digits x_1 has after a correction of 10^-D_0
-                redo = partial and (
-                    c == 0 or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
-                )
-            if redo:
+            except (DegenerateDividedDifference, SingularOperator) as exc:
+                failure = exc
+            # a partial step whose operator failed, whose correction is 0, or
+            # whose iteration 1 could not hold x_1's rho D_0 digits
+            if (digits < full or working and working[-1] < full) and (
+                failure is not None
+                or c == 0
+                or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
+            ):
                 # start over from x_0 at full precision; only a failed
                 # iteration 1 keeps the ramp, since nothing was kept yet
                 ramping = not corr_norms
-                start_digits = full
+                digits = full
                 del iterates[1:], corr_norms[:], ratios[:], deltas[:], working[:]
                 continue
-            if not corr_norms:  # F(x_0) sets the scale of the stall test
-                f0_scale = max(mpf(1), inf_norm(fx))
-            deltas.append(tuple(a - b for a, b in zip(counters.snapshot(), before)))
-            working.append(digits)
+            if failure is not None:
+                if isinstance(failure, SingularOperator):
+                    raise failure
+                norm = inf_norm(failure.residual)
+                if norm > ctx.check_tolerance:
+                    where = "" if failure.point is None else "the first step from "
+                    failure.args = (f"{failure} at {where}x_{len(corr_norms)}, but ||F||_inf = "
+                                    f"{mp.nstr(norm, 8)} is above the check tolerance",)
+                    raise failure
+                stop_reason = "residual_underflow"
+                if failure.point is None:
+                    break
+                # the first step landed on a root: it is the final iterate
+                x_next, c = failure.point, inf_norm(failure.point - x)
+            else:
+                if not corr_norms:
+                    # the stall bound 10^-eta max(1, ||F(x_0)||_inf); 2 * threshold
+                    # is 10^-eta at 30 digits
+                    bound = 2 * threshold * max(mpf(1), inf_norm(fx))
+                deltas.append(tuple(a - b for a, b in zip(counters.snapshot(), before)))
+                working.append(digits)
             iterates.append(x_next)
             corr_norms.append(c)
             if len(corr_norms) >= 2:
                 ratios.append(c / corr_norms[-2])
-            if c == 0:
-                stop_reason = "exact_repeat"
+            if failure is not None:
                 break
-            if ratios and ratios[-1] <= threshold:
-                stop_reason = "ratio"
+            if c == 0 or ratios and ratios[-1] <= threshold:
+                stop_reason = "ratio" if c else "exact_repeat"
+                # fx is F at the final iterate (or at its exact repeat):
+                # corrections also collapse when one coordinate stalls away
+                # from the root, its operator column too large to move it
+                if inf_norm(fx) >= bound:
+                    raise MaxIterationsExceeded(
+                        f"the corrections collapsed at x_{len(iterates) - (2 if c else 1)}, "
+                        f"but ||F||_inf = {mp.nstr(inf_norm(fx), 8)} is not below "
+                        f"{mp.nstr(bound, 8)}: a coordinate stalled"
+                    )
                 break
             if len(ratios) >= 3 and min(ratios[-3:]) >= 1:
                 raise MaxIterationsExceeded(
                     "correction norms failed to contract for 3 consecutive iterations"
                 )
-        if stop_reason is None:
-            raise MaxIterationsExceeded(
-                f"no convergence within {max_iters} iterations "
-                f"(last ratio {mp.nstr(ratios[-1], 8) if ratios else 'n/a'})"
-            )
+            # rho^2 times this correction's digits, unless a start-over ended the ramp
+            digits = _ramp_digits(rho * rho, c, x_next, full) if ramping else full
         # a ratio stop's last iteration only confirmed its predecessor
         iterations = len(iterates) - (2 if stop_reason == "ratio" else 1)
         final = iterates[iterations]
-        # the last step started from final (or from its exact repeat):
-        # corrections also collapse when one coordinate stalls away from the
-        # root, its operator column too large to move it
-        if stop_reason != "residual_underflow":
-            bound = 2 * threshold * f0_scale  # 2 * threshold = 10^-eta, at 30 digits
-            if inf_norm(fx) >= bound:
-                raise MaxIterationsExceeded(
-                    f"the corrections collapsed at x_{iterations}, but ||F||_inf = "
-                    f"{mp.nstr(inf_norm(fx), 8)} is not below {mp.nstr(bound, 8)}: "
-                    "a coordinate stalled"
-                )
         trace = IterationTrace(
             iterates=tuple(iterates),
             correction_norms=tuple(corr_norms),
@@ -490,9 +477,6 @@ def solve(
                 estimate = _acoc(trace)
         except SolverError:
             estimate = None
-        q = None
-        if system.reference_root is not None:
-            q = _correct_decimals(final, system.reference_root)
         return SolveReport(
             iterations=iterations,
             final_iterate=final,
@@ -502,5 +486,8 @@ def solve(
             stop_reason=stop_reason,
             acoc=estimate.rho_hat if estimate else None,
             acoc_spread=estimate.spread if estimate else None,
-            correct_decimals=q,
+            correct_decimals=(
+                None if system.reference_root is None
+                else _correct_decimals(final, system.reference_root)
+            ),
         )

@@ -88,6 +88,19 @@ def test_vector_basics():
         HPVector([])
 
 
+def test_vectors_and_matrices_are_immutable():
+    v = HPVector(["1", "2"])
+    a = HPMatrix([[1, 2], [3, 4]])
+    for obj, attr, value in ((v, "entries", ()), (a, "rows", ())):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(obj, attr, value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(obj, attr)
+        with pytest.raises(AttributeError, match="is immutable"):
+            obj.other = value
+    assert list(v) == [1, 2] and a.m == 2
+
+
 def test_vector_decimal_round_trip():
     with PrecisionContext(256).activate():
         v = HPVector([mp.pi, -mp.sqrt(2)])
@@ -177,6 +190,19 @@ def test_lu_diagonal_solve():
     with PrecisionContext(64).activate():
         fact = lu_factor(HPMatrix([[2, 0], [0, 4]]), OpCounters())
         assert list(lu_solve(fact, HPVector([2, 8]), OpCounters())) == [1, 2]
+
+
+def test_lu_solve_refuses_a_right_hand_side_of_another_length():
+    # a loop over the factorization's rows would return a 2-vector for the
+    # 3-entry b and raise IndexError for the 1-entry one
+    with PrecisionContext(64).activate():
+        fact = lu_factor(HPMatrix([[2, 0], [0, 4]]), OpCounters())
+        for b, n in ((HPVector([2, 8, 1]), 3), (HPVector([2]), 1)):
+            counters = OpCounters()
+            message = f"b has {n} entries but the factorization has dimension 2"
+            with pytest.raises(ValueError, match=message):
+                lu_solve(fact, b, counters)
+            assert counters.snapshot() == (0, 0, 0)
 
 
 def test_singular_matrix_raises_naming_the_pivot_column():

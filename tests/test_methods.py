@@ -1,4 +1,7 @@
+import hashlib
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -307,6 +310,83 @@ def test_repeated_tridiagonal_solves_are_bit_identical():
         assert solve_every_pair() == solve_every_pair()
 
 
+# one line "<sha256>  <case>" per solve of ``_trace_digests``; rewrite it
+# with ``PYTHONPATH=src python tests/test_methods.py`` only for a change
+# meant to move the bits
+TRACE_PINS = Path(__file__).parent / "data" / "solve_traces.sha256"
+
+
+def _bits(value):
+    """``_mpf_`` of an mpf, with an int mantissa whatever the backend."""
+    if isinstance(value, mpf):
+        sign, man, exp, bc = value._mpf_
+        return (sign, int(man), exp, bc)
+    return value
+
+
+def _trace_digest(call) -> str:
+    """SHA-256 of everything a solve reports: stop reason, I, eta, every
+    iterate, correction norm, ratio, counter delta and working digits, the
+    total counters, ACOC, its spread and q; or of the error it raises."""
+    try:
+        report = call()
+    except SolverError as exc:
+        fields = ("raised", type(exc).__name__, str(exc))
+    else:
+        trace = report.trace
+        fields = (
+            report.stop_reason,
+            report.iterations,
+            report.eta_used,
+            [[_bits(e) for e in iterate] for iterate in trace.iterates],
+            [_bits(c) for c in trace.correction_norms],
+            [_bits(r) for r in trace.ratios],
+            trace.counter_deltas,
+            trace.working_digits,
+            report.counters.snapshot(),
+            _bits(report.acoc),
+            _bits(report.acoc_spread),
+            report.correct_decimals,
+        )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def _trace_digests() -> list[str]:
+    """Every registered (problem, method, operator) triple at 128, 256 and
+    1024 digits, and Broyden's tridiagonal system at m = 32 and 256 digits
+    from two seeded starts, as the benchmark draws them."""
+    pairs = [(method, dd) for method in MethodKind for dd in (D1, D2)]
+    lines = []
+    for digits in (128, 256, 1024):
+        ctx = PrecisionContext(digits)
+        for name, spec in REGISTRY.items():
+            with ctx.activate():
+                system, x0 = spec.build_system(), spec.x0_vector()
+            for method, dd in pairs:
+                order = spec.effective_order(method, dd)
+                digest = _trace_digest(lambda: solve(system, x0, method, dd, ctx, order_hint=order))
+                lines.append(f"{digest}  {name}/{method.value}/{dd.value}/{digits}")
+    m = 32
+    ctx = PrecisionContext(256)
+    system = NonlinearSystem(m, _broyden_tridiagonal(m))
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        with ctx.activate():
+            x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
+        for method, dd in pairs:
+            order = theoretical_order(method, D2)
+            digest = _trace_digest(lambda: solve(system, x0, method, dd, ctx, order_hint=order))
+            lines.append(f"{digest}  tridiag{m}/seed{seed}/{method.value}/{dd.value}/256")
+    return lines
+
+
+def test_every_solve_trace_is_pinned_bit_for_bit():
+    # the golden files pin the final iterates of the published rows and
+    # acceptance_4096.sha256 the acceptance rows; this pins every bit of
+    # whole traces, the tridiagonal solves included
+    assert _trace_digests() == TRACE_PINS.read_text().splitlines()
+
+
 def test_trace_shape_and_contraction():
     ctx = PrecisionContext(512)
     with ctx.activate():
@@ -430,6 +510,31 @@ def test_iterate_pair_coinciding_on_a_root_after_corrections_closes_the_trace():
     assert trace.counter_deltas == (expected_iteration_counts(PHI1, D2, 2),) * 3
     assert trace.working_digits == (64, 59, 64)
     assert abs(report.acoc - 4) < mpf("0.001")
+
+
+def test_a_landing_after_non_contracting_corrections_is_convergence(monkeypatch):
+    # scripted outer steps of 1/2 from x_0 = 2, the fourth landing on the
+    # root 0 through a degenerate iterate pair: its ratio is the third of
+    # at least 1 in a row, and the landing still ends the run before the
+    # divergence guard sees it.  The landing below full precision starts
+    # the solve over once, without the ramp
+    def scripted(system, x, method, dd_kind, counters):
+        if x[0] == mpf("0.5"):
+            exc = DegenerateDividedDifference("scripted")
+            exc.residual = exc.point = HPVector([0])
+            raise exc
+        return x - HPVector(["0.5"]), system.eval(x)
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", scripted)
+    ctx = PrecisionContext(64)
+    with ctx.activate():
+        system = NonlinearSystem(1, [lambda p: p[0]])
+        report = solve(system, HPVector(["2"]), PHI1, D2, ctx)
+    trace = report.trace
+    assert (report.stop_reason, report.iterations) == ("residual_underflow", 4)
+    assert report.final_iterate.entries == (0,)
+    assert trace.ratios == (1, 1, 1)
+    assert trace.working_digits == (64, 64, 64)
 
 
 def test_probe_pair_coinciding_next_to_a_large_root_is_convergence():
@@ -694,6 +799,21 @@ def test_start_more_accurate_than_the_first_step_digits_is_redone_at_full(accura
     assert report.counters.snapshot() == tuple(t + a for t, a in zip(totals, aborted))
 
 
+def test_a_failed_first_step_keeps_the_ramp():
+    # iteration 1 from 10^-20 off the root cannot hold x_1 at 80 digits, so
+    # the solve starts over at full precision; nothing was kept yet, so
+    # iteration 2 still ramps down, and the confirming iteration 3 runs at
+    # full precision again
+    spec = REGISTRY["quad2"]
+    ctx = PrecisionContext(1024)
+    with ctx.activate():
+        system = spec.build_system()
+        x0 = HPVector(e + mpf(10) ** -20 for e in system.reference_root)
+        report = solve(system, x0, PHI2, D2, ctx, order_hint=6)
+    assert (report.stop_reason, report.iterations) == ("ratio", 2)
+    assert report.trace.working_digits == (1024, 935, 1024)
+
+
 @pytest.mark.parametrize("digits", [32, 64, 80])
 def test_at_most_80_digits_the_first_step_is_unchanged(monkeypatch, digits):
     # with ctx.digits <= 80 iteration 1 runs at ctx.digits, full precision:
@@ -780,6 +900,26 @@ def test_an_exact_repeat_after_two_corrections_is_reported(digits):
     assert trace.correction_norms[1] == 0 and trace.ratios == (0,)
     assert report.final_iterate.entries == trace.iterates[1].entries
     assert trace.working_digits == (digits, digits)
+
+
+def test_an_exact_repeat_below_full_precision_starts_over(monkeypatch):
+    # scripted outer steps that repeat their iterate exactly below 256
+    # digits, and step from 1 to 1/2 and then repeat at 256: the repeat of
+    # the 80-digit iteration 1 starts over with the ramp, the repeat of the
+    # ramped iteration 2 starts over without it, and only the 256-digit
+    # repeat stops the run
+    def scripted(system, x, method, dd_kind, counters):
+        if mp.dps < 256 or x[0] != 1:
+            return x, system.eval(x)
+        return HPVector(["0.5"]), system.eval(x)
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", scripted)
+    ctx = PrecisionContext(256)
+    with ctx.activate():
+        system = NonlinearSystem(1, [lambda p: p[0] - mpf("0.5")])
+        report = solve(system, HPVector(["1"]), PHI0, D1, ctx)
+    assert (report.stop_reason, report.iterations) == ("exact_repeat", 2)
+    assert report.trace.working_digits == (256, 256)
 
 
 # systems with dyadic roots, on which rounding at low precision can snap a
@@ -922,3 +1062,7 @@ def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
         except SolverError:
             return
         assert inf_norm(unscaled.eval(report.final_iterate)) <= ctx.check_tolerance
+
+
+if __name__ == "__main__":
+    TRACE_PINS.write_text("".join(line + "\n" for line in _trace_digests()))

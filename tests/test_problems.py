@@ -88,6 +88,19 @@ def test_reference_root_attached_by_builder():
         assert bare.reference_root is None
 
 
+def test_a_shared_reference_root_cannot_be_altered():
+    # every system built at one precision shares the cached root
+    with PrecisionContext(128).activate():
+        root = REGISTRY["quad2"].build_system().reference_root
+        before = [e._mpf_ for e in root]
+        with pytest.raises(AttributeError):
+            root.entries = (mpf(0), mpf(0))
+        with pytest.raises(AttributeError):
+            del root.entries
+        again = REGISTRY["quad2"].build_system().reference_root
+        assert again is root and [e._mpf_ for e in again] == before
+
+
 def test_reference_roots_are_parsed_at_each_precision():
     # a root parsed once per precision equals a fresh parse at that
     # precision, whichever precision came before
