@@ -271,14 +271,18 @@ _RAMP_GUARD_DIGITS = 40
 # Iteration 1 runs at these digits, and x_1 is kept only if its own
 # correction shows they held what x_1 needs (see ``solve``).
 _FIRST_STEP_DIGITS = 2 * _RAMP_GUARD_DIGITS
+# A step predicted to confirm the stop runs this many digits above the
+# ramp's 1.25 rho D for the correction it should resolve, and is kept only
+# if that correction is resolved with as many to spare.  With 40, the full
+# ACOC moved in 10 of the 72 registered solves at 128-4096 digits, and
+# cos3 phi1/d1's prediction at 4096 digits ran at 3227, where F(x_8) is
+# about 1e-3228 and the probe pair coincided.
+_CONFIRM_GUARD_DIGITS = 2 * _RAMP_GUARD_DIGITS
 _LOG10_2 = math.log10(2)
 
 
-def _ramp_digits(power: float, correction: mpf, x: HPVector, full: int) -> int:
-    """Working digits for an error of 10^(-power D) after a correction of
-    norm 10^(-D) that ended at x: with power rho, the digits x itself needs,
-    which the step that produced it must have carried; with rho^2, those of
-    the next outer step from x.
+def _correction_digits(correction: mpf, x: HPVector) -> float:
+    """D for a correction of norm 10^(-D) that ended at x.
 
     D counts the correction's digits relative to ||x|| (absolutely while
     ||x|| < 4): the working precision is relative, and absolute digits would
@@ -287,8 +291,61 @@ def _ramp_digits(power: float, correction: mpf, x: HPVector, full: int) -> int:
     """
     # log2(v) < mag(v) <= log2(v) + 1, so D is rounded down, by under 3 bits
     scale = max(max(mp.mag(e) for e in x) - 2, 0)
-    digits = max((scale - mp.mag(correction)) * _LOG10_2, 0.0)
+    return max((scale - mp.mag(correction)) * _LOG10_2, 0.0)
+
+
+def _ramp_digits(power: float, correction: mpf, x: HPVector, full: int) -> int:
+    """Working digits for an error of 10^(-power D) after a correction of
+    norm 10^(-D) that ended at x, D as ``_correction_digits`` counts it:
+    with power rho, the digits x itself needs, which the step that produced
+    it must have carried; with rho^2, those of the next outer step from x,
+    unless ``_confirming_digits`` predicts that step confirms the stop.
+    """
+    digits = _correction_digits(correction, x)
     return min(full, math.ceil(_RAMP_FACTOR * power * digits) + _RAMP_GUARD_DIGITS)
+
+
+def _confirming_digits(
+    rho: float, eta: float, correction: mpf, x: HPVector, full: int
+) -> Optional[int]:
+    """Working digits for the step after a correction of norm 10^(-D) that
+    ended at x, when that step should confirm the stop; None otherwise.
+
+    x holds about rho D digits, so the next correction is about 10^(-rho D)
+    and its ratio about 10^(-(rho - 1) D): once (rho - 1) D >= eta that
+    ratio should reach the threshold, and the step only has to resolve its
+    correction.  It then runs at the ramp's 1.25 rho D digits for x plus
+    ``_CONFIRM_GUARD_DIGITS``, capped at ``full``, where the ramp would ask
+    for 1.25 rho^2 D.
+    """
+    digits = _correction_digits(correction, x)
+    if (rho - 1) * digits < eta:
+        return None
+    return min(full, math.ceil(_RAMP_FACTOR * rho * digits) + _CONFIRM_GUARD_DIGITS)
+
+
+def _newton_size(system: NonlinearSystem, p: HPVector, fp: HPVector) -> mpf:
+    """||s||_inf / max(1, ||p||_inf) for the step s that solves
+    D s = F(p), with D the one-sided operator on (p + h, p),
+    h_i = sqrt(eps) max(1, |p_i|) and eps mpmath's machine epsilon, charged
+    to no solve's counters.
+
+    A degenerate stop with a small F(p) is a root only if this step is small
+    too: F scaled by 1e-300 is small everywhere, and its probe pair
+    p -/+ F(p) coincides far from any root.
+    """
+    scratch = OpCounters()
+    root_eps = mp.sqrt(mp.eps)
+    h = HPVector(root_eps * max(1, abs(e)) for e in p)
+    op = operator_for(D1)(system, p + h, p, scratch)
+    # each row and its F_i scaled by the same power of two, which is exact
+    # and leaves s as it is, so the LU's absolute pivot test reads F scaled
+    # far below 1 as it reads F itself
+    shifts = [-max((mp.mag(e) for e in row if e), default=0) for row in op.rows]
+    op = HPMatrix([mp.ldexp(e, k) for e in row] for row, k in zip(op.rows, shifts))
+    rhs = HPVector(mp.ldexp(f, k) for f, k in zip(fp, shifts))
+    step = lu_solve(lu_factor(op, scratch), rhs, scratch)
+    return inf_norm(step) / max(mpf(1), inf_norm(p))
 
 
 def solve(
@@ -312,7 +369,17 @@ def solve(
 
     Iteration 1 runs at min(``ctx.digits``, 80) digits; every later one runs
     at the digits its result can hold, rho^2 times those of the latest
-    correction plus a margin, capped at ``ctx.digits``.  Correction norms
+    correction plus a margin, capped at ``ctx.digits``.  The step predicted
+    to confirm the stop, after a correction of norm 10^(-D) with
+    (rho - 1) D >= eta, only has to resolve a correction of about
+    10^(-rho D): it runs at min(``ctx.digits``, ceil(1.25 rho D) + 80)
+    digits when that is fewer.  It is kept only if its operator did not
+    fail, its ratio reaches the threshold and its correction of norm
+    10^(-D') has D' + 80 <= those digits; otherwise it runs again at the
+    ramp's digits, and the discarded attempt is charged nowhere, not even
+    in ``counters``.  The confirming iterate is then computed below
+    ``ctx.digits``, and no reported value depends on its digits beyond
+    those.  Correction norms
     and ratios are computed at ``ctx.digits``; the threshold, ACOC and
     correct decimals only carry the few digits they report, so they are
     computed at 30, 60 and 30 digits (correct decimals at ``ctx.digits``
@@ -329,7 +396,11 @@ def solve(
     degenerate divided difference at x ends the run as ``residual_underflow``
     if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
     that norm; so does a degenerate iterate pair (x, y) in phi1 and phi2,
-    judged by ||F(y)||_inf, and y is then the final iterate.  A ``ratio`` or
+    judged by ||F(y)||_inf, and y is then the final iterate.  A nonzero
+    ||F|| within the tolerance must also pass ``_newton_size``: a Newton
+    step from the point of relative size above ``ctx.check_tolerance``
+    raises DegenerateDividedDifference naming that size, since F scaled far
+    below 1 is small away from its roots too.  A ``ratio`` or
     ``exact_repeat`` stop at an iterate whose ||F||_inf is not below
     10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
     coordinate stalled.
@@ -342,8 +413,8 @@ def solve(
     x_1 with the ramp's margin: the solve then starts over from x_0 at
     ``ctx.digits``.  A start-over during iteration 1 keeps the ramp, since
     nothing was kept yet; any other runs every iteration at ``ctx.digits``,
-    as a fixed-precision solve does.  Aborted attempts count in ``counters``
-    but have no counter delta.
+    as a fixed-precision solve does, and predicts no confirming step.
+    Aborted attempts count in ``counters`` but have no counter delta.
     Three consecutive ratios of at least 1 raise MaxIterationsExceeded.
     """
     method = MethodKind(method)
@@ -376,6 +447,7 @@ def solve(
         working: list = []
         ramping = True
         digits = min(full, _FIRST_STEP_DIGITS)
+        retry = None  # the ramp's digits, while a predicted confirming step runs below them
         while True:
             if len(corr_norms) >= max_iters:
                 raise MaxIterationsExceeded(
@@ -403,6 +475,17 @@ def solve(
                     )
             except (DegenerateDividedDifference, SingularOperator) as exc:
                 failure = exc
+            # a predicted confirming step is kept only if it confirms, with its
+            # correction resolved (a zero one has infinite D); otherwise it is
+            # run again at the ramp's digits, and nothing it spent is charged
+            if retry is not None and (
+                failure is not None
+                or c / corr_norms[-1] > threshold
+                or _correction_digits(c, x_next) + _CONFIRM_GUARD_DIGITS > digits
+            ):
+                counters.scalar_fn_evals, counters.products, counters.quotients = before
+                digits, retry = retry, None
+                continue
             # a partial step whose operator failed, whose correction is 0, or
             # whose iteration 1 could not hold x_1's rho D_0 digits
             if (digits < full or working and working[-1] < full) and (
@@ -419,11 +502,20 @@ def solve(
             if failure is not None:
                 if isinstance(failure, SingularOperator):
                     raise failure
-                norm = inf_norm(failure.residual)
+                norm, why = inf_norm(failure.residual), None
                 if norm > ctx.check_tolerance:
+                    why = f"but ||F||_inf = {mp.nstr(norm, 8)} is above the check tolerance"
+                elif norm:
+                    # a small F(x) is no root when F is scaled far below 1
+                    point = x if failure.point is None else failure.point
+                    size = _newton_size(system, point, failure.residual)
+                    if size > ctx.check_tolerance:
+                        why = (f"and ||F||_inf = {mp.nstr(norm, 8)} is within the check "
+                               f"tolerance, but a Newton step from there has relative size "
+                               f"{mp.nstr(size, 8)}, above it")
+                if why:
                     where = "" if failure.point is None else "the first step from "
-                    failure.args = (f"{failure} at {where}x_{len(corr_norms)}, but ||F||_inf = "
-                                    f"{mp.nstr(norm, 8)} is above the check tolerance",)
+                    failure.args = (f"{failure} at {where}x_{len(corr_norms)}, {why}",)
                     raise failure
                 stop_reason = "residual_underflow"
                 if failure.point is None:
@@ -459,8 +551,12 @@ def solve(
                 raise MaxIterationsExceeded(
                     "correction norms failed to contract for 3 consecutive iterations"
                 )
-            # rho^2 times this correction's digits, unless a start-over ended the ramp
+            # rho^2 times this correction's digits, unless a start-over ended
+            # the ramp; fewer for a step predicted to confirm the stop
             digits = _ramp_digits(rho * rho, c, x_next, full) if ramping else full
+            predicted = ramping and _confirming_digits(rho, eta_used, c, x_next, full)
+            if predicted and predicted < digits:
+                digits, retry = predicted, digits
         # a ratio stop's last iteration only confirmed its predecessor
         iterations = len(iterates) - (2 if stop_reason == "ratio" else 1)
         final = iterates[iterations]

@@ -474,9 +474,13 @@ def generate_reference_root(
 
     Runs the sixth-order method with the symmetrized operator at
     ``digits + guard`` working digits and a doubled stopping threshold, then
-    returns the last iterate (converged to the working precision floor) as
-    decimal strings.  Used once to populate the packaged data file.
+    returns the iterate after the reported one (converged to the working
+    precision floor) as decimal strings, recomputed at ``digits + guard``
+    when the solve's confirming step ran at fewer.  Used once to populate
+    the packaged data file.
     """
+    from .methods import _outer_step
+
     ctx = PrecisionContext(digits + guard)
     with ctx.activate():
         system = spec.build_system(with_reference=False)
@@ -490,6 +494,8 @@ def generate_reference_root(
             eta_override=2 * eta(theoretical_order(PHI2, D2), digits),
         )
         best = report.trace.iterates[-1]
+        if report.stop_reason == "ratio" and report.trace.working_digits[-1] < ctx.digits:
+            best, _ = _outer_step(system, report.final_iterate, PHI2, D2, report.counters)
         for value, printed in zip(best, spec.root_printed):
             if not printed_prefix_matches(value, printed):
                 raise ValueError(

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -264,24 +265,27 @@ def test_estimate_mu_prices_the_operation_profile(capsys):
     assert json.loads(out)[0]["mu"] == "1.5"
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (("check", "--suite", "tables"), "check_tables.txt"),
-        (("check", "--suite", "theorems"), "check_theorems.txt"),
-        (("check", "--suite", "counters"), "check_counters.txt"),
-        (("curves", "--which", "g20"), "curves_g20.csv"),
-        (("curves", "--which", "g22"), "curves_g22.csv"),
-        (("curves", "--which", "g11"), "curves_g11.csv"),
-        (("run", "--problem", "quad2", "--digits", "1024", "--format", "csv"), "run_quad2_1024.csv"),
-        (("run", "--problem", "cos3", "--digits", "1024", "--format", "csv"), "run_cos3_1024.csv"),
-        (("run", "--problem", "exp5", "--digits", "1024", "--format", "csv"), "run_exp5_1024.csv"),
-        (("run", "--problem", "quad2", "--digits", "256", "--format", "json"), "run_quad2_256.json"),
-        (("run", "--problem", "cos3", "--digits", "256", "--format", "json"), "run_cos3_256.json"),
-        (("run", "--problem", "exp5", "--digits", "256", "--format", "json"), "run_exp5_256.json"),
-        (("check", "--suite", "operators", "--digits", "256"), "check_operators_256.txt"),
-    ],
-)
+# (argv, golden file) pairs; rewrite the files with
+# ``PYTHONPATH=src python tests/test_cli.py`` only for a change meant to
+# move their bytes
+GOLDENS = [
+    (("check", "--suite", "tables"), "check_tables.txt"),
+    (("check", "--suite", "theorems"), "check_theorems.txt"),
+    (("check", "--suite", "counters"), "check_counters.txt"),
+    (("curves", "--which", "g20"), "curves_g20.csv"),
+    (("curves", "--which", "g22"), "curves_g22.csv"),
+    (("curves", "--which", "g11"), "curves_g11.csv"),
+    (("run", "--problem", "quad2", "--digits", "1024", "--format", "csv"), "run_quad2_1024.csv"),
+    (("run", "--problem", "cos3", "--digits", "1024", "--format", "csv"), "run_cos3_1024.csv"),
+    (("run", "--problem", "exp5", "--digits", "1024", "--format", "csv"), "run_exp5_1024.csv"),
+    (("run", "--problem", "quad2", "--digits", "256", "--format", "json"), "run_quad2_256.json"),
+    (("run", "--problem", "cos3", "--digits", "256", "--format", "json"), "run_cos3_256.json"),
+    (("run", "--problem", "exp5", "--digits", "256", "--format", "json"), "run_exp5_256.json"),
+    (("check", "--suite", "operators", "--digits", "256"), "check_operators_256.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDENS)
 def test_output_matches_golden_file(capsys, argv, golden):
     # the published tables, the theorem and counter certificates, the
     # boundary curves, the 1024-digit rows and the operator checks against
@@ -313,3 +317,13 @@ def test_closed_stdout_exits_1_quietly(argv, unbuffered):
         child.stdout.close()
         err = child.stderr.read()
         assert (child.wait(timeout=120), err) == (1, b"")
+
+
+if __name__ == "__main__":
+    for argv, golden in GOLDENS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        (GOLDEN / golden).write_text(out.getvalue())

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -351,12 +352,11 @@ def _trace_digest(call) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
-def _trace_digests() -> list[str]:
-    """Every registered (problem, method, operator) triple at 128, 256 and
-    1024 digits, and Broyden's tridiagonal system at m = 32 and 256 digits
-    from two seeded starts, as the benchmark draws them."""
+def _pinned_solves():
+    """(case, call) for every registered (problem, method, operator) triple
+    at 128, 256 and 1024 digits, and Broyden's tridiagonal system at m = 32
+    and 256 digits from two seeded starts, as the benchmark draws them."""
     pairs = [(method, dd) for method in MethodKind for dd in (D1, D2)]
-    lines = []
     for digits in (128, 256, 1024):
         ctx = PrecisionContext(digits)
         for name, spec in REGISTRY.items():
@@ -364,8 +364,9 @@ def _trace_digests() -> list[str]:
                 system, x0 = spec.build_system(), spec.x0_vector()
             for method, dd in pairs:
                 order = spec.effective_order(method, dd)
-                digest = _trace_digest(lambda: solve(system, x0, method, dd, ctx, order_hint=order))
-                lines.append(f"{digest}  {name}/{method.value}/{dd.value}/{digits}")
+                yield f"{name}/{method.value}/{dd.value}/{digits}", partial(
+                    solve, system, x0, method, dd, ctx, order_hint=order
+                )
     m = 32
     ctx = PrecisionContext(256)
     system = NonlinearSystem(m, _broyden_tridiagonal(m))
@@ -375,9 +376,13 @@ def _trace_digests() -> list[str]:
             x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
         for method, dd in pairs:
             order = theoretical_order(method, D2)
-            digest = _trace_digest(lambda: solve(system, x0, method, dd, ctx, order_hint=order))
-            lines.append(f"{digest}  tridiag{m}/seed{seed}/{method.value}/{dd.value}/256")
-    return lines
+            yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/256", partial(
+                solve, system, x0, method, dd, ctx, order_hint=order
+            )
+
+
+def _trace_digests() -> list[str]:
+    return [f"{_trace_digest(call)}  {case}" for case, call in _pinned_solves()]
 
 
 def test_every_solve_trace_is_pinned_bit_for_bit():
@@ -803,7 +808,7 @@ def test_a_failed_first_step_keeps_the_ramp():
     # iteration 1 from 10^-20 off the root cannot hold x_1 at 80 digits, so
     # the solve starts over at full precision; nothing was kept yet, so
     # iteration 2 still ramps down, and the confirming iteration 3 runs at
-    # full precision again
+    # the digits it checks
     spec = REGISTRY["quad2"]
     ctx = PrecisionContext(1024)
     with ctx.activate():
@@ -811,7 +816,130 @@ def test_a_failed_first_step_keeps_the_ramp():
         x0 = HPVector(e + mpf(10) ** -20 for e in system.reference_root)
         report = solve(system, x0, PHI2, D2, ctx, order_hint=6)
     assert (report.stop_reason, report.iterations) == ("ratio", 2)
-    assert report.trace.working_digits == (1024, 935, 1024)
+    assert report.trace.working_digits == (1024, 935, 997)
+
+
+def _reported(call):
+    """Everything a solve reports, its confirming step's iterate, norm,
+    ratio and working digits apart: I, q, stop reason, the final iterate,
+    every iterate before the confirming one, the counter deltas and totals,
+    ACOC and its spread."""
+    report = call()
+    trace = report.trace
+    kept = len(trace.iterates) - (report.stop_reason == "ratio")
+    return (
+        report.iterations,
+        report.correct_decimals,
+        report.stop_reason,
+        [_bits(e) for e in report.final_iterate],
+        [[_bits(e) for e in iterate] for iterate in trace.iterates[:kept]],
+        trace.counter_deltas,
+        report.counters.snapshot(),
+        _bits(report.acoc),
+        _bits(report.acoc_spread),
+    )
+
+
+def _record_predictions(monkeypatch) -> list:
+    """Patch ``_confirming_digits`` to record every value it returns."""
+    returned = []
+    confirming_digits = ddroots.methods._confirming_digits
+
+    def recording(*args):
+        returned.append(confirming_digits(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(ddroots.methods, "_confirming_digits", recording)
+    return returned
+
+
+def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeypatch):
+    # the pinned solves with the rule and with the ramp's digits for every
+    # step: nothing reported differs, and the rule fired
+    fired = _record_predictions(monkeypatch)
+    predicted = [(case, _reported(call)) for case, call in _pinned_solves()]
+    monkeypatch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
+    assert [(case, _reported(call)) for case, call in _pinned_solves()] == predicted
+    assert any(fired)
+
+
+def test_a_failed_prediction_is_run_again_at_the_ramps_digits(monkeypatch):
+    # cos3 phi2/d2 at 128 digits: iteration 4 is predicted to confirm at 110
+    # digits and does not, so it runs again at the ramp's 128; the attempt
+    # is charged nowhere, so the totals are the sum of the deltas
+    fired = _record_predictions(monkeypatch)
+    spec = REGISTRY["cos3"]
+    ctx = PrecisionContext(128)
+    with ctx.activate():
+        report = solve(spec.build_system(), spec.x0_vector(), PHI2, D2, ctx)
+    trace = report.trace
+    assert 110 in fired
+    assert trace.working_digits == (80, 68, 128, 128)
+    totals = tuple(sum(d[i] for d in trace.counter_deltas) for i in range(3))
+    assert report.counters.snapshot() == totals
+
+
+def _unit_correction(x, size):
+    return x - HPVector([size] + [0] * (len(x) - 1))
+
+
+def _degenerate(x):
+    raise DegenerateDividedDifference("scripted")
+
+
+# a predicted step's outcome, scripted: its operator fails, its correction
+# is 0, its ratio 1e-100 / 1e-66 misses the threshold of 0.5e-142, or its
+# correction of 1e-565 has a ratio that confirms but lies within 80 digits
+# of the 575 it ran at
+_UNCONFIRMED = {
+    "degenerate": _degenerate,
+    "repeat": lambda x: x,
+    "slow": lambda x: _unit_correction(x, mpf(10) ** -100),
+    "unresolved": lambda x: _unit_correction(x, mpf(10) ** (10 - mp.dps)),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(_UNCONFIRMED))
+def test_a_predicted_step_that_does_not_confirm_reruns_at_the_ramps_digits(monkeypatch, outcome):
+    # quad2 phi2/d2 at 1024 digits confirms at 575 digits; a predicted step
+    # that does not confirm, after spending the whole step, is run again at
+    # the ramp's 1024 digits and reports what a solve without the rule does
+    spec = REGISTRY["quad2"]
+    ctx = PrecisionContext(1024)
+    with ctx.activate():
+        system, x0 = spec.build_system(), spec.x0_vector()
+    call = partial(solve, system, x0, PHI2, D2, ctx)
+    assert call().trace.working_digits == (80, 81, 515, 575)
+    predicted = _record_predictions(monkeypatch)
+    outer_step = ddroots.methods._outer_step
+
+    def scripted(system, x, method, dd_kind, counters):
+        x_next, fx = outer_step(system, x, method, dd_kind, counters)
+        if not predicted or mp.dps != predicted[-1]:
+            return x_next, fx
+        return _UNCONFIRMED[outcome](x), fx
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", scripted)
+    rerun = call()
+    assert predicted[-1] == 575
+    assert rerun.trace.working_digits == (80, 81, 515, 1024)
+    monkeypatch.setattr(ddroots.methods, "_outer_step", outer_step)
+    monkeypatch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
+    assert _trace_digest(lambda: rerun) == _trace_digest(call)
+
+
+def test_the_tridiagonal_reference_solve_ends_at_full_precision():
+    # the benchmark's tridiagonal workload takes its reference root from
+    # the last iterate of this solve, at 576 digits with a doubled eta: the
+    # rule does not fire, so that iterate is computed at full precision
+    m = 32
+    ctx = PrecisionContext(2 * 256 + 64)
+    with ctx.activate():
+        report = solve(
+            NonlinearSystem(m, _broyden_tridiagonal(m)), HPVector(["-1"] * m), PHI2, D2, ctx,
+            max_iters=60, eta_override=2 * eta(6, 2 * 256),
+        )
+    assert report.trace.working_digits == (80, 40, 176, 576)
 
 
 @pytest.mark.parametrize("digits", [32, 64, 80])
@@ -970,6 +1098,7 @@ def test_a_ramped_solve_reports_what_a_fixed_precision_solve_does(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
         patch.setattr(ddroots.methods, "_ramp_digits", lambda power, c, x, full: full)
+        patch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
         fixed = _dyadic_outcome(name, shift, digits, method, dd)
     assert ramped == fixed
 
@@ -1044,12 +1173,11 @@ def test_every_returned_report_is_accurate(name, shifts, digits, method, dd):
             assert residual < mpf(10) ** -mpf(report.eta_used)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("method", [PHI0, PHI2])
 def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
     # the unscaled residual at x_0 is 0.75, yet 1e-300 F(x_0) is below the
-    # absolute check tolerance, so the start is returned as the root; at
-    # scale 1 the same start raises a SolverError
+    # absolute check tolerance: the degenerate probe pair at x_0 is refused
+    # by the size of a Newton step from it, not returned as the root
     ctx = PrecisionContext(128)
     with ctx.activate():
         scale = mpf(10) ** -300
@@ -1059,7 +1187,8 @@ def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
         system = NonlinearSystem(2, [lambda p, f=f: scale * f(p) for f in unscaled.components])
         try:
             report = solve(system, HPVector(["1.5", "1.5"]), method, D2, ctx)
-        except SolverError:
+        except SolverError as exc:
+            assert "Newton step" in str(exc)
             return
         assert inf_norm(unscaled.eval(report.final_iterate)) <= ctx.check_tolerance
 
