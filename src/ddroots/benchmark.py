@@ -65,7 +65,7 @@ class RunConfig:
         """
         plan = [
             (m, d)
-            for (m, d) in problem.row_plan
+            for (m, d) in problem.rows
             if (self.methods is None or m in self.methods)
             and (self.dd_kinds is None or d in self.dd_kinds)
         ]

@@ -100,9 +100,9 @@ class PrecisionContext:
     """Working precision in decimal digits plus the derived tolerance.
 
     ``check_tolerance``, 10^(-digits/2), is the unit used by identity checks
-    and by the residual test of a degenerate stop; singularity and degeneracy
-    thresholds use ``working_eps()`` under ``activate()``.  The underlying
-    binary precision always carries at least ``digits`` decimal digits.
+    and by the residual test of a degenerate stop; degeneracy thresholds and
+    the row-relative pivot test use ``working_eps()`` under ``activate()``.
+    The binary precision always carries at least ``digits`` decimal digits.
     """
 
     digits: int = 4096
@@ -293,8 +293,10 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     nonzero column, mpmath has no signed zero, and x - 0 y = x for finite
     entries already rounded to the working precision.  The multipliers are
     ``quotient``s, the bits of ``/``, so an exact one skips the long
-    division.  A pivot smaller in magnitude than the working epsilon raises
-    SingularOperator.
+    division.  A pivot that is zero, or below the working epsilon times
+    min(1, M) with M the largest magnitude in its row of ``a`` (implicit row
+    equilibration; M is read only for a pivot below the working epsilon),
+    raises SingularOperator; a NaN pivot does not.
     """
     m = a.m
     counters.charge(FACTOR_COUNTS, m)
@@ -304,7 +306,8 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     for k in range(m):
         candidates = [i for i in range(k, m) if lu[i][k]]
         p = max(candidates, key=lambda i: abs(lu[i][k]), default=k)
-        if abs(lu[p][k]) < tol:
+        size = abs(lu[p][k])
+        if size < tol and (not size or size < tol * min(1, max(map(abs, a.rows[perm[p]])))):
             raise SingularOperator(f"no pivot in column {k} above the working epsilon")
         if p != k:
             lu[k], lu[p] = lu[p], lu[k]

@@ -338,13 +338,7 @@ def _newton_size(system: NonlinearSystem, p: HPVector, fp: HPVector) -> mpf:
     root_eps = mp.sqrt(mp.eps)
     h = HPVector(root_eps * max(1, abs(e)) for e in p)
     op = operator_for(D1)(system, p + h, p, scratch)
-    # each row and its F_i scaled by the same power of two, which is exact
-    # and leaves s as it is, so the LU's absolute pivot test reads F scaled
-    # far below 1 as it reads F itself
-    shifts = [-max((mp.mag(e) for e in row if e), default=0) for row in op.rows]
-    op = HPMatrix([mp.ldexp(e, k) for e in row] for row, k in zip(op.rows, shifts))
-    rhs = HPVector(mp.ldexp(f, k) for f, k in zip(fp, shifts))
-    step = lu_solve(lu_factor(op, scratch), rhs, scratch)
+    step = lu_solve(lu_factor(op, scratch), fp, scratch)
     return inf_norm(step) / max(mpf(1), inf_norm(p))
 
 
@@ -393,14 +387,15 @@ def solve(
     entry that is not finite, an order that is not finite and at least 2,
     and an ``eta_override`` that is not finite and positive; a step whose
     correction norm is not finite raises MaxIterationsExceeded.  A
-    degenerate divided difference at x ends the run as ``residual_underflow``
-    if ||F(x)||_inf <= ``ctx.check_tolerance`` and is raised otherwise, with
-    that norm; so does a degenerate iterate pair (x, y) in phi1 and phi2,
-    judged by ||F(y)||_inf, and y is then the final iterate.  A nonzero
-    ||F|| within the tolerance must also pass ``_newton_size``: a Newton
-    step from the point of relative size above ``ctx.check_tolerance``
-    raises DegenerateDividedDifference naming that size, since F scaled far
-    below 1 is small away from its roots too.  A ``ratio`` or
+    degenerate divided difference at x, or a degenerate iterate pair (x, y)
+    in phi1 and phi2 (then y is the final iterate), ends the run as
+    ``residual_underflow`` or raises DegenerateDividedDifference.  The
+    ``residual_underflow`` contract, judged on the F passed here:
+    ||F(final)||_inf <= ``ctx.check_tolerance``, and unless F(final) is
+    exactly 0, also a Newton step from the final iterate (``_newton_size``)
+    of relative size <= ``ctx.check_tolerance``, since F scaled far below 1
+    is small away from its roots too.  The raised error names the norm, or
+    the step's relative size.  A ``ratio`` or
     ``exact_repeat`` stop at an iterate whose ||F||_inf is not below
     10^(-eta) max(1, ||F(x_0)||_inf) raises MaxIterationsExceeded: one
     coordinate stalled.

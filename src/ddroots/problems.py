@@ -5,7 +5,8 @@ the expected result rows (iterations, cost, efficiency index, time factor,
 local order, correct decimals), and a reference root stored as full-
 precision decimal strings.  The roots were produced once by the sixth-order
 method with the symmetrized operator at 8192 digits and are sanity-checked
-against their first printed digits.
+against their first printed digits.  Broyden's tridiagonal system, without
+published rows, sits beside them.
 """
 from __future__ import annotations
 
@@ -51,10 +52,6 @@ class ProblemSpec:
     op_profile: Mapping[str, int]
     component_factory: Callable[[], Sequence]
     rows: Mapping[tuple[MethodKind, DividedDifferenceKind], ExpectedRow]
-
-    @property
-    def row_plan(self) -> tuple[tuple[MethodKind, DividedDifferenceKind], ...]:
-        return tuple(self.rows.keys())
 
     def x0_vector(self) -> HPVector:
         return HPVector.from_decimals(self.x0)
@@ -368,6 +365,21 @@ def _cos3_components():
         return component
 
     return [make(i) for i in range(3)]
+
+
+def broyden_tridiagonal(m: int) -> list:
+    """Components F_i = (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1, x_0 = x_{m+1} = 0,
+    of any dimension m (Moré, Garbow & Hillstrom, ACM TOMS 7 (1981), problem 30)."""
+
+    def make(i):
+        def component(p):
+            left = p[i - 1] if i > 0 else 0
+            right = p[i + 1] if i < m - 1 else 0
+            return (3 - 2 * p[i]) * p[i] - left - 2 * right + 1
+
+        return component
+
+    return [make(i) for i in range(m)]
 
 
 REGISTRY: dict[str, ProblemSpec] = {

@@ -34,7 +34,7 @@ PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
 PUBLISHED = [
     (name, method, dd)
     for name, spec in REGISTRY.items()
-    for (method, dd) in spec.row_plan
+    for (method, dd) in spec.rows
 ]
 EXTRA = [("exp5", PHI1, D2), ("exp5", PHI2, D2)]
 

@@ -22,6 +22,7 @@ from ddroots.core import (
     to_decimal,
     working_eps,
 )
+from ddroots.divdiff import D1, NonlinearSystem, operator_for
 
 
 def test_context_validates_digits():
@@ -270,16 +271,70 @@ def test_permuted_product_reconstructs_input(case):
                 assert abs(recon - target) <= tol * max(mpf(1), abs(target))
 
 
+@given(nonsingular_matrix(), st.integers(-3000, 3000))
+@settings(max_examples=40, deadline=None)
+def test_lu_of_a_matrix_scaled_by_a_power_of_two_is_the_scaled_lu(case, j):
+    # the pivot test is relative to each row, so 2^j A is no more singular
+    # than A however far j takes it: A's permutation and L bit for bit,
+    # 2^j times A's U, and A's x from 2^j b
+    rows, b = case
+    m = len(rows)
+    with PrecisionContext(96).activate():
+        a = HPMatrix(rows)
+        fact = lu_factor(a, OpCounters())
+        scaled = lu_factor(mat_entrywise(lambda e: mp.ldexp(e, j), a), OpCounters())
+        assert scaled.perm == fact.perm
+        for i in range(m):
+            for k in range(m):
+                expected = fact.lu[i][k] if k < i else mp.ldexp(fact.lu[i][k], j)
+                assert scaled.lu[i][k]._mpf_ == expected._mpf_
+        x = lu_solve(fact, HPVector(b), OpCounters())
+        xs = lu_solve(scaled, HPVector(mp.ldexp(e, j) for e in b), OpCounters())
+        assert [e._mpf_ for e in xs] == [e._mpf_ for e in x]
+
+
+def test_the_operator_of_a_system_scaled_by_1e_minus_300_factors():
+    # every entry of the one-sided operator of 1e-300 F is about 1e-300,
+    # far below the working epsilon, yet the operator is well conditioned
+    with PrecisionContext(128).activate():
+        scale = mpf(10) ** -300
+        system = NonlinearSystem(2, [lambda q: scale * (q[0] * q[0] + q[1] - 3),
+                                     lambda q: scale * (q[0] - q[1] * q[1] + 1)])
+        p = HPVector(["1.5", "1.5"])
+        h = HPVector(mp.sqrt(mp.eps) * max(1, abs(e)) for e in p)
+        op = operator_for(D1)(system, p + h, p, OpCounters())
+        fact = lu_factor(op, OpCounters())
+        assert all(abs(fact.lu[k][k]) > scale for k in range(2))
+
+
+@pytest.mark.parametrize("tail, singular", [(2, False), (1 + mpf(2) ** -214, True)])
+def test_a_pivot_is_judged_against_its_own_row(tail, singular):
+    # after the swap, the second pivot is 2^-1000 (tail - 1), from the row of
+    # magnitude 2^-1000: negligible only when tail - 1 is below the working
+    # epsilon 10^-64, whatever the other row's magnitude
+    with PrecisionContext(64).activate():
+        small = mpf(2) ** -1000
+        a = HPMatrix([[small, small * tail], [1, 1]])
+        if singular:
+            with pytest.raises(SingularOperator, match="column 1"):
+                lu_factor(a, OpCounters())
+        else:
+            fact = lu_factor(a, OpCounters())
+            assert fact.perm == (1, 0) and fact.lu[1][1] == small
+
+
 def _dense_lu_factor(a):
     """The elimination that multiplies by every zero: the oracle of the
-    skipping one."""
+    skipping one.  A pivot is negligible when it is zero or below the
+    working epsilon times min(1, the largest magnitude in its row of a)."""
     m = a.m
     tol = working_eps()
     lu = [list(row) for row in a.rows]
     perm = list(range(m))
     for k in range(m):
         p = max(range(k, m), key=lambda i: abs(lu[i][k]))
-        if abs(lu[p][k]) < tol:
+        size = abs(lu[p][k])
+        if not size or size < tol * min(1, max(abs(e) for e in a.rows[perm[p]])):
             return lu, perm, True
         lu[k], lu[p] = lu[p], lu[k]
         perm[k], perm[p] = perm[p], perm[k]

@@ -130,7 +130,7 @@ def test_memoised_components_match_fresh_calls(name, case):
 
 # every exp5 pair and every registered cos3 row
 TRANSCENDENTAL_PAIRS = [("exp5", m, d) for m in MethodKind for d in DividedDifferenceKind] + [
-    ("cos3", m, d) for m, d in REGISTRY["cos3"].row_plan
+    ("cos3", m, d) for m, d in REGISTRY["cos3"].rows
 ]
 
 

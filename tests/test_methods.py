@@ -41,7 +41,7 @@ from ddroots.methods import (
     step_phi2,
     theoretical_order,
 )
-from ddroots.problems import REGISTRY
+from ddroots.problems import REGISTRY, broyden_tridiagonal
 
 D1 = DividedDifferenceKind.D1
 D2 = DividedDifferenceKind.D2
@@ -220,21 +220,6 @@ def test_solve_counter_deltas_every_pair():
                         )
 
 
-def _broyden_tridiagonal(m):
-    """F_i = (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1, x_0 = x_{m+1} = 0
-    (More, Garbow & Hillstrom, ACM TOMS 7 (1981), problem 30)."""
-
-    def make(i):
-        def component(p):
-            left = p[i - 1] if i > 0 else 0
-            right = p[i + 1] if i < m - 1 else 0
-            return (3 - 2 * p[i]) * p[i] - left - 2 * right + 1
-
-        return component
-
-    return [make(i) for i in range(m)]
-
-
 # chains and residuals F(x) per outer iteration
 @pytest.mark.parametrize("method, dd, chains, residuals", [(PHI0, D1, 1, 1), (PHI2, D2, 4, 3)])
 def test_tridiagonal_chains_perform_few_evaluations(method, dd, chains, residuals):
@@ -248,7 +233,7 @@ def test_tridiagonal_chains_perform_few_evaluations(method, dd, chains, residual
 
     ctx = PrecisionContext(256)
     with ctx.activate():
-        system = NonlinearSystem(m, [counted(f) for f in _broyden_tridiagonal(m)])
+        system = NonlinearSystem(m, [counted(f) for f in broyden_tridiagonal(m)])
         x0 = HPVector(-1 + mpf(k % 7 - 3) / 100 for k in range(m))
         report = solve(system, x0, method, dd, ctx, order_hint=theoretical_order(method, D2))
     deltas = report.trace.counter_deltas
@@ -269,7 +254,7 @@ def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
     def counted(component):
         return lambda p: calls.append(1) or component(p)
 
-    system = NonlinearSystem(m, [counted(f) for f in _broyden_tridiagonal(m)])
+    system = NonlinearSystem(m, [counted(f) for f in broyden_tridiagonal(m)])
     with PrecisionContext(64).activate():
         x = HPVector(mpf(k) / 8 for k in range(m))
         y = HPVector(mpf(k) / 8 + 1 for k in range(m))
@@ -291,7 +276,7 @@ def test_repeated_tridiagonal_solves_are_bit_identical():
     m = 32
     ctx = PrecisionContext(256)
     with ctx.activate():
-        system = NonlinearSystem(m, _broyden_tridiagonal(m))
+        system = NonlinearSystem(m, broyden_tridiagonal(m))
         x0 = HPVector(-1 + mpf(k % 7 - 3) / 100 for k in range(m))
 
         def solve_every_pair():
@@ -369,7 +354,7 @@ def _pinned_solves():
                 )
     m = 32
     ctx = PrecisionContext(256)
-    system = NonlinearSystem(m, _broyden_tridiagonal(m))
+    system = NonlinearSystem(m, broyden_tridiagonal(m))
     for seed in (1, 2):
         rng = random.Random(seed)
         with ctx.activate():
@@ -936,7 +921,7 @@ def test_the_tridiagonal_reference_solve_ends_at_full_precision():
     ctx = PrecisionContext(2 * 256 + 64)
     with ctx.activate():
         report = solve(
-            NonlinearSystem(m, _broyden_tridiagonal(m)), HPVector(["-1"] * m), PHI2, D2, ctx,
+            NonlinearSystem(m, broyden_tridiagonal(m)), HPVector(["-1"] * m), PHI2, D2, ctx,
             max_iters=60, eta_override=2 * eta(6, 2 * 256),
         )
     assert report.trace.working_digits == (80, 40, 176, 576)

@@ -25,7 +25,7 @@ def test_registry_contents():
         for (method, dd), row in spec.rows.items():
             assert isinstance(method, MethodKind)
             assert row.iterations > 0
-        assert spec.row_plan[0] == (MethodKind.PHI0, D1)
+        assert next(iter(spec.rows)) == (MethodKind.PHI0, D1)
 
 
 def test_registry_dimensions_and_mu():
