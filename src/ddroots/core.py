@@ -285,6 +285,12 @@ class LUFactorization:
 def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     """LU factorization with partial pivoting; charges ``FACTOR_COUNTS``.
 
+    The arithmetic runs at the active precision, and each nonzero entry of
+    ``a`` with more bits than it holds is rounded to it on read, so a
+    matrix built at more digits factors as that matrix rounded to the
+    active precision, at that precision's cost; an entry that fits is read
+    as it is, which leaves every bit of a matrix built at the active
+    precision as it was.
     Pivot-search comparisons are not counted, and the unit is charged on
     entry, whatever the loops then perform.  The loops skip exact zeros: the
     pivot search skips zero candidates, and the elimination skips zero
@@ -301,7 +307,9 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     m = a.m
     counters.charge(FACTOR_COUNTS, m)
     tol = working_eps()
-    lu = [list(row) for row in a.rows]
+    prec = mp.prec
+    # a zero or special value has a bit count below 1
+    lu = [[e if e._mpf_[3] <= prec else +e for e in row] for row in a.rows]
     perm = list(range(m))
     for k in range(m):
         candidates = [i for i in range(k, m) if lu[i][k]]
@@ -329,10 +337,12 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
     """Solve A x = b from a factorization; charges ``SOLVE_COUNTS``.
 
-    Terms whose factor from the factorization is zero are skipped, and the
-    back-substitution divides by the pivots through ``quotient``; neither
-    changes a bit of x.  A b whose length is not the factorization's
-    dimension raises ValueError.
+    The arithmetic runs at the active precision, and b is rounded to it on
+    read; the factorization's entries are read as stored, so solve at the
+    precision it was factored at.  Terms whose factor from the
+    factorization is zero are skipped, and the back-substitution divides by
+    the pivots through ``quotient``; neither changes a bit of x.  A b whose
+    length is not the factorization's dimension raises ValueError.
     """
     m = fact.m
     if len(b) != m:

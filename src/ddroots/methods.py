@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,10 +139,11 @@ class IterationTrace:
     ``correction_norms[k]`` is ||x_{k+1} - x_k||_inf, ``ratios[k]`` the
     quotient of consecutive correction norms, ``counter_deltas[k]`` the
     (evals, products, quotients) spent by outer iteration k + 1, and
-    ``working_digits[k]`` the decimal precision that iteration ran at.  A
-    run that ends inside an iteration, on a phi1 or phi2 first step that
-    lands on a root, keeps that step's result as its last iterate, without
-    a counter delta or working digits for the unfinished iteration.
+    ``working_digits[k]`` the decimal precision that iteration ran at, and
+    ``lu_digits[k]`` the one its factorizations and triangular solves ran
+    at.  A run that ends inside an iteration, on a phi1 or phi2 first step
+    that lands on a root, keeps that step's result as its last iterate,
+    without a counter delta or digits for the unfinished iteration.
     """
 
     iterates: tuple
@@ -149,6 +151,7 @@ class IterationTrace:
     ratios: tuple
     counter_deltas: tuple
     working_digits: tuple = ()
+    lu_digits: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.correction_norms) != max(len(self.iterates) - 1, 0):
@@ -172,20 +175,68 @@ class SolveReport:
     correct_decimals: Optional[int] = None
 
 
+def _lu_precision(lu_digits: Optional[int]):
+    """The precision of a step's factorizations and triangular solves:
+    ``lu_digits`` when it is below the active digits, the active one
+    otherwise."""
+    if lu_digits is None or lu_digits >= mp.dps:
+        return nullcontext()
+    return mp.workdps(lu_digits)
+
+
+def _corrected(
+    x: HPVector,
+    fact: LUFactorization,
+    b: HPVector,
+    counters: OpCounters,
+    lu_digits: Optional[int],
+) -> HPVector:
+    """x - s, for the s that solves A s = b from A's factorization ``fact``,
+    with the solve at ``lu_digits`` and the difference at the active
+    precision.
+
+    Below the active digits P, an s of norm 10^(-D) relative to x, D as
+    ``_correction_digits`` counts it, is accurate to about the last
+    P - (D + L) digits of x, less the digits that the magnitudes of
+    ``fact``'s pivots span (a cheap estimate of the operator's condition):
+    a solve that leaves fewer than ``_LU_MIN_GUARD_DIGITS`` of those raises
+    SingularOperator, as the operator is then numerically singular at the
+    digits the correction needs.
+    """
+    with _lu_precision(lu_digits):
+        s = lu_solve(fact, b, counters)
+    if lu_digits is not None and lu_digits < mp.dps:
+        pivots = [mp.mag(row[k]) for k, row in enumerate(fact.lu)]
+        span = (max(pivots) - min(pivots)) * _LOG10_2
+        guard = _correction_digits(inf_norm(s), x) + lu_digits - mp.dps - span
+        if guard < _LU_MIN_GUARD_DIGITS:
+            raise SingularOperator(
+                f"a solve at {lu_digits} of {mp.dps} digits, with pivots spanning "
+                f"10^{span:.0f}, left {guard:.0f} guard digits below its correction"
+            )
+    return x - s
+
+
 def step_phi0(
     system: NonlinearSystem,
     x: HPVector,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
+    lu_digits: Optional[int] = None,
 ) -> tuple[HPVector, HPMatrix, HPVector]:
     """Newton-like step with the central divided difference.
 
     Returns the new iterate together with the central operator and F(x),
-    both of which the higher-order steps reuse.
+    both of which the higher-order steps reuse.  The operator, F(x) and
+    x - correction are computed at the active precision, the factorization
+    and the solve at ``lu_digits`` when it is below it; there a solve that
+    does not resolve its correction raises SingularOperator (see
+    ``_corrected``).
     """
     op, fx = central_dd(system, x, dd_kind, counters)
-    correction = lu_solve(lu_factor(op, counters), fx, counters)
-    return x - correction, op, fx
+    with _lu_precision(lu_digits):
+        fact = lu_factor(op, counters)
+    return _corrected(x, fact, fx, counters, lu_digits), op, fx
 
 
 def step_phi1(
@@ -196,6 +247,7 @@ def step_phi1(
     fx: HPVector,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
+    lu_digits: Optional[int] = None,
 ) -> tuple[HPVector, LUFactorization]:
     """Correction step z = y - M^{-1} F(y), M = 2 (dd on the iterate pair) - central.
 
@@ -203,8 +255,10 @@ def step_phi1(
     mirroring the central operator's orientation; for the one-sided kind the
     two orientations differ in second-order terms and this is the one the
     published accuracy columns pin down.  F(x) and F(y) are supplied to the
-    build so only mixed-coordinate points cost fresh evaluations.  Returns z
-    and the factorization of M, which the third step reuses verbatim.  A
+    build so only mixed-coordinate points cost fresh evaluations.  M is
+    formed at the active precision and factored and solved at
+    ``lu_digits``, as in ``step_phi0``.  Returns z and the factorization of
+    M, which the third step reuses verbatim.  A
     pair that coincides in a coordinate raises DegenerateDividedDifference
     carrying y and F(y), so a caller can tell whether y is a root.
     """
@@ -216,9 +270,9 @@ def step_phi1(
         raise
     # doubling is a shift-add, not a counted product; two zeros give a zero
     combined = mat_entrywise(lambda b, a: 2 * b - a if b or a else a, op_pair, central)
-    fact_nu = lu_factor(combined, counters)
-    correction = lu_solve(fact_nu, fy, counters)
-    return y - correction, fact_nu
+    with _lu_precision(lu_digits):
+        fact_nu = lu_factor(combined, counters)
+    return _corrected(y, fact_nu, fy, counters, lu_digits), fact_nu
 
 
 def step_phi2(
@@ -226,15 +280,16 @@ def step_phi2(
     z: HPVector,
     fact_nu: LUFactorization,
     counters: OpCounters,
+    lu_digits: Optional[int] = None,
 ) -> HPVector:
     """Extra correction X = z - M^{-1} F(z) reusing the second-step factorization.
 
     Marginal cost per iteration: one ``RESIDUAL_COUNTS`` and one
-    ``SOLVE_COUNTS``.
+    ``SOLVE_COUNTS``.  The solve runs at ``lu_digits``, the digits
+    ``fact_nu`` was factored at.
     """
     fz = system.eval(z, counters)
-    correction = lu_solve(fact_nu, fz, counters)
-    return z - correction
+    return _corrected(z, fact_nu, fz, counters, lu_digits)
 
 
 def _outer_step(
@@ -243,15 +298,17 @@ def _outer_step(
     method: MethodKind,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
+    lu_digits: Optional[int] = None,
 ) -> tuple[HPVector, HPVector]:
-    """The next iterate, and F(x)."""
-    y, central, fx = step_phi0(system, x, dd_kind, counters)
+    """The next iterate, and F(x), with every factorization and solve at
+    ``lu_digits``."""
+    y, central, fx = step_phi0(system, x, dd_kind, counters, lu_digits)
     if method is PHI0:
         return y, fx
-    z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters)
+    z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters, lu_digits)
     if method is PHI1:
         return z, fx
-    return step_phi2(system, z, fact_nu, counters), fx
+    return step_phi2(system, z, fact_nu, counters, lu_digits), fx
 
 
 # Precision ramp.  After a correction of norm 10^(-D) the current iterate is
@@ -278,6 +335,17 @@ _FIRST_STEP_DIGITS = 2 * _RAMP_GUARD_DIGITS
 # cos3 phi1/d1's prediction at 4096 digits ran at 3227, where F(x_8) is
 # about 1e-3228 and the probe pair coincided.
 _CONFIRM_GUARD_DIGITS = 2 * _RAMP_GUARD_DIGITS
+# A step's factorizations and triangular solves run at the digits its
+# correction changes plus this guard: at P digits, after a correction of
+# norm 10^(-D), the next correction is about 10^(-rho D) and changes only
+# the last P - rho D digits of x (Brent & Zimmermann, ch. 4; Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 12).  A solve that
+# leaves fewer than ``_LU_MIN_GUARD_DIGITS`` of the guard, less the digits
+# its pivots span, is run again at P (see ``_corrected``); with the span
+# left out of that test, two solves of a 2x2 system whose pivots span
+# 10^20, stalled at the noise floor, moved bits.
+_LU_GUARD_DIGITS = 2 * _RAMP_GUARD_DIGITS
+_LU_MIN_GUARD_DIGITS = 20
 _LOG10_2 = math.log10(2)
 
 
@@ -322,6 +390,16 @@ def _confirming_digits(
     if (rho - 1) * digits < eta:
         return None
     return min(full, math.ceil(_RAMP_FACTOR * rho * digits) + _CONFIRM_GUARD_DIGITS)
+
+
+def _lu_digits(rho: float, correction: mpf, x: HPVector, full: int) -> int:
+    """Digits for the factorizations and solves of a step at ``full``
+    digits from x, after a correction of norm 10^(-D) that ended at x, D as
+    ``_correction_digits`` counts it: the full - rho D digits its
+    correction of about 10^(-rho D) changes, plus ``_LU_GUARD_DIGITS``,
+    capped at ``full``."""
+    changed = max(math.ceil(full - rho * _correction_digits(correction, x)), 0)
+    return min(full, changed + _LU_GUARD_DIGITS)
 
 
 def _newton_size(system: NonlinearSystem, p: HPVector, fp: HPVector) -> mpf:
@@ -379,6 +457,16 @@ def solve(
     computed at 30, 60 and 30 digits (correct decimals at ``ctx.digits``
     when -log10 of the error lies within 1e-20 of an integer).  A step that
     finds ``mp.prec`` changed by something else raises PrecisionChanged.
+
+    Each step but iteration 1 (the first after a start-over included)
+    factors and solves at L = min(P, max(ceil(P - rho D), 0) + 80) digits,
+    P its working digits and 10^(-D) the latest correction: its correction
+    of about 10^(-rho D) changes only the last P - rho D digits of x.  Its
+    evaluations, operators, 2b - a and x - correction stay at P.  A step
+    whose factorization at L finds no pivot, or one of whose solves leaves
+    fewer than 20 guard digits below its correction (see ``_corrected``),
+    runs again with L = P, and the attempt is charged nowhere.  The trace
+    records L as ``lu_digits``.
 
     ``order_hint`` overrides the order used for eta and the ramp (systems
     whose mixed second derivatives vanish keep the design orders even with
@@ -440,9 +528,11 @@ def solve(
         ratios: list = []
         deltas: list = []
         working: list = []
+        lu_working: list = []
         ramping = True
         digits = min(full, _FIRST_STEP_DIGITS)
         retry = None  # the ramp's digits, while a predicted confirming step runs below them
+        redo = False  # the last attempt's factorizations and solves ran too short
         while True:
             if len(corr_norms) >= max_iters:
                 raise MaxIterationsExceeded(
@@ -450,13 +540,19 @@ def solve(
                     f"(last ratio {mp.nstr(ratios[-1], 8) if ratios else 'n/a'})"
                 )
             x = iterates[-1]
+            # iteration 1, after a start-over too, has no correction to size them by
+            lu_digits = (
+                digits if redo or not corr_norms
+                else _lu_digits(rho, corr_norms[-1], x, digits)
+            )
+            redo = False
             before = counters.snapshot()
             failure = None
             try:
                 with mp.workdps(digits):
                     prec = mp.prec
                     try:
-                        x_next, fx = _outer_step(system, x, method, dd_kind, counters)
+                        x_next, fx = _outer_step(system, x, method, dd_kind, counters, lu_digits)
                     finally:
                         if mp.prec != prec:
                             raise PrecisionChanged(
@@ -470,6 +566,13 @@ def solve(
                     )
             except (DegenerateDividedDifference, SingularOperator) as exc:
                 failure = exc
+            # a step whose factorizations and solves, below its digits, did
+            # not resolve its corrections runs again with them at its digits,
+            # and nothing the attempt spent is charged
+            if lu_digits < digits and isinstance(failure, SingularOperator):
+                counters.scalar_fn_evals, counters.products, counters.quotients = before
+                redo = True
+                continue
             # a predicted confirming step is kept only if it confirms, with its
             # correction resolved (a zero one has infinite D); otherwise it is
             # run again at the ramp's digits, and nothing it spent is charged
@@ -492,7 +595,7 @@ def solve(
                 # iteration 1 keeps the ramp, since nothing was kept yet
                 ramping = not corr_norms
                 digits = full
-                del iterates[1:], corr_norms[:], ratios[:], deltas[:], working[:]
+                del iterates[1:], corr_norms[:], ratios[:], deltas[:], working[:], lu_working[:]
                 continue
             if failure is not None:
                 if isinstance(failure, SingularOperator):
@@ -524,6 +627,7 @@ def solve(
                     bound = 2 * threshold * max(mpf(1), inf_norm(fx))
                 deltas.append(tuple(a - b for a, b in zip(counters.snapshot(), before)))
                 working.append(digits)
+                lu_working.append(lu_digits)
             iterates.append(x_next)
             corr_norms.append(c)
             if len(corr_norms) >= 2:
@@ -561,6 +665,7 @@ def solve(
             ratios=tuple(ratios),
             counter_deltas=tuple(deltas),
             working_digits=tuple(working),
+            lu_digits=tuple(lu_working),
         )
         try:
             # reported to 12 digits, its spread to 6

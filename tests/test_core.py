@@ -22,7 +22,10 @@ from ddroots.core import (
     to_decimal,
     working_eps,
 )
+import ddroots.methods
 from ddroots.divdiff import D1, NonlinearSystem, operator_for
+from ddroots.methods import _LU_GUARD_DIGITS, MethodKind, solve
+from ddroots.problems import REGISTRY
 
 
 def test_context_validates_digits():
@@ -404,6 +407,112 @@ def test_zero_skipping_lu_is_bit_identical_to_the_dense_loop(case):
             m * (m - 1) * (2 * m - 1) // 6 + m * (m - 1),
             m * (m - 1) // 2 + m,
         )
+
+
+def _lu_outcome(a, b):
+    """The factorization's permutation and bits and the solution's bits, or
+    the SingularOperator message."""
+    try:
+        fact = lu_factor(a, OpCounters())
+    except SingularOperator as exc:
+        return str(exc)
+    x = lu_solve(fact, b, OpCounters())
+    return fact.perm, [[e._mpf_ for e in row] for row in fact.lu], [e._mpf_ for e in x]
+
+
+@given(sparse_system(), st.sampled_from([(40, 64), (64, 64), (100, 1024), (700, 1024)]))
+@settings(max_examples=150, deadline=None)
+def test_lu_below_the_digits_of_its_matrix_is_the_lu_of_the_rounded_matrix(case, digits):
+    # a matrix and a right-hand side built at P digits, factored and solved
+    # under p <= P digits: bit for bit what the matrix rounded to p gives,
+    # the SingularOperator included
+    rows, b, _ = case
+    low, high = digits
+    with mp.workdps(high):
+        a = HPMatrix([[mpf(n) / d for n, d in row] for row in rows])
+        rhs = HPVector(mpf(n) / d for n, d in b)
+    with mp.workdps(low):
+        assert _lu_outcome(a, rhs) == _lu_outcome(mat_entrywise(operator.pos, a), rhs)
+
+
+@given(nonsingular_matrix(), st.integers(100, 1000))
+@settings(max_examples=40, deadline=None)
+def test_a_solve_at_the_digits_a_small_correction_changes_moves_no_bit_of_x_minus_it(case, k):
+    # b = A s with ||s|| about 10^-k and x of magnitude 1: x - s rounded to
+    # P digits is the same whether s was solved at P or at P - k + G digits
+    rows, digits = case
+    m, full = len(rows), 1024
+    with mp.workdps(full):
+        third = mpf(1) / 3
+        a = HPMatrix([[e + third for e in row] for row in rows])
+        s = HPVector((e + third) * mpf(10) ** -k for e in digits)
+        x = HPVector(1 + mpf(i) / 7 for i in range(m))
+        b = mat_vec(a, s)
+        exact = x - lu_solve(lu_factor(a, OpCounters()), b, OpCounters())
+        with mp.workdps(min(full, full - k + _LU_GUARD_DIGITS)):
+            short = lu_solve(lu_factor(a, OpCounters()), b, OpCounters())
+        assert [e._mpf_ for e in x - short] == [e._mpf_ for e in exact]
+
+
+def _outcome(report):
+    """Everything a solve reports, as bits, but the LU digits of its trace."""
+    trace = report.trace
+    return (
+        report.stop_reason,
+        report.iterations,
+        [[e._mpf_ for e in x] for x in trace.iterates],
+        [c._mpf_ for c in trace.correction_norms],
+        [r._mpf_ for r in trace.ratios],
+        trace.counter_deltas,
+        trace.working_digits,
+        report.counters.snapshot(),
+        report.acoc._mpf_,
+        report.acoc_spread._mpf_,
+    )
+
+
+@pytest.mark.parametrize(
+    "small, method, why",
+    [
+        (85, MethodKind.PHI0, "pivots spanning 10^85"),
+        (100, MethodKind.PHI1, "no pivot in column 1"),
+    ],
+)
+def test_a_step_whose_lu_falls_short_below_its_digits_runs_again_at_them(
+    monkeypatch, small, method, why
+):
+    # quad2's components mixed by [[1, 1], [1, 1 + 10^-small]] at 256 digits:
+    # the operator's pivots span 10^small, so the solve starts over at full
+    # precision after its ramped steps fail.  A step whose LU digits cannot
+    # carry the span, through a span of at least 10^G or through a pivot
+    # below their epsilon, runs again at 256 LU digits, and the solve
+    # reports what a solve with every LU at 256 digits does
+    ctx = PrecisionContext(256)
+    with ctx.activate():
+        quad2 = REGISTRY["quad2"].build_system(with_reference=False)
+        f, g = quad2.components
+        mix = 1 + mpf(10) ** -small
+        system = NonlinearSystem(2, [lambda p: f(p) + g(p), lambda p: f(p) + mix * g(p)])
+        x0 = REGISTRY["quad2"].x0_vector()
+    steps = []
+    outer_step = ddroots.methods._outer_step
+
+    def recording(system, x, method, dd_kind, counters, lu_digits=None):
+        steps.append((lu_digits < mp.dps, lu_digits, ""))
+        try:
+            return outer_step(system, x, method, dd_kind, counters, lu_digits)
+        except SingularOperator as exc:
+            steps[-1] = steps[-1][:2] + (str(exc),)
+            raise
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
+    report = solve(system, x0, method, D1, ctx)
+    redone = [i for i, (below, _, error) in enumerate(steps) if below and error]
+    # the last step, at 194 and 97 LU digits, is the one run again
+    assert redone == [len(steps) - 2] and why in steps[-2][2] and steps[-1][1] == 256
+    assert report.trace.lu_digits[-1] == 256
+    monkeypatch.setattr(ddroots.methods, "_lu_digits", lambda rho, c, x, full: full)
+    assert _outcome(report) == _outcome(solve(system, x0, method, D1, ctx))
 
 
 @st.composite

@@ -508,7 +508,7 @@ def test_a_landing_after_non_contracting_corrections_is_convergence(monkeypatch)
     # at least 1 in a row, and the landing still ends the run before the
     # divergence guard sees it.  The landing below full precision starts
     # the solve over once, without the ramp
-    def scripted(system, x, method, dd_kind, counters):
+    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
         if x[0] == mpf("0.5"):
             exc = DegenerateDividedDifference("scripted")
             exc.residual = exc.point = HPVector([0])
@@ -848,6 +848,48 @@ def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeyp
     assert any(fired)
 
 
+def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch):
+    # the pinned solves and the registered ones at 4096 digits, with every
+    # factorization and solve at the digits the correction needs and with
+    # them at the step's digits: every digest is the same, the rule ran
+    # below the step's digits in the 4096-digit solves, and no step was
+    # run again
+    cases = list(_pinned_solves())
+    ctx = PrecisionContext(4096)
+    for name, spec in REGISTRY.items():
+        with ctx.activate():
+            system, x0 = spec.build_system(), spec.x0_vector()
+        for method in MethodKind:
+            for dd in (D1, D2):
+                order = spec.effective_order(method, dd)
+                cases.append((f"{name}/{method.value}/{dd.value}/4096", partial(
+                    solve, system, x0, method, dd, ctx, order_hint=order
+                )))
+    redone = []
+    outer_step = ddroots.methods._outer_step
+
+    def recording(system, x, method, dd_kind, counters, lu_digits=None):
+        try:
+            return outer_step(system, x, method, dd_kind, counters, lu_digits)
+        except SingularOperator:
+            if lu_digits < mp.dps:
+                redone.append(lu_digits)
+            raise
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
+    reports = [(case, call()) for case, call in cases]
+    below = [
+        case for case, report in reports
+        if case.endswith("/4096")
+        and any(lu < w for lu, w in zip(report.trace.lu_digits, report.trace.working_digits))
+    ]
+    assert len(below) == 18 and redone == []
+    monkeypatch.setattr(ddroots.methods, "_lu_digits", lambda rho, c, x, full: full)
+    assert [(case, _trace_digest(lambda: report)) for case, report in reports] == [
+        (case, _trace_digest(call)) for case, call in cases
+    ]
+
+
 def test_a_failed_prediction_is_run_again_at_the_ramps_digits(monkeypatch):
     # cos3 phi2/d2 at 128 digits: iteration 4 is predicted to confirm at 110
     # digits and does not, so it runs again at the ramp's 128; the attempt
@@ -898,8 +940,8 @@ def test_a_predicted_step_that_does_not_confirm_reruns_at_the_ramps_digits(monke
     predicted = _record_predictions(monkeypatch)
     outer_step = ddroots.methods._outer_step
 
-    def scripted(system, x, method, dd_kind, counters):
-        x_next, fx = outer_step(system, x, method, dd_kind, counters)
+    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
+        x_next, fx = outer_step(system, x, method, dd_kind, counters, lu_digits)
         if not predicted or mp.dps != predicted[-1]:
             return x_next, fx
         return _UNCONFIRMED[outcome](x), fx
@@ -1021,7 +1063,7 @@ def test_an_exact_repeat_below_full_precision_starts_over(monkeypatch):
     # the 80-digit iteration 1 starts over with the ramp, the repeat of the
     # ramped iteration 2 starts over without it, and only the 256-digit
     # repeat stops the run
-    def scripted(system, x, method, dd_kind, counters):
+    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
         if mp.dps < 256 or x[0] != 1:
             return x, system.eval(x)
         return HPVector(["0.5"]), system.eval(x)
