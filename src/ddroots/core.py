@@ -10,11 +10,22 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import normalize, normalize1, repr_dps
+from mpmath.libmp import (
+    fzero,
+    mpf_abs,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    normalize,
+    normalize1,
+    repr_dps,
+)
 
 # decimal I/O of multi-thousand-digit scalars trips the interpreter's
 # int<->str conversion guard at its default of 4300 digits
@@ -75,24 +86,30 @@ def quotient(a, b):
     so a zero divisor raises ZeroDivisionError as ``/`` does.
     """
     if type(a) is mpf and type(b) is mpf:
-        sa, ma, ea, na = a._mpf_
-        sb, mb, eb, nb = b._mpf_
-        if ma and mb > 1:
-            sign, exp = sa ^ sb, ea - eb
-            if ma == mb:
-                return mp.make_mpf((sign, 1, exp, 1))
-            prec, rnd = mp._prec_rounding
-            q, r = divmod(ma, mb)
-            if r:
-                # ma << extra == (q << extra) * mb + (r << extra)
-                extra = max(prec - na + nb + 5, 5)
-                low, r = divmod(r << extra, mb)
-                q, exp = q << extra | low, exp - extra
-                if r:
-                    q = q << 1 | 1
-                    return mp.make_mpf(normalize1(sign, q, exp - 1, q.bit_length(), prec, rnd))
-            return mp.make_mpf(normalize(sign, q, exp, q.bit_length(), prec, rnd))
+        return mp.make_mpf(_quotient(a._mpf_, b._mpf_, *mp._prec_rounding))
     return a / b
+
+
+def _quotient(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
+    """``quotient`` on raw mpf tuples: ``mpf_div(a, b, prec, rnd)``, bit
+    for bit, which is what ``/`` computes for two mpf."""
+    sa, ma, ea, na = a
+    sb, mb, eb, nb = b
+    if ma and mb > 1:
+        sign, exp = sa ^ sb, ea - eb
+        if ma == mb:
+            return (sign, 1, exp, 1)
+        q, r = divmod(ma, mb)
+        if r:
+            # ma << extra == (q << extra) * mb + (r << extra)
+            extra = max(prec - na + nb + 5, 5)
+            low, r = divmod(r << extra, mb)
+            q, exp = q << extra | low, exp - extra
+            if r:
+                q = q << 1 | 1
+                return normalize1(sign, q, exp - 1, q.bit_length(), prec, rnd)
+        return normalize(sign, q, exp, q.bit_length(), prec, rnd)
+    return mpf_div(a, b, prec, rnd)
 
 
 @dataclass(frozen=True)
@@ -272,14 +289,40 @@ def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """Combined LU storage with partial-pivot permutation."""
+    """Combined LU storage with partial-pivot permutation.
 
-    lu: tuple
+    ``raw`` holds the entries as mpmath's raw mpf tuples, which the
+    triangular solves read; ``lu`` is the same storage as mpf.
+    """
+
+    raw: tuple
     perm: tuple
 
     @property
     def m(self) -> int:
         return len(self.perm)
+
+    @cached_property
+    def lu(self) -> tuple:
+        return tuple(tuple(mp.make_mpf(t) for t in row) for row in self.raw)
+
+    @property
+    def pivots(self) -> tuple:
+        """The diagonal of U, as mpf."""
+        return tuple(mp.make_mpf(row[k]) for k, row in enumerate(self.raw))
+
+    @cached_property
+    def _solve_rows(self) -> tuple:
+        """Per row: its nonzero (column, entry) pairs left of the diagonal,
+        those right of it, and its pivot."""
+        return tuple(
+            (
+                tuple((j, t) for j, t in enumerate(row[:i]) if t != fzero),
+                tuple((j, t) for j, t in enumerate(row[i + 1:], i + 1) if t != fzero),
+                row[i],
+            )
+            for i, row in enumerate(self.raw)
+        )
 
 
 def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
@@ -307,31 +350,42 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     m = a.m
     counters.charge(FACTOR_COUNTS, m)
     tol = working_eps()
-    prec = mp.prec
-    # a zero or special value has a bit count below 1
-    lu = [[e if e._mpf_[3] <= prec else +e for e in row] for row in a.rows]
+    prec, rnd = mp._prec_rounding
+    # on raw tuples, each mpf operation below is the libmp call mpf's own
+    # operator makes; a zero or special value has a bit count below 1
+    lu = [
+        [t if t[3] <= prec else mpf_pos(t, prec, rnd) for t in (e._mpf_ for e in row)]
+        for row in a.rows
+    ]
     perm = list(range(m))
     for k in range(m):
-        candidates = [i for i in range(k, m) if lu[i][k]]
-        p = max(candidates, key=lambda i: abs(lu[i][k]), default=k)
-        size = abs(lu[p][k])
+        # the first candidate of largest magnitude, as max() picks it
+        p, size = k, fzero
+        for i in range(k, m):
+            t = lu[i][k]
+            if t != fzero:
+                t = mpf_abs(t, prec, rnd)
+                if size == fzero or mpf_gt(t, size):
+                    p, size = i, t
+        size = mp.make_mpf(size)
         if size < tol and (not size or size < tol * min(1, max(map(abs, a.rows[perm[p]])))):
             raise SingularOperator(f"no pivot in column {k} above the working epsilon")
         if p != k:
             lu[k], lu[p] = lu[p], lu[k]
             perm[k], perm[p] = perm[p], perm[k]
-        pivot = lu[k][k]
         row_k = lu[k]
-        nonzero = [(j, row_k[j]) for j in range(k + 1, m) if row_k[j]]
+        pivot = row_k[k]
+        nonzero = [(j, row_k[j]) for j in range(k + 1, m) if row_k[j] != fzero]
         for i in range(k + 1, m):
             row_i = lu[i]
-            if not row_i[k]:
+            if row_i[k] == fzero:
                 continue
-            lik = quotient(row_i[k], pivot)
+            lik = _quotient(row_i[k], pivot, prec, rnd)
             row_i[k] = lik
+            # row_i[j] -= lik * ukj, the product rounded before the difference
             for j, ukj in nonzero:
-                row_i[j] -= lik * ukj
-    return LUFactorization(lu=tuple(tuple(row) for row in lu), perm=tuple(perm))
+                row_i[j] = mpf_sub(row_i[j], mpf_mul(lik, ukj, prec, rnd), prec, rnd)
+    return LUFactorization(raw=tuple(tuple(row) for row in lu), perm=tuple(perm))
 
 
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
@@ -348,21 +402,20 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
     if len(b) != m:
         raise ValueError(f"b has {len(b)} entries but the factorization has dimension {m}")
     counters.charge(SOLVE_COUNTS, m)
-    lu = fact.lu
-    y = [mpf(b[p]) for p in fact.perm]
-    for i in range(1, m):
-        row = lu[i]
+    prec, rnd = mp._prec_rounding
+    rows = fact._solve_rows
+    # raw tuples, as in ``lu_factor``: acc -= l_ij y_j, and so on
+    y = [mpf(b[p])._mpf_ for p in fact.perm]
+    for i, (lower, _, _) in enumerate(rows):
         acc = y[i]
-        for j in range(i):
-            if row[j]:
-                acc -= row[j] * y[j]
+        for j, t in lower:
+            acc = mpf_sub(acc, mpf_mul(t, y[j], prec, rnd), prec, rnd)
         y[i] = acc
-    x = [mpf(0)] * m
+    x = [fzero] * m
     for i in range(m - 1, -1, -1):
-        row = lu[i]
+        _, upper, pivot = rows[i]
         acc = y[i]
-        for j in range(i + 1, m):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[i] = quotient(acc, row[i])
-    return HPVector(x)
+        for j, t in upper:
+            acc = mpf_sub(acc, mpf_mul(t, x[j], prec, rnd), prec, rnd)
+        x[i] = _quotient(acc, pivot, prec, rnd)
+    return HPVector(map(mp.make_mpf, x))

@@ -116,13 +116,25 @@ class NonlinearSystem:
 
     def eval(self, point: Sequence, counters: Optional[OpCounters] = None) -> HPVector:
         """Evaluate the full vector F(x); charges ``RESIDUAL_COUNTS``."""
+        self._charge_residual(point, counters)
+        return HPVector(self.eval_component(i, point) for i in range(self.m))
+
+    def eval_recorded(self, point: Sequence, counters: Optional[OpCounters] = None) -> "Residual":
+        """``eval``, with the coordinates each component's evaluation read
+        recorded as the divided-difference chains record them: a build given
+        the result as an end value takes its values at more points."""
+        self._charge_residual(point, counters)
+        point = tuple(point)
+        return Residual(*zip(*(_evaluate(self, i, point, None) for i in range(self.m))))
+
+    def _charge_residual(self, point: Sequence, counters: Optional[OpCounters]) -> None:
+        """Refuse a point of another dimension, then charge one residual."""
         if len(point) != self.m:
             raise ValueError(
                 f"the point has {len(point)} entries but the system has dimension {self.m}"
             )
         if counters is not None:
             counters.charge(RESIDUAL_COUNTS, self.m)
-        return HPVector(self.eval_component(i, point) for i in range(self.m))
 
     def with_reference_root(self, root: HPVector) -> "NonlinearSystem":
         return NonlinearSystem(self.m, self.components, self.name, root)
@@ -139,19 +151,40 @@ def _check_dimension(m: int, y: Sequence, x: Sequence) -> None:
 
 
 def _separation(m: int, y: Sequence, x: Sequence) -> list:
-    """The differences y_j - x_j, once the points are found separated."""
+    """The differences y_j - x_j, once the points are found separated:
+    |y_j - x_j| >= eps max(1, |x_j|), the bound's operands and product
+    rounded to 30 digits.
+
+    Most pairs are decided by exponents alone.  A nonzero difference lies in
+    [2^(e-1), 2^e) and the rounded bound in [2^(b-2), 2^b], with e the
+    binary magnitude of the difference and b the sum of those of eps and of
+    max(1, |x_j|), so e > b separates the pair and e < b - 1 does not; only
+    the two binades between, and operands that are not finite mpf, build
+    the bound.
+    """
     _check_dimension(m, y, x)
     eps = working_eps()
-    # the bound's operands are rounded to 30 digits first: a product of
-    # full-precision operands costs a full multiplication before it rounds
-    with mp.workdps(30):
-        bounds = [+eps * max(1, abs(v)) for v in x]
+    _, _, exp, bc = eps._mpf_
+    eps_mag = exp + bc
     diffs = [y[j] - x[j] for j in range(m)]
-    for j, bound in enumerate(bounds):
-        if abs(diffs[j]) < bound:
-            raise DegenerateDividedDifference(
-                f"coordinates {j} of the two points coincide at working precision"
-            )
+    for j, (d, v) in enumerate(zip(diffs, x)):
+        dv, vv = getattr(d, "_mpf_", None), getattr(v, "_mpf_", None)
+        gap = 0
+        # a nonzero difference, and an x_j that is zero or finite and nonzero
+        if dv and vv and dv[1] and (vv[1] or not vv[2]):
+            gap = dv[2] + dv[3] - eps_mag - max(vv[2] + vv[3] if vv[1] else 1, 1)
+        if gap > 0:
+            continue
+        if gap >= -1:
+            # the bound's operands are rounded to 30 digits first: a product of
+            # full-precision operands costs a full multiplication before it rounds
+            with mp.workdps(30):
+                bound = +eps * max(1, abs(v))
+            if not abs(d) < bound:
+                continue
+        raise DegenerateDividedDifference(
+            f"coordinates {j} of the two points coincide at working precision"
+        )
     return diffs
 
 
@@ -182,6 +215,25 @@ class _RecordingPoint:
         return iter(self._point)
 
 
+class Residual(HPVector):
+    """F at a point, with the coordinates each component's evaluation read
+    (a superset of them, as the chains record it).  A build given it as an
+    end value takes F_i from it at every chain point that agrees with that
+    end on ``reads[i]``; a plain vector is taken at its own point only."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, entries, reads):
+        super().__init__(entries)
+        object.__setattr__(self, "reads", tuple(reads))
+
+
+def _end_reads(ends) -> tuple:
+    """The read sets of supplied end values (F(x), F(y)): a ``Residual``'s
+    own, or None."""
+    return tuple(getattr(end, "reads", None) for end in ends) if ends else (None, None)
+
+
 def _evaluate(system: NonlinearSystem, i: int, point: tuple, reads) -> tuple:
     """F_i at ``point`` and the coordinates that evaluation read, or a
     superset of them: a component whose previous evaluation read every
@@ -198,40 +250,51 @@ def _forward_chain(
     y: Sequence,
     x: Sequence,
     ends=None,
-    fx_reads=None,
-) -> tuple[list, list]:
+    end_reads=(None, None),
+) -> tuple[list, list, list]:
     """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y, and the
-    coordinates each component read for its value at y.
+    coordinates each component read for its values at x and at y.
 
     Consecutive points differ in coordinate j - 1 only, so step j evaluates
     again just the components whose latest value read it; every other keeps
     that value object.  A pure component would reproduce it bit for bit,
     since the evaluation behind it read none of the coordinates changed
-    since.  ``ends``, when given, is (F(x), F(y)); supplied end values come
-    with no read sets (None, unless ``fx_reads`` gives those of F(x)), so
-    the step after one evaluates every component.  Nothing is counted here:
-    the builders charge their ``OPERATOR_COUNTS`` unit.
+    since.  ``ends``, when given, is (F(x), F(y)), and ``end_reads`` their
+    read sets, each None where unknown.  Where step j would evaluate F_i and
+    F_i(y)'s own evaluation read only coordinates below j, on which the
+    point already agrees with y, it takes F_i(y) instead.  An end without
+    read sets is taken only at its own point, and the step after F(x) then
+    evaluates every component.  Nothing is counted here: the builders
+    charge their ``OPERATOR_COUNTS`` unit.
     """
     m = system.m
     current = list(x)
     if ends is None:
         point = tuple(current)
         values, reads = map(list, zip(*(_evaluate(system, i, point, None) for i in range(m))))
+        at_y = [m + 1] * m
     else:
-        values, reads = list(ends[0]), list(fx_reads or [None] * m)
+        fy, fy_reads = ends[1], end_reads[1] or [None] * m
+        values, reads = list(ends[0]), list(end_reads[0] or [None] * m)
+        # the first step at which the point agrees with y on F_i(y)'s reads
+        at_y = [m + 1 if read is None else max(read, default=-1) + 1 for read in fy_reads]
+    start_reads = list(reads)
     chain = [values]
     for j in range(1, m + 1):
         current[j - 1] = y[j - 1]
         if j == m and ends is not None:
-            values, reads = list(ends[1]), [None] * m
+            values, reads = list(fy), list(fy_reads)
         else:
             values = list(values)
             point = tuple(current)
             for i, read in enumerate(reads):
                 if read is None or j - 1 in read:
-                    values[i], reads[i] = _evaluate(system, i, point, read)
+                    if at_y[i] <= j:
+                        values[i], reads[i] = fy[i], fy_reads[i]
+                    else:
+                        values[i], reads[i] = _evaluate(system, i, point, read)
         chain.append(values)
-    return chain, reads
+    return chain, start_reads, reads
 
 
 def dd_d1(
@@ -248,14 +311,16 @@ def dd_d1(
     arithmetic, when the chain kept F_i's value object over that step.  The
     quotient is ``core.quotient``, the bits of ``/`` without the long
     division where F_i is linear in x_j and the quotient is exact.
-    ``ends``, when given, is (F(x), F(y)).  Charges the ``OPERATOR_COUNTS``
-    unit of D1, fresh or supplied, once the points are found separated.
+    ``ends``, when given, is (F(x), F(y)); an end that is a ``Residual``
+    also stands in for F at the chain points that agree with it on its
+    read sets.  Charges the ``OPERATOR_COUNTS`` unit of D1, fresh or
+    supplied, once the points are found separated.
     """
     m = system.m
     denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
-    chain, _ = _forward_chain(system, y, x, ends)
+    chain, _, _ = _forward_chain(system, y, x, ends, _end_reads(ends))
     zero = mpf(0)
     columns = [
         [zero if after is before else quotient(after - before, d)
@@ -278,7 +343,7 @@ def dd_d2(
     entry is one quotient by y_j - x_j (``core.quotient``, the bits of
     ``/``) then one product by the constant one-half, or an exact zero,
     with no arithmetic, when both chains kept F_i's value object over
-    step j.  ``ends``, when given, is (F(x), F(y)).
+    step j.  ``ends``, when given, is (F(x), F(y)), taken as by ``dd_d1``.
     Charges the ``OPERATOR_COUNTS`` unit of D2, fresh or supplied, once the
     points are found separated.
     """
@@ -286,10 +351,10 @@ def dd_d2(
     denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D2][ends is not None], m)
-    fwd, reads = _forward_chain(system, y, x, ends)
+    fwd, reads_x, reads_y = _forward_chain(system, y, x, ends, _end_reads(ends))
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
-    # and its ends reuse the forward chain's values at y and x
-    rev, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), reads)
+    # and its ends reuse the forward chain's values and read sets at y and x
+    rev, _, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), (reads_y, reads_x))
     half = mpf(1) / 2
     zero = mpf(0)
     columns = [
@@ -318,13 +383,13 @@ def central_dd(
     The operator is built on (x - F(x), x + F(x)), in that argument order;
     the one-sided construction is not symmetric in its arguments and this
     orientation is the one the published iteration counts pin down.  Returns
-    the operator together with F(x) so the caller evaluates the residual
-    exactly once per outer iteration.  Raises DegenerateDividedDifference,
-    carrying F(x), when the two probe points coincide in some coordinate
-    relative to x, i.e. when |f_i| is negligible against max(1, |x_i|); an
-    exact zero f_i is that case too.
+    the operator together with F(x), a ``Residual`` carrying its read sets,
+    so the caller evaluates the residual exactly once per outer iteration.
+    Raises DegenerateDividedDifference, carrying F(x), when the two probe
+    points coincide in some coordinate relative to x, i.e. when |f_i| is
+    negligible against max(1, |x_i|); an exact zero f_i is that case too.
     """
-    fxv = system.eval(x, counters)
+    fxv = system.eval_recorded(x, counters)
     try:
         return operator_for(kind)(system, x - fxv, x + fxv, counters), fxv
     except DegenerateDividedDifference as exc:

@@ -206,7 +206,7 @@ def _corrected(
     with _lu_precision(lu_digits):
         s = lu_solve(fact, b, counters)
     if lu_digits is not None and lu_digits < mp.dps:
-        pivots = [mp.mag(row[k]) for k, row in enumerate(fact.lu)]
+        pivots = [mp.mag(pivot) for pivot in fact.pivots]
         span = (max(pivots) - min(pivots)) * _LOG10_2
         guard = _correction_digits(inf_norm(s), x) + lu_digits - mp.dps - span
         if guard < _LU_MIN_GUARD_DIGITS:
@@ -255,14 +255,15 @@ def step_phi1(
     mirroring the central operator's orientation; for the one-sided kind the
     two orientations differ in second-order terms and this is the one the
     published accuracy columns pin down.  F(x) and F(y) are supplied to the
-    build so only mixed-coordinate points cost fresh evaluations.  M is
+    build with their read sets, so only mixed-coordinate points that some
+    changed coordinate reaches cost fresh evaluations.  M is
     formed at the active precision and factored and solved at
     ``lu_digits``, as in ``step_phi0``.  Returns z and the factorization of
     M, which the third step reuses verbatim.  A
     pair that coincides in a coordinate raises DegenerateDividedDifference
     carrying y and F(y), so a caller can tell whether y is a root.
     """
-    fy = system.eval(y, counters)
+    fy = system.eval_recorded(y, counters)
     try:
         op_pair = operator_for(dd_kind)(system, x, y, counters, ends=(fy, fx))
     except DegenerateDividedDifference as exc:

@@ -190,6 +190,15 @@ def test_lu_pivoted_permutation_matrix():
         assert list(x) == [5, 2]
 
 
+def test_lu_pivot_ties_go_to_the_first_candidate():
+    # as max() picks it: -1 in row 1 ties with 1 in row 0, and then 3 in
+    # row 2 with the 3 that the elimination leaves in row 1
+    with PrecisionContext(64).activate():
+        fact = lu_factor(HPMatrix([[1, 2, 0], [-1, 1, 1], [0, 3, 2]]), OpCounters())
+        assert fact.perm == (0, 1, 2)
+        assert [[int(e) for e in row] for row in fact.lu] == [[1, 2, 0], [-1, 3, 1], [0, 1, 1]]
+
+
 def test_lu_diagonal_solve():
     with PrecisionContext(64).activate():
         fact = lu_factor(HPMatrix([[2, 0], [0, 4]]), OpCounters())

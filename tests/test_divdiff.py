@@ -18,6 +18,8 @@ from ddroots.divdiff import (
     DegenerateDividedDifference,
     DividedDifferenceKind,
     NonlinearSystem,
+    Residual,
+    _separation,
     central_dd,
     check_potra,
     check_secant,
@@ -313,6 +315,43 @@ def test_chains_give_the_dense_chains_operators_bit_for_bit(case):
             assert counters.scalar_fn_evals == (with_ends if supplied else fresh)
 
 
+@given(sparse_case())
+@settings(max_examples=80, deadline=None)
+def test_ends_with_read_sets_give_the_dense_chains_operators_for_fewer_evaluations(case):
+    # a chain takes a recorded end's value wherever the point agrees with
+    # that end on the coordinates its evaluation read, branches included
+    m, specs, xq, yq, _, _, digits = case
+    calls = []
+
+    def counted(component):
+        return lambda p: calls.append(1) or component(p)
+
+    system = NonlinearSystem(m, [counted(_sparse_component(*spec, m)) for spec in specs])
+    with PrecisionContext(digits).activate():
+        x = HPVector(mpf(v) / 4 for v in xq)
+        y = HPVector(mpf(v) / 4 for v in yq)
+        recorded = (system.eval_recorded(x), system.eval_recorded(y))
+        plain = tuple(HPVector(end) for end in recorded)
+        assert all(isinstance(end, Residual) for end in recorded)
+        assert [list(end) for end in plain] == [list(system.eval(x)), list(system.eval(y))]
+        for build, kind, with_ends in (
+            (dd_d1, D1, m * (m - 1)),
+            (dd_d2, D2, 2 * m * (m - 1)),
+        ):
+            counters = OpCounters()
+            calls.clear()
+            got = build(system, y, x, counters, ends=recorded)
+            performed = len(calls)
+            calls.clear()
+            build(system, y, x, ends=plain)
+            assert performed <= len(calls)
+            assert counters.scalar_fn_evals == with_ends
+            want = _dense_operator(system, y, x, kind, plain)
+            assert [[e._mpf_ for e in row] for row in got.rows] == [
+                [e._mpf_ for e in row] for row in want
+            ]
+
+
 def test_degenerate_pair_rejected():
     with CTX.activate():
         with pytest.raises(DegenerateDividedDifference):
@@ -466,6 +505,55 @@ def test_potra_residuals():
         affine, _ = affine_system([[5, 1], [-2, 3]], [2, 2])
         assert check_potra(affine, D1, u, v) == 0
         assert check_potra(affine, D2, u, v) == 0
+
+
+def _separation_by_product(y, x):
+    """The oracle of ``_separation``: the message for the first coordinate
+    whose gap is below the 30-digit bound eps max(1, |x_j|), built for every
+    pair, or None."""
+    eps = working_eps()
+    with mp.workdps(30):
+        bounds = [+eps * max(1, abs(v)) for v in x]
+    for j, bound in enumerate(bounds):
+        if abs(y[j] - x[j]) < bound:
+            return f"coordinates {j} of the two points coincide at working precision"
+    return None
+
+
+# |x_j| = 2^e (1 + f 2^-53), and a gap of eps max(1, |x_j|) 2^k (1 + t 2^-90).
+# Mantissas near 2 put the bound in the top binade its exponents allow,
+# where it lies above some gaps of the same binary magnitude
+coordinate = st.tuples(
+    st.integers(-3000, 3000),
+    st.integers(0, 2**53 - 1) | st.integers(2**53 - 2**20, 2**53 - 1),
+    st.sampled_from([-1, 1]),
+    st.integers(-3, 3),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([-1, 1]),
+)
+
+
+@given(st.integers(32, 4096), st.lists(coordinate, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_separation_decides_as_the_30_digit_product(digits, coordinates):
+    with PrecisionContext(digits).activate():
+        eps = working_eps()
+        x, y = [], []
+        for e, f, sign, k, t, direction in coordinates:
+            xj = sign * mp.ldexp(1 + mp.ldexp(f, -53), e)
+            with mp.extraprec(200):
+                gap = eps * max(1, abs(xj)) * mp.ldexp(1 + mp.ldexp(t, -90), k)
+            x.append(xj)
+            y.append(xj + direction * gap)
+        x, y = HPVector(x), HPVector(y)
+        want = _separation_by_product(y, x)
+        if want is None:
+            diffs = _separation(len(x), y, x)
+            assert [d._mpf_ for d in diffs] == [(y[j] - x[j])._mpf_ for j in range(len(x))]
+        else:
+            with pytest.raises(DegenerateDividedDifference) as raised:
+                _separation(len(x), y, x)
+            assert str(raised.value) == want
 
 
 @pytest.mark.parametrize("magnitude", ["0.5", "1e40"])

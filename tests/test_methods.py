@@ -220,11 +220,23 @@ def test_solve_counter_deltas_every_pair():
                         )
 
 
-# chains and residuals F(x) per outer iteration
-@pytest.mark.parametrize("method, dd, chains, residuals", [(PHI0, D1, 1, 1), (PHI2, D2, 4, 3)])
-def test_tridiagonal_chains_perform_few_evaluations(method, dd, chains, residuals):
+# evaluations per outer iteration at m = 32: m per residual, 4m - 2 for the
+# fresh central d1 build and 6m - 4 for d2, and 2m - 2 or 4m - 4 for the
+# iterate-pair build, whose ends carry their read sets
+@pytest.mark.parametrize(
+    "method, dd, performed",
+    [
+        (PHI0, D1, 158),
+        (PHI0, D2, 220),
+        (PHI1, D1, 252),
+        (PHI1, D2, 376),
+        (PHI2, D1, 284),
+        (PHI2, D2, 408),
+    ],
+)
+def test_tridiagonal_chains_perform_few_evaluations(method, dd, performed):
     # each component reads at most three coordinates, so a chain evaluates
-    # about 3m components where the model charges m(m+1) or m(m-1)
+    # about 2m or 3m components where the model charges m(m+1) or m(m-1)
     m = 32
     calls = []
 
@@ -239,15 +251,17 @@ def test_tridiagonal_chains_perform_few_evaluations(method, dd, chains, residual
     deltas = report.trace.counter_deltas
     assert report.stop_reason == "ratio"
     assert deltas and all(d == expected_iteration_counts(method, dd, m) for d in deltas)
-    assert len(calls) <= len(deltas) * (residuals * m + chains * 4 * m)
+    assert len(calls) == len(deltas) * performed
 
 
 def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
     # a fresh chain evaluates all m components at x, then the two or three
     # that read each changed coordinate: m + 3(m - 2) + 2 * 2 = 4m - 2.  The
-    # reversed chain of the symmetrized operator starts from the forward
-    # chain's read sets at y (3m - 4 more); after a supplied end value, whose
-    # read sets are unknown, a chain evaluates every component once more
+    # reversed chain of the symmetrized operator has the forward chain's
+    # read sets at both ends, and takes F_{j-2}(x) where step j would
+    # evaluate it (2m - 2 more).  After a supplied end value whose read sets
+    # are unknown, a chain evaluates every component once more; ends that
+    # carry their read sets cost two evaluations per step, 2m - 2 a chain
     m = 32
     calls = []
 
@@ -259,11 +273,14 @@ def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
         x = HPVector(mpf(k) / 8 for k in range(m))
         y = HPVector(mpf(k) / 8 + 1 for k in range(m))
         ends = (system.eval(x), system.eval(y))
+        recorded = (system.eval_recorded(x), system.eval_recorded(y))
         for build, supplied, performed in (
             (dd_d1, None, 4 * m - 2),
-            (dd_d2, None, 7 * m - 6),
+            (dd_d2, None, 6 * m - 4),
             (dd_d1, ends, 4 * m - 6),
             (dd_d2, ends, 8 * m - 12),
+            (dd_d1, recorded, 2 * m - 2),
+            (dd_d2, recorded, 4 * m - 4),
         ):
             calls.clear()
             build(system, y, x, ends=supplied)
