@@ -1,6 +1,8 @@
 import hashlib
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -313,9 +315,9 @@ def test_repeated_tridiagonal_solves_are_bit_identical():
         assert solve_every_pair() == solve_every_pair()
 
 
-# one line "<sha256>  <case>" per solve of ``_trace_digests``; rewrite it
-# with ``PYTHONPATH=src python tests/test_methods.py`` only for a change
-# meant to move the bits
+# one line "<sha256>  <case>" per solve of ``_pinned_solves`` and then of
+# ``_rerun_solves``; rewrite it with ``PYTHONPATH=src python
+# tests/test_methods.py`` only for a change meant to move the bits
 TRACE_PINS = Path(__file__).parent / "data" / "solve_traces.sha256"
 
 
@@ -329,8 +331,9 @@ def _bits(value):
 
 def _trace_digest(call) -> str:
     """SHA-256 of everything a solve reports: stop reason, I, eta, every
-    iterate, correction norm, ratio, counter delta and working digits, the
-    total counters, ACOC, its spread and q; or of the error it raises."""
+    iterate, correction norm, ratio, counter delta, working digits and LU
+    digits, the total counters, ACOC, its spread and q; or of the error it
+    raises."""
     try:
         report = call()
     except SolverError as exc:
@@ -346,6 +349,7 @@ def _trace_digest(call) -> str:
             [_bits(r) for r in trace.ratios],
             trace.counter_deltas,
             trace.working_digits,
+            trace.lu_digits,
             report.counters.snapshot(),
             _bits(report.acoc),
             _bits(report.acoc_spread),
@@ -354,21 +358,29 @@ def _trace_digest(call) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+PAIRS = [(method, dd) for method in MethodKind for dd in (D1, D2)]
+
+
+def _registered_solves(digits):
+    """(case, call) for every registered (problem, method, operator) triple
+    at ``digits``."""
+    ctx = PrecisionContext(digits)
+    for name, spec in REGISTRY.items():
+        with ctx.activate():
+            system, x0 = spec.build_system(), spec.x0_vector()
+        for method, dd in PAIRS:
+            order = spec.effective_order(method, dd)
+            yield f"{name}/{method.value}/{dd.value}/{digits}", partial(
+                solve, system, x0, method, dd, ctx, order_hint=order
+            )
+
+
 def _pinned_solves():
     """(case, call) for every registered (problem, method, operator) triple
     at 128, 256 and 1024 digits, and Broyden's tridiagonal system at m = 32
     and 256 digits from two seeded starts, as the benchmark draws them."""
-    pairs = [(method, dd) for method in MethodKind for dd in (D1, D2)]
     for digits in (128, 256, 1024):
-        ctx = PrecisionContext(digits)
-        for name, spec in REGISTRY.items():
-            with ctx.activate():
-                system, x0 = spec.build_system(), spec.x0_vector()
-            for method, dd in pairs:
-                order = spec.effective_order(method, dd)
-                yield f"{name}/{method.value}/{dd.value}/{digits}", partial(
-                    solve, system, x0, method, dd, ctx, order_hint=order
-                )
+        yield from _registered_solves(digits)
     m = 32
     ctx = PrecisionContext(256)
     system = NonlinearSystem(m, broyden_tridiagonal(m))
@@ -376,22 +388,107 @@ def _pinned_solves():
         rng = random.Random(seed)
         with ctx.activate():
             x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
-        for method, dd in pairs:
+        for method, dd in PAIRS:
             order = theoretical_order(method, D2)
             yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/256", partial(
                 solve, system, x0, method, dd, ctx, order_hint=order
             )
 
 
-def _trace_digests() -> list[str]:
-    return [f"{_trace_digest(call)}  {case}" for case, call in _pinned_solves()]
+def _scaled_solves(exponents, shifts, digits):
+    """(case, call) for every registered (problem, method, operator) triple
+    with F scaled by 10^k, from x0 shifted in every coordinate by ``shift``,
+    a signed decimal string, for each k, shift and digit count given."""
+    for count in digits:
+        ctx = PrecisionContext(count)
+        for k in exponents:
+            for shift in shifts:
+                for name, spec in REGISTRY.items():
+                    with ctx.activate():
+                        base, scale = spec.build_system(), mpf(10) ** k
+                        system = NonlinearSystem(
+                            base.m, [lambda p, f=f: scale * f(p) for f in base.components],
+                            reference_root=base.reference_root,
+                        )
+                        x0 = HPVector(e + mpf(shift) for e in spec.x0_vector())
+                    for method, dd in PAIRS:
+                        order = spec.effective_order(method, dd)
+                        yield f"{name}*1e{k}/x0{shift}/{method.value}/{dd.value}/{count}", partial(
+                            solve, system, x0, method, dd, ctx, order_hint=order
+                        )
+
+
+def _rerun_solves():
+    """The scaled solves that take every path on which ``solve`` runs an
+    attempt again, none of which the pinned solves take more than once."""
+    return _scaled_solves((-120, 60, 120), ("+0", "-0.1"), (128,))
+
+
+def _record_steps(monkeypatch) -> list:
+    """Patch ``_outer_step`` to record (x, working digits, LU digits, error)
+    for every call."""
+    calls = []
+    outer_step = ddroots.methods._outer_step
+
+    def recording(system, x, method, dd_kind, counters, lu_digits=None):
+        calls.append((x, mp.dps, lu_digits, None))
+        try:
+            return outer_step(system, x, method, dd_kind, counters, lu_digits)
+        except SolverError as exc:
+            calls[-1] = calls[-1][:3] + (exc,)
+            raise
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
+    return calls
+
+
+def _rerun_paths(calls) -> set:
+    """The paths by which one solve's recorded steps ran an attempt again:
+    from the same iterate, an LU redo at the step's digits after an LU below
+    them fell short, otherwise a confirming step's retry, or from x_0 a
+    start-over during iteration 1; from x_0 after a later iterate, a
+    start-over after iteration 1."""
+    paths = set()
+    for (x, digits, lu, error), (y, *step) in zip(calls, calls[1:]):
+        if y is x and x is calls[0][0]:
+            paths.add("start-over during iteration 1")
+        elif y is x:
+            redo = isinstance(error, SingularOperator) and lu < digits and step[:2] == [digits] * 2
+            paths.add("LU redo" if redo else "confirming retry")
+        elif y is calls[0][0]:
+            paths.add("start-over after iteration 1")
+    return paths
+
+
+def _trace_digests(solves) -> list[str]:
+    return [f"{_trace_digest(call)}  {case}" for case, call in solves]
 
 
 def test_every_solve_trace_is_pinned_bit_for_bit():
     # the golden files pin the final iterates of the published rows and
     # acceptance_4096.sha256 the acceptance rows; this pins every bit of
     # whole traces, the tridiagonal solves included
-    assert _trace_digests() == TRACE_PINS.read_text().splitlines()
+    digests = _trace_digests(_pinned_solves())
+    assert digests == TRACE_PINS.read_text().splitlines()[:len(digests)]
+
+
+def test_every_rerun_path_is_pinned_bit_for_bit(monkeypatch):
+    # the pinned solves run one confirming step again and take no other
+    # such path; the scaled solves take each, and their traces are pinned
+    # after the pinned solves' lines
+    calls = _record_steps(monkeypatch)
+    digests, census = [], Counter()
+    for case, call in _rerun_solves():
+        calls.clear()
+        digests.append(f"{_trace_digest(call)}  {case}")
+        census.update(_rerun_paths(calls))
+    assert digests == TRACE_PINS.read_text().splitlines()[-len(digests):]
+    assert census == {
+        "LU redo": 8,
+        "confirming retry": 2,
+        "start-over during iteration 1": 60,
+        "start-over after iteration 1": 54,
+    }
 
 
 def test_trace_shape_and_contraction():
@@ -865,23 +962,18 @@ def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeyp
     assert any(fired)
 
 
+def _lu_digits_dropped(report):
+    """``report`` with its trace's LU digits left out."""
+    return replace(report, trace=replace(report.trace, lu_digits=()))
+
+
 def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch):
     # the pinned solves and the registered ones at 4096 digits, with every
     # factorization and solve at the digits the correction needs and with
-    # them at the step's digits: every digest is the same, the rule ran
-    # below the step's digits in the 4096-digit solves, and no step was
-    # run again
-    cases = list(_pinned_solves())
-    ctx = PrecisionContext(4096)
-    for name, spec in REGISTRY.items():
-        with ctx.activate():
-            system, x0 = spec.build_system(), spec.x0_vector()
-        for method in MethodKind:
-            for dd in (D1, D2):
-                order = spec.effective_order(method, dd)
-                cases.append((f"{name}/{method.value}/{dd.value}/4096", partial(
-                    solve, system, x0, method, dd, ctx, order_hint=order
-                )))
+    # them at the step's digits: every digest, LU digits apart, is the
+    # same, the rule ran below the step's digits in the 4096-digit solves,
+    # and no step was run again
+    cases = [*_pinned_solves(), *_registered_solves(4096)]
     redone = []
     outer_step = ddroots.methods._outer_step
 
@@ -902,9 +994,9 @@ def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch):
     ]
     assert len(below) == 18 and redone == []
     monkeypatch.setattr(ddroots.methods, "_lu_digits", lambda rho, c, x, full: full)
-    assert [(case, _trace_digest(lambda: report)) for case, report in reports] == [
-        (case, _trace_digest(call)) for case, call in cases
-    ]
+    assert [
+        (case, _trace_digest(lambda: _lu_digits_dropped(report))) for case, report in reports
+    ] == [(case, _trace_digest(lambda: _lu_digits_dropped(call()))) for case, call in cases]
 
 
 def test_a_failed_prediction_is_run_again_at_the_ramps_digits(monkeypatch):
@@ -1238,4 +1330,5 @@ def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
 
 
 if __name__ == "__main__":
-    TRACE_PINS.write_text("".join(line + "\n" for line in _trace_digests()))
+    pins = _trace_digests(_pinned_solves()) + _trace_digests(_rerun_solves())
+    TRACE_PINS.write_text("".join(line + "\n" for line in pins))
