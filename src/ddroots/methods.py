@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -363,44 +364,35 @@ def _correction_digits(correction: mpf, x: HPVector) -> float:
     return max((scale - mp.mag(correction)) * _LOG10_2, 0.0)
 
 
-def _ramp_digits(power: float, correction: mpf, x: HPVector, full: int) -> int:
-    """Working digits for an error of 10^(-power D) after a correction of
-    norm 10^(-D) that ended at x, D as ``_correction_digits`` counts it:
-    with power rho, the digits x itself needs, which the step that produced
-    it must have carried; with rho^2, those of the next outer step from x,
-    unless ``_confirming_digits`` predicts that step confirms the stop.
+def _plan(
+    rho: float, eta: float, correction: mpf, x: HPVector, full: int, ramping: bool
+) -> tuple[int, int, Optional[tuple[int, int]]]:
+    """(digits, lu_digits, fallback) for the step after a correction of norm
+    10^(-D) that ended at x, D as ``_correction_digits`` counts it.
+
+    x holds about rho D digits, so the next correction is about 10^(-rho D).
+    The step runs at ``full`` digits, or while ``ramping`` at the
+    ceil(1.25 rho^2 D) + 40 its result can hold, capped at ``full``.  Once
+    (rho - 1) D >= eta, the next ratio, about 10^(-(rho - 1) D), should
+    reach the threshold, and the step predicted to confirm the stop only
+    has to resolve its correction: while ramping it runs at ceil(1.25 rho D)
+    + ``_CONFIRM_GUARD_DIGITS`` when that is fewer, and ``fallback`` holds
+    the ramp's (digits, lu_digits) to run it again at; it is None
+    otherwise.  A step at P digits factors and solves at the P - rho D
+    digits its correction changes plus ``_LU_GUARD_DIGITS``, capped at P.
     """
-    digits = _correction_digits(correction, x)
-    return min(full, math.ceil(_RAMP_FACTOR * power * digits) + _RAMP_GUARD_DIGITS)
+    d = _correction_digits(correction, x)
 
+    def lu(digits: int) -> int:
+        return min(digits, max(math.ceil(digits - rho * d), 0) + _LU_GUARD_DIGITS)
 
-def _confirming_digits(
-    rho: float, eta: float, correction: mpf, x: HPVector, full: int
-) -> Optional[int]:
-    """Working digits for the step after a correction of norm 10^(-D) that
-    ended at x, when that step should confirm the stop; None otherwise.
-
-    x holds about rho D digits, so the next correction is about 10^(-rho D)
-    and its ratio about 10^(-(rho - 1) D): once (rho - 1) D >= eta that
-    ratio should reach the threshold, and the step only has to resolve its
-    correction.  It then runs at the ramp's 1.25 rho D digits for x plus
-    ``_CONFIRM_GUARD_DIGITS``, capped at ``full``, where the ramp would ask
-    for 1.25 rho^2 D.
-    """
-    digits = _correction_digits(correction, x)
-    if (rho - 1) * digits < eta:
-        return None
-    return min(full, math.ceil(_RAMP_FACTOR * rho * digits) + _CONFIRM_GUARD_DIGITS)
-
-
-def _lu_digits(rho: float, correction: mpf, x: HPVector, full: int) -> int:
-    """Digits for the factorizations and solves of a step at ``full``
-    digits from x, after a correction of norm 10^(-D) that ended at x, D as
-    ``_correction_digits`` counts it: the full - rho D digits its
-    correction of about 10^(-rho D) changes, plus ``_LU_GUARD_DIGITS``,
-    capped at ``full``."""
-    changed = max(math.ceil(full - rho * _correction_digits(correction, x)), 0)
-    return min(full, changed + _LU_GUARD_DIGITS)
+    if not ramping:
+        return full, lu(full), None
+    digits = min(full, math.ceil(_RAMP_FACTOR * (rho * rho) * d) + _RAMP_GUARD_DIGITS)
+    confirming = math.ceil(_RAMP_FACTOR * rho * d) + _CONFIRM_GUARD_DIGITS
+    if (rho - 1) * d >= eta and confirming < digits:
+        return confirming, lu(confirming), (digits, lu(digits))
+    return digits, lu(digits), None
 
 
 def _newton_size(system: NonlinearSystem, p: HPVector, fp: HPVector) -> mpf:
@@ -440,41 +432,38 @@ def solve(
     report counts the iterations up to the confirmed iterate and returns it;
     the trace keeps the confirming step for order estimation.
 
-    Iteration 1 runs at min(``ctx.digits``, 80) digits; every later one runs
-    at the digits its result can hold, rho^2 times those of the latest
-    correction plus a margin, capped at ``ctx.digits``.  The step predicted
-    to confirm the stop, after a correction of norm 10^(-D) with
-    (rho - 1) D >= eta, only has to resolve a correction of about
-    10^(-rho D): it runs at min(``ctx.digits``, ceil(1.25 rho D) + 80)
-    digits when that is fewer.  It is kept only if its operator did not
-    fail, its ratio reaches the threshold and its correction of norm
-    10^(-D') has D' + 80 <= those digits; otherwise it runs again at the
-    ramp's digits, and the discarded attempt is charged nowhere, not even
-    in ``counters``.  The confirming iterate is then computed below
+    Iteration 1 runs at min(``ctx.digits``, 80) digits, and so do its
+    factorizations and solves.  After every kept step, ``_plan`` gives the
+    next step its working digits P, rho^2 times those of the latest
+    correction 10^(-D) plus a margin, capped at ``ctx.digits``; its LU
+    digits L = min(P, max(ceil(P - rho D), 0) + 80), since a correction of
+    about 10^(-rho D) changes only the last P - rho D digits of x; and, for
+    the step predicted to confirm the stop once (rho - 1) D >= eta, fewer
+    digits, ceil(1.25 rho D) + 80, with the ramp's P and L as its fallback.
+    Evaluations, operators, 2b - a and x - correction run at P.  Two
+    re-runs discard an attempt, charging it nowhere, not even in
+    ``counters``: a step whose factorization at L < P finds no pivot, or
+    one of whose solves leaves fewer than 20 guard digits below its
+    correction (see ``_corrected``), runs again with L = P; a predicted
+    step whose operator failed, whose ratio misses the threshold or whose
+    correction of norm 10^(-D') has D' + 80 above its digits runs again at
+    its fallback.  The confirming iterate may thus be computed below
     ``ctx.digits``, and no reported value depends on its digits beyond
-    those.  Correction norms
-    and ratios are computed at ``ctx.digits``; the threshold, ACOC and
-    correct decimals only carry the few digits they report, so they are
-    computed at 30, 60 and 30 digits (correct decimals at ``ctx.digits``
-    when -log10 of the error lies within 1e-20 of an integer).  A step that
-    finds ``mp.prec`` changed by something else raises PrecisionChanged.
-
-    Each step but iteration 1 (the first after a start-over included)
-    factors and solves at L = min(P, max(ceil(P - rho D), 0) + 80) digits,
-    P its working digits and 10^(-D) the latest correction: its correction
-    of about 10^(-rho D) changes only the last P - rho D digits of x.  Its
-    evaluations, operators, 2b - a and x - correction stay at P.  A step
-    whose factorization at L finds no pivot, or one of whose solves leaves
-    fewer than 20 guard digits below its correction (see ``_corrected``),
-    runs again with L = P, and the attempt is charged nowhere.  The trace
-    records L as ``lu_digits``.
+    those.  The trace records P as ``working_digits`` and L as
+    ``lu_digits``.  Correction norms and ratios are computed at
+    ``ctx.digits``; the threshold, ACOC and correct decimals only carry the
+    few digits they report, so they are computed at 30, 60 and 30 digits
+    (correct decimals at ``ctx.digits`` when -log10 of the error lies
+    within 1e-20 of an integer).  A step that finds ``mp.prec`` changed by
+    something else raises PrecisionChanged.
 
     ``order_hint`` overrides the order used for eta and the ramp (systems
     whose mixed second derivatives vanish keep the design orders even with
     the one-sided operator); ``eta_override`` pins eta directly.  ValueError
-    refuses an x0 whose length is not the system's dimension or with an
-    entry that is not finite, an order that is not finite and at least 2,
-    and an ``eta_override`` that is not finite and positive; a step whose
+    refuses a ``max_iters`` that is not an integer of at least 2, an x0
+    whose length is not the system's dimension or with an entry that is not
+    finite, an order that is not finite and at least 2, and an
+    ``eta_override`` that is not finite and positive; a step whose
     correction norm is not finite raises MaxIterationsExceeded.  A
     degenerate divided difference at x, or a degenerate iterate pair (x, y)
     in phi1 and phi2 (then y is the final iterate), ends the run as
@@ -503,6 +492,10 @@ def solve(
     """
     method = MethodKind(method)
     dd_kind = DividedDifferenceKind(dd_kind)
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, not {max_iters!r}") from None
     if max_iters < 2:
         raise ValueError("max_iters must be at least 2")
     counters = OpCounters()
@@ -531,9 +524,8 @@ def solve(
         working: list = []
         lu_working: list = []
         ramping = True
-        digits = min(full, _FIRST_STEP_DIGITS)
-        retry = None  # the ramp's digits, while a predicted confirming step runs below them
-        redo = False  # the last attempt's factorizations and solves ran too short
+        digits = lu_digits = min(full, _FIRST_STEP_DIGITS)
+        fallback = None  # the ramp's (digits, lu_digits) while a predicted confirming step runs
         while True:
             if len(corr_norms) >= max_iters:
                 raise MaxIterationsExceeded(
@@ -541,12 +533,6 @@ def solve(
                     f"(last ratio {mp.nstr(ratios[-1], 8) if ratios else 'n/a'})"
                 )
             x = iterates[-1]
-            # iteration 1, after a start-over too, has no correction to size them by
-            lu_digits = (
-                digits if redo or not corr_norms
-                else _lu_digits(rho, corr_norms[-1], x, digits)
-            )
-            redo = False
             before = counters.snapshot()
             failure = None
             try:
@@ -567,35 +553,36 @@ def solve(
                     )
             except (DegenerateDividedDifference, SingularOperator) as exc:
                 failure = exc
-            # a step whose factorizations and solves, below its digits, did
-            # not resolve its corrections runs again with them at its digits,
-            # and nothing the attempt spent is charged
-            if lu_digits < digits and isinstance(failure, SingularOperator):
-                counters.scalar_fn_evals, counters.products, counters.quotients = before
-                redo = True
-                continue
-            # a predicted confirming step is kept only if it confirms, with its
-            # correction resolved (a zero one has infinite D); otherwise it is
-            # run again at the ramp's digits, and nothing it spent is charged
-            if retry is not None and (
+            # discard the attempt, charging nothing it spent, and run it again:
+            # with its factorizations and solves at its digits when, below
+            # them, they did not resolve its corrections; at the ramp's digits
+            # when it was predicted to confirm and does not confirm with its
+            # correction resolved (a zero one has infinite D)
+            short = lu_digits < digits and isinstance(failure, SingularOperator)
+            if short or fallback and (
                 failure is not None
                 or c / corr_norms[-1] > threshold
                 or _correction_digits(c, x_next) + _CONFIRM_GUARD_DIGITS > digits
             ):
                 counters.scalar_fn_evals, counters.products, counters.quotients = before
-                digits, retry = retry, None
+                if short:
+                    lu_digits = digits
+                else:
+                    (digits, lu_digits), fallback = fallback, None
                 continue
             # a partial step whose operator failed, whose correction is 0, or
             # whose iteration 1 could not hold x_1's rho D_0 digits
             if (digits < full or working and working[-1] < full) and (
                 failure is not None
                 or c == 0
-                or not corr_norms and _ramp_digits(rho, c, x_next, full) > digits
+                or not corr_norms and _RAMP_GUARD_DIGITS + math.ceil(
+                    _RAMP_FACTOR * rho * _correction_digits(c, x_next)
+                ) > digits
             ):
                 # start over from x_0 at full precision; only a failed
                 # iteration 1 keeps the ramp, since nothing was kept yet
                 ramping = not corr_norms
-                digits = full
+                digits = lu_digits = full
                 del iterates[1:], corr_norms[:], ratios[:], deltas[:], working[:], lu_working[:]
                 continue
             if failure is not None:
@@ -651,12 +638,7 @@ def solve(
                 raise MaxIterationsExceeded(
                     "correction norms failed to contract for 3 consecutive iterations"
                 )
-            # rho^2 times this correction's digits, unless a start-over ended
-            # the ramp; fewer for a step predicted to confirm the stop
-            digits = _ramp_digits(rho * rho, c, x_next, full) if ramping else full
-            predicted = ramping and _confirming_digits(rho, eta_used, c, x_next, full)
-            if predicted and predicted < digits:
-                digits, retry = predicted, digits
+            digits, lu_digits, fallback = _plan(rho, eta_used, c, x_next, full, ramping)
         # a ratio stop's last iteration only confirmed its predecessor
         iterations = len(iterates) - (2 if stop_reason == "ratio" else 1)
         final = iterates[iterations]

@@ -520,7 +520,13 @@ def test_a_step_whose_lu_falls_short_below_its_digits_runs_again_at_them(
     # the last step, at 194 and 97 LU digits, is the one run again
     assert redone == [len(steps) - 2] and why in steps[-2][2] and steps[-1][1] == 256
     assert report.trace.lu_digits[-1] == 256
-    monkeypatch.setattr(ddroots.methods, "_lu_digits", lambda rho, c, x, full: full)
+    plan = ddroots.methods._plan
+
+    def lu_at_full(*args):
+        digits, _, fallback = plan(*args)
+        return digits, digits, fallback and (fallback[0], fallback[0])
+
+    monkeypatch.setattr(ddroots.methods, "_plan", lu_at_full)
     assert _outcome(report) == _outcome(solve(system, x0, method, D1, ctx))
 
 

@@ -697,8 +697,10 @@ def test_max_iters_budget():
         spec = REGISTRY["quad2"]
         with pytest.raises(MaxIterationsExceeded):
             solve(spec.build_system(with_reference=False), spec.x0_vector(), PHI0, D1, ctx, max_iters=3)
-    with pytest.raises(ValueError):
-        solve(spec.build_system(with_reference=False), spec.x0_vector(), PHI0, D1, ctx, max_iters=1)
+    for refused in (1, 2.5):
+        with pytest.raises(ValueError):
+            solve(spec.build_system(with_reference=False), spec.x0_vector(), PHI0, D1, ctx,
+                  max_iters=refused)
 
 
 def test_singular_central_operator():
@@ -939,16 +941,34 @@ def _reported(call):
     )
 
 
+_PLAN = ddroots.methods._plan
+
+
+def _ramp_only(*args):
+    """``_plan`` with every step at the ramp's digits, none predicted to
+    confirm the stop."""
+    digits, lu_digits, fallback = _PLAN(*args)
+    return *(fallback or (digits, lu_digits)), None
+
+
+def _lu_at_full(*args):
+    """``_plan`` with every factorization and solve at the step's digits."""
+    digits, _, fallback = _PLAN(*args)
+    return digits, digits, fallback and (fallback[0], fallback[0])
+
+
 def _record_predictions(monkeypatch) -> list:
-    """Patch ``_confirming_digits`` to record every value it returns."""
+    """Patch ``_plan`` to record the digits of every step it predicts to
+    confirm the stop."""
     returned = []
-    confirming_digits = ddroots.methods._confirming_digits
 
     def recording(*args):
-        returned.append(confirming_digits(*args))
-        return returned[-1]
+        digits, lu_digits, fallback = _PLAN(*args)
+        if fallback:
+            returned.append(digits)
+        return digits, lu_digits, fallback
 
-    monkeypatch.setattr(ddroots.methods, "_confirming_digits", recording)
+    monkeypatch.setattr(ddroots.methods, "_plan", recording)
     return returned
 
 
@@ -957,7 +977,7 @@ def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeyp
     # step: nothing reported differs, and the rule fired
     fired = _record_predictions(monkeypatch)
     predicted = [(case, _reported(call)) for case, call in _pinned_solves()]
-    monkeypatch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
+    monkeypatch.setattr(ddroots.methods, "_plan", _ramp_only)
     assert [(case, _reported(call)) for case, call in _pinned_solves()] == predicted
     assert any(fired)
 
@@ -993,7 +1013,7 @@ def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch):
         and any(lu < w for lu, w in zip(report.trace.lu_digits, report.trace.working_digits))
     ]
     assert len(below) == 18 and redone == []
-    monkeypatch.setattr(ddroots.methods, "_lu_digits", lambda rho, c, x, full: full)
+    monkeypatch.setattr(ddroots.methods, "_plan", _lu_at_full)
     assert [
         (case, _trace_digest(lambda: _lu_digits_dropped(report))) for case, report in reports
     ] == [(case, _trace_digest(lambda: _lu_digits_dropped(call()))) for case, call in cases]
@@ -1060,7 +1080,7 @@ def test_a_predicted_step_that_does_not_confirm_reruns_at_the_ramps_digits(monke
     assert predicted[-1] == 575
     assert rerun.trace.working_digits == (80, 81, 515, 1024)
     monkeypatch.setattr(ddroots.methods, "_outer_step", outer_step)
-    monkeypatch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
+    monkeypatch.setattr(ddroots.methods, "_plan", _ramp_only)
     assert _trace_digest(lambda: rerun) == _trace_digest(call)
 
 
@@ -1233,8 +1253,8 @@ def test_a_ramped_solve_reports_what_a_fixed_precision_solve_does(
     ramped = _dyadic_outcome(name, shift, digits, method, dd)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
-        patch.setattr(ddroots.methods, "_ramp_digits", lambda power, c, x, full: full)
-        patch.setattr(ddroots.methods, "_confirming_digits", lambda *args: None)
+        # every later step at full digits, as after a start-over
+        patch.setattr(ddroots.methods, "_plan", lambda *args: _PLAN(*args[:-1], False))
         fixed = _dyadic_outcome(name, shift, digits, method, dd)
     assert ramped == fixed
 
