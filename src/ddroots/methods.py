@@ -371,15 +371,16 @@ def _plan(
     10^(-D) that ended at x, D as ``_correction_digits`` counts it.
 
     x holds about rho D digits, so the next correction is about 10^(-rho D).
-    The step runs at ``full`` digits, or while ``ramping`` at the
-    ceil(1.25 rho^2 D) + 40 its result can hold, capped at ``full``.  Once
+    While ``ramping``, the step runs at the ceil(1.25 rho^2 D) + 40 digits
+    its result can hold, capped at ``full``; otherwise at ``full``.  Once
     (rho - 1) D >= eta, the next ratio, about 10^(-(rho - 1) D), should
     reach the threshold, and the step predicted to confirm the stop only
-    has to resolve its correction: while ramping it runs at ceil(1.25 rho D)
-    + ``_CONFIRM_GUARD_DIGITS`` when that is fewer, and ``fallback`` holds
-    the ramp's (digits, lu_digits) to run it again at; it is None
-    otherwise.  A step at P digits factors and solves at the P - rho D
-    digits its correction changes plus ``_LU_GUARD_DIGITS``, capped at P.
+    has to resolve its correction: while ramping it runs at
+    ceil(1.25 rho D) + ``_CONFIRM_GUARD_DIGITS`` when that is fewer, and
+    ``fallback`` holds the ramp's (digits, lu_digits) to run it again at;
+    it is None otherwise.  A step at P digits factors and solves at the
+    P - rho D digits its correction changes plus ``_LU_GUARD_DIGITS``,
+    capped at P.
     """
     d = _correction_digits(correction, x)
 
