@@ -76,13 +76,14 @@ class NonlinearSystem:
     ``components[i]`` evaluates the i-th scalar equation at a point.  A
     component must be a pure, deterministic function of the point, and the
     point is a read-only sequence, not a tuple: index it (negative indices
-    too), slice it, iterate it or take its ``len``.  Divided-difference
-    chains record which coordinates each evaluation reads and evaluate a
-    component again only after one of those changes, so a component that
-    reads few coordinates costs few evaluations.  The counters still charge
-    the paper's model, ``RESIDUAL_COUNTS`` per ``eval`` and
-    ``OPERATOR_COUNTS`` per operator build whatever the sparsity, while the
-    wall time follows the evaluations performed.  Counters are passed
+    too), slice it, iterate it or take its ``len``.  ``eval`` and the
+    divided-difference chains record which coordinates each evaluation
+    reads, and a chain evaluates a component again only after one of those
+    changes, so a component that reads few coordinates costs few
+    evaluations.  The counters still charge the paper's model,
+    ``RESIDUAL_COUNTS`` per ``eval`` and ``OPERATOR_COUNTS`` per operator
+    build whatever the sparsity, while the wall time follows the evaluations
+    performed.  Counters are passed
     explicitly, so solves over one system definition share no tallies.  They
     do share precision: it lives in mpmath's process-global ``mp``, and
     ``solve`` switches it on every iteration, so parallel solves must run in
@@ -114,27 +115,19 @@ class NonlinearSystem:
         """Evaluate F_i at ``point``, uncounted."""
         return self.components[i](point)
 
-    def eval(self, point: Sequence, counters: Optional[OpCounters] = None) -> HPVector:
-        """Evaluate the full vector F(x); charges ``RESIDUAL_COUNTS``."""
-        self._charge_residual(point, counters)
-        return HPVector(self.eval_component(i, point) for i in range(self.m))
-
-    def eval_recorded(self, point: Sequence, counters: Optional[OpCounters] = None) -> "Residual":
-        """``eval``, with the coordinates each component's evaluation read
-        recorded as the divided-difference chains record them: a build given
-        the result as an end value takes its values at more points."""
-        self._charge_residual(point, counters)
-        point = tuple(point)
-        return Residual(*zip(*(_evaluate(self, i, point, None) for i in range(self.m))))
-
-    def _charge_residual(self, point: Sequence, counters: Optional[OpCounters]) -> None:
-        """Refuse a point of another dimension, then charge one residual."""
+    def eval(self, point: Sequence, counters: Optional[OpCounters] = None) -> "Residual":
+        """The full vector F(x), with the coordinates each component's
+        evaluation read recorded as the divided-difference chains record
+        them, so a build given it as an end value takes its values at more
+        points; charges ``RESIDUAL_COUNTS``."""
         if len(point) != self.m:
             raise ValueError(
                 f"the point has {len(point)} entries but the system has dimension {self.m}"
             )
         if counters is not None:
             counters.charge(RESIDUAL_COUNTS, self.m)
+        point = tuple(point)
+        return Residual(*zip(*(_evaluate(self, i, point, None) for i in range(self.m))))
 
     def with_reference_root(self, root: HPVector) -> "NonlinearSystem":
         return NonlinearSystem(self.m, self.components, self.name, root)
@@ -216,22 +209,17 @@ class _RecordingPoint:
 
 
 class Residual(HPVector):
-    """F at a point, with the coordinates each component's evaluation read
-    (a superset of them, as the chains record it).  A build given it as an
-    end value takes F_i from it at every chain point that agrees with that
-    end on ``reads[i]``; a plain vector is taken at its own point only."""
+    """F at a point, as ``NonlinearSystem.eval`` returns it, with the
+    coordinates each component's evaluation read (a superset of them, as the
+    chains record it).  A build given it as an end value takes F_i from it
+    at every chain point that agrees with that end on ``reads[i]``; a plain
+    vector, built by hand, is taken at its own point only."""
 
     __slots__ = ("reads",)
 
     def __init__(self, entries, reads):
         super().__init__(entries)
         object.__setattr__(self, "reads", tuple(reads))
-
-
-def _end_reads(ends) -> tuple:
-    """The read sets of supplied end values (F(x), F(y)): a ``Residual``'s
-    own, or None."""
-    return tuple(getattr(end, "reads", None) for end in ends) if ends else (None, None)
 
 
 def _evaluate(system: NonlinearSystem, i: int, point: tuple, reads) -> tuple:
@@ -250,7 +238,7 @@ def _forward_chain(
     y: Sequence,
     x: Sequence,
     ends=None,
-    end_reads=(None, None),
+    end_reads=None,
 ) -> tuple[list, list, list]:
     """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y, and the
     coordinates each component read for its values at x and at y.
@@ -259,13 +247,15 @@ def _forward_chain(
     again just the components whose latest value read it; every other keeps
     that value object.  A pure component would reproduce it bit for bit,
     since the evaluation behind it read none of the coordinates changed
-    since.  ``ends``, when given, is (F(x), F(y)), and ``end_reads`` their
-    read sets, each None where unknown.  Where step j would evaluate F_i and
-    F_i(y)'s own evaluation read only coordinates below j, on which the
-    point already agrees with y, it takes F_i(y) instead.  An end without
-    read sets is taken only at its own point, and the step after F(x) then
-    evaluates every component.  Nothing is counted here: the builders
-    charge their ``OPERATOR_COUNTS`` unit.
+    since.  ``ends``, when given, is (F(x), F(y)), each with the read sets
+    of a ``Residual`` or, built by hand, none; ``end_reads``, when given,
+    replaces those read sets (``dd_d2``'s reversed chain passes the forward
+    chain's lists).  Where step j would evaluate F_i and F_i(y)'s own
+    evaluation read only coordinates below j, on which the point already
+    agrees with y, it takes F_i(y) instead.  An end without read sets is
+    taken only at its own point, and the step after F(x) then evaluates
+    every component.  Nothing is counted here: the builders charge their
+    ``OPERATOR_COUNTS`` unit.
     """
     m = system.m
     current = list(x)
@@ -274,8 +264,9 @@ def _forward_chain(
         values, reads = map(list, zip(*(_evaluate(system, i, point, None) for i in range(m))))
         at_y = [m + 1] * m
     else:
-        fy, fy_reads = ends[1], end_reads[1] or [None] * m
-        values, reads = list(ends[0]), list(end_reads[0] or [None] * m)
+        x_reads, y_reads = end_reads or (getattr(end, "reads", None) for end in ends)
+        fy, fy_reads = ends[1], y_reads or [None] * m
+        values, reads = list(ends[0]), list(x_reads or [None] * m)
         # the first step at which the point agrees with y on F_i(y)'s reads
         at_y = [m + 1 if read is None else max(read, default=-1) + 1 for read in fy_reads]
     start_reads = list(reads)
@@ -320,7 +311,7 @@ def dd_d1(
     denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
-    chain, _, _ = _forward_chain(system, y, x, ends, _end_reads(ends))
+    chain, _, _ = _forward_chain(system, y, x, ends)
     zero = mpf(0)
     columns = [
         [zero if after is before else quotient(after - before, d)
@@ -351,7 +342,7 @@ def dd_d2(
     denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D2][ends is not None], m)
-    fwd, reads_x, reads_y = _forward_chain(system, y, x, ends, _end_reads(ends))
+    fwd, reads_x, reads_y = _forward_chain(system, y, x, ends)
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values and read sets at y and x
     rev, _, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), (reads_y, reads_x))
@@ -389,7 +380,7 @@ def central_dd(
     points coincide in some coordinate relative to x, i.e. when |f_i| is
     negligible against max(1, |x_i|); an exact zero f_i is that case too.
     """
-    fxv = system.eval_recorded(x, counters)
+    fxv = system.eval(x, counters)
     try:
         return operator_for(kind)(system, x - fxv, x + fxv, counters), fxv
     except DegenerateDividedDifference as exc:

@@ -264,7 +264,7 @@ def step_phi1(
     pair that coincides in a coordinate raises DegenerateDividedDifference
     carrying y and F(y), so a caller can tell whether y is a root.
     """
-    fy = system.eval_recorded(y, counters)
+    fy = system.eval(y, counters)
     try:
         op_pair = operator_for(dd_kind)(system, x, y, counters, ends=(fy, fx))
     except DegenerateDividedDifference as exc:

@@ -330,7 +330,7 @@ def test_ends_with_read_sets_give_the_dense_chains_operators_for_fewer_evaluatio
     with PrecisionContext(digits).activate():
         x = HPVector(mpf(v) / 4 for v in xq)
         y = HPVector(mpf(v) / 4 for v in yq)
-        recorded = (system.eval_recorded(x), system.eval_recorded(y))
+        recorded = (system.eval(x), system.eval(y))
         plain = tuple(HPVector(end) for end in recorded)
         assert all(isinstance(end, Residual) for end in recorded)
         assert [list(end) for end in plain] == [list(system.eval(x)), list(system.eval(y))]

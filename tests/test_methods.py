@@ -262,8 +262,9 @@ def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
     # reversed chain of the symmetrized operator has the forward chain's
     # read sets at both ends, and takes F_{j-2}(x) where step j would
     # evaluate it (2m - 2 more).  After a supplied end value whose read sets
-    # are unknown, a chain evaluates every component once more; ends that
-    # carry their read sets cost two evaluations per step, 2m - 2 a chain
+    # are unknown (a plain copy of an eval result), a chain evaluates every
+    # component once more; eval results carry their read sets and cost two
+    # evaluations per step, 2m - 2 a chain
     m = 32
     calls = []
 
@@ -274,8 +275,8 @@ def test_tridiagonal_builds_evaluate_what_a_changed_coordinate_reaches():
     with PrecisionContext(64).activate():
         x = HPVector(mpf(k) / 8 for k in range(m))
         y = HPVector(mpf(k) / 8 + 1 for k in range(m))
-        ends = (system.eval(x), system.eval(y))
-        recorded = (system.eval_recorded(x), system.eval_recorded(y))
+        recorded = (system.eval(x), system.eval(y))
+        ends = tuple(HPVector(end) for end in recorded)
         for build, supplied, performed in (
             (dd_d1, None, 4 * m - 2),
             (dd_d2, None, 6 * m - 4),
