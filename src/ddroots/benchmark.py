@@ -270,8 +270,8 @@ def export_boundary_curves(
     Samples landing inside a half-step of the curve's vertical asymptote are
     skipped; points with non-positive mu are tagged out of domain.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not isinstance(samples, int) or samples < 2:
+        raise ValueError(f"need at least 2 samples, as an integer, got {samples!r}")
     if not (math.isfinite(m_min) and math.isfinite(m_max)):
         raise ValueError(f"the m range [{m_min}, {m_max}] must be finite")
     with mp.workdps(60):

@@ -125,8 +125,8 @@ class PrecisionContext:
     digits: int = 4096
 
     def __post_init__(self) -> None:
-        if self.digits < 32:
-            raise ValueError(f"need at least 32 digits, got {self.digits}")
+        if not isinstance(self.digits, int) or self.digits < 32:
+            raise ValueError(f"need at least 32 digits, as an integer, got {self.digits!r}")
 
     def activate(self):
         """Context manager that switches the working precision to ``digits``."""

@@ -97,8 +97,8 @@ class NonlinearSystem:
         name: str = "",
         reference_root: Optional[HPVector] = None,
     ):
-        if m < 1:
-            raise ValueError("dimension must be at least 1")
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"dimension must be at least 1, as an integer, got {m!r}")
         if len(components) != m:
             raise ValueError(f"expected {m} components, got {len(components)}")
         if reference_root is not None and len(reference_root) != m:
@@ -413,8 +413,8 @@ def integral_dd_oracle(
     the working tolerance (about 10^(-digits/8) should be assumed).  Points
     whose length is not the system's dimension raise ValueError.
     """
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+    if not isinstance(nodes, int) or nodes < 2:
+        raise ValueError(f"need at least 2 quadrature nodes, as an integer, got {nodes!r}")
     m = system.m
     _check_dimension(m, y, x)
     ts, ws = _gauss_legendre_01(nodes, mp.prec)
@@ -471,6 +471,7 @@ def check_potra(
     integral of the Jacobian for every pair of points, so a nonzero residual
     certifies that the operator is not integral-consistent.
     """
+    _check_dimension(system.m, u, v)
     build = operator_for(kind)
     w = HPVector(2 * v[j] - u[j] for j in range(system.m))
     a = build(system, u, v)

@@ -161,6 +161,13 @@ def test_boundary_export_skips_pole_and_orders_samples():
     assert all(r["mu"] > 0 for r in rows)
 
 
+def test_boundary_export_refuses_fewer_than_two_samples_or_a_fraction():
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        export_boundary_curves("g20", samples=1)
+    with pytest.raises(ValueError, match="as an integer, got 2.5"):
+        export_boundary_curves("g20", samples=2.5)
+
+
 def test_a_descending_range_skips_the_sample_next_to_the_pole():
     # g20's asymptote is at m = 2.9468, a quarter-step from the middle sample
     for m_min, m_max in ((2.9, 3.0), (3.0, 2.9)):

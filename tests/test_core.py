@@ -29,9 +29,16 @@ from ddroots.problems import REGISTRY
 
 
 def test_context_validates_digits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 32 digits"):
         PrecisionContext(16)
     PrecisionContext(32)  # boundary is allowed
+    # mpmath truncates a fractional dps, so 100.5 would run at 100 digits
+    # while the tolerances and the trace used 100.5
+    for digits in (100.5, 64.0, "64"):
+        with pytest.raises(ValueError, match="as an integer"):
+            PrecisionContext(digits)
+    with pytest.raises(ValueError, match="need at least 32 digits"):
+        PrecisionContext(31.5)
 
 
 def test_context_tolerances():

@@ -68,6 +68,9 @@ def entrywise_close(got: HPMatrix, want_rows, tol) -> bool:
 def test_system_rejects_a_bad_dimension_or_component_count():
     with pytest.raises(ValueError, match="dimension must be at least 1"):
         NonlinearSystem(0, [])
+    # a float dimension is refused here, not with a TypeError at the first eval
+    with pytest.raises(ValueError, match="as an integer, got 2.0"):
+        NonlinearSystem(2.0, [lambda p: p[0], lambda p: p[1]])
     with pytest.raises(ValueError, match="expected 2 components, got 1"):
         NonlinearSystem(2, [lambda p: p[0]])
 
@@ -111,8 +114,14 @@ def test_eval_refuses_a_point_of_another_dimension(point):
 
 @pytest.mark.parametrize(
     "build",
-    [dd_d1, dd_d2, lambda s, y, x: integral_dd_oracle(s, y, x, 4)],
-    ids=["d1", "d2", "oracle"],
+    [
+        dd_d1,
+        dd_d2,
+        lambda s, y, x: integral_dd_oracle(s, y, x, 4),
+        # checked before w = 2x - y is formed, which a short pair indexes past
+        lambda s, y, x: check_potra(s, D1, y, x),
+    ],
+    ids=["d1", "d2", "oracle", "potra"],
 )
 @pytest.mark.parametrize(
     "y, x, lengths",
@@ -424,8 +433,10 @@ def test_oracle_closed_form_on_quadratic():
 
 def test_oracle_requires_two_nodes():
     with CTX.activate():
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 quadrature nodes"):
             integral_dd_oracle(quad2(), HPVector(["2", "2"]), HPVector(["1", "1"]), nodes=1)
+        with pytest.raises(ValueError, match="as an integer, got 2.5"):
+            integral_dd_oracle(quad2(), HPVector(["2", "2"]), HPVector(["1", "1"]), nodes=2.5)
 
 
 def test_d2_second_order_against_oracle():
