@@ -83,11 +83,11 @@ class NonlinearSystem:
     evaluations.  The counters still charge the paper's model,
     ``RESIDUAL_COUNTS`` per ``eval`` and ``OPERATOR_COUNTS`` per operator
     build whatever the sparsity, while the wall time follows the evaluations
-    performed.  Counters are passed
-    explicitly, so solves over one system definition share no tallies.  They
-    do share precision: it lives in mpmath's process-global ``mp``, and
-    ``solve`` switches it on every iteration, so parallel solves must run in
-    separate processes, not threads.
+    performed.  Counters are passed explicitly, so solves over one system
+    definition share no tallies.  They do share precision: it lives in
+    mpmath's process-global ``mp``, and ``solve`` switches it on every
+    iteration, so parallel solves must run in separate processes, not
+    threads.
     """
 
     def __init__(
