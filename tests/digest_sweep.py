@@ -9,9 +9,10 @@ digits included) or over the error it raises.  The families: the pinned
 solves of ``tests/test_methods.py``, the 18 registered pairs at 4096
 digits, and the registered systems with F scaled by 10^k, k in +/-60,
 +/-120 and +/-300, from x0 shifted by 0, +0.05 and -0.1 in every
-coordinate, at 128 and 256 digits: 732 solves.  Run it on two checkouts
-and compare the files with ``cmp``; each run imports the ``src`` next to
-its own ``tests``.  pytest does not collect this file.
+coordinate, at 128 and 256 digits, and Broyden's tridiagonal system at
+m = 8 and m = 64 from the pinned solves' two seeded starts at 128 digits:
+756 solves.  Run it on two checkouts and compare the files with ``cmp``;
+each run imports the ``src`` next to its own ``tests``.  pytest does not collect this file.
 """
 import sys
 from collections import Counter
@@ -30,6 +31,7 @@ from test_methods import (  # noqa: E402
     _rerun_paths,
     _scaled_solves,
     _trace_digest,
+    _tridiagonal_solves,
 )
 
 
@@ -39,6 +41,8 @@ def _families():
     yield from _scaled_solves(
         (-300, -120, -60, 60, 120, 300), ("+0", "+0.05", "-0.1"), (128, 256)
     )
+    for m in (8, 64):
+        yield from _tridiagonal_solves(m, 128)
 
 
 def main(out: str) -> None:

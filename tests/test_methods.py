@@ -382,8 +382,14 @@ def _pinned_solves():
     and 256 digits from two seeded starts, as the benchmark draws them."""
     for digits in (128, 256, 1024):
         yield from _registered_solves(digits)
-    m = 32
-    ctx = PrecisionContext(256)
+    yield from _tridiagonal_solves(32, 256)
+
+
+def _tridiagonal_solves(m, digits):
+    """(case, call) for every (method, operator) pair on Broyden's
+    tridiagonal system of dimension m at ``digits``, from the seed-1 and
+    seed-2 starts the benchmark draws."""
+    ctx = PrecisionContext(digits)
     system = NonlinearSystem(m, broyden_tridiagonal(m))
     for seed in (1, 2):
         rng = random.Random(seed)
@@ -391,7 +397,7 @@ def _pinned_solves():
             x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
         for method, dd in PAIRS:
             order = theoretical_order(method, D2)
-            yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/256", partial(
+            yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/{digits}", partial(
                 solve, system, x0, method, dd, ctx, order_hint=order
             )
 
