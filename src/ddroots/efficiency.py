@@ -215,8 +215,8 @@ def estimate_mu(profile: Mapping[str, int], m: int = 1) -> float:
     by m prices one scalar component.  An operation without a price raises
     ValueError.
     """
-    if m < 1:
-        raise ValueError("dimension must be at least 1")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"dimension must be at least 1, as an integer, got {m!r}")
     if any(count < 0 for count in profile.values()):
         raise ValueError("operation counts must be non-negative")
     unknown = sorted(set(profile) - set(ELEMENTARY_COSTS))

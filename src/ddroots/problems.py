@@ -370,6 +370,8 @@ def _cos3_components():
 def broyden_tridiagonal(m: int) -> list:
     """Components F_i = (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1, x_0 = x_{m+1} = 0,
     of any dimension m (Moré, Garbow & Hillstrom, ACM TOMS 7 (1981), problem 30)."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"dimension must be at least 1, as an integer, got {m!r}")
 
     def make(i):
         def component(p):

@@ -308,6 +308,13 @@ def test_estimate_mu_validation():
         estimate_mu({"exp": 1}, m=0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, "2", 0, -1])
+def test_estimate_mu_refuses_a_dimension_that_is_not_a_positive_integer(m):
+    # 2.5 was priced as 1.2 per component, where cost refuses it
+    with pytest.raises(ValueError, match=rf"at least 1, as an integer, got {m!r}"):
+        estimate_mu({"product": 3}, m=m)
+
+
 def test_estimate_mu_refuses_an_operation_without_a_price():
     # a bare KeyError: 'tan' named neither the problem nor the priced operations
     with pytest.raises(ValueError, match="no price for operation tan; priced are product, quotient"):

@@ -7,6 +7,7 @@ from ddroots.efficiency import estimate_mu
 from ddroots.methods import MethodKind
 from ddroots.problems import (
     REGISTRY,
+    broyden_tridiagonal,
     generate_reference_root,
     load_reference_root,
     printed_prefix_matches,
@@ -135,6 +136,18 @@ def test_generate_reference_root_reproduces_the_stored_root(name):
     # the packaged roots were generated at 8192 digits with a 64-digit guard;
     # regenerating them must give the same decimal strings
     assert generate_reference_root(REGISTRY[name]) == load_reference_root(name)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "3", 0, -1])
+def test_broyden_tridiagonal_refuses_a_dimension_that_is_not_a_positive_integer(m):
+    # 2.5 raised TypeError from range(), and 0 returned no components
+    with pytest.raises(ValueError, match=rf"at least 1, as an integer, got {m!r}"):
+        broyden_tridiagonal(m)
+
+
+def test_broyden_tridiagonal_of_dimension_one_has_no_neighbours():
+    (component,) = broyden_tridiagonal(1)
+    assert component([mpf(2)]) == (3 - 4) * 2 + 1
 
 
 def test_x0_vectors_parse():
