@@ -1,5 +1,5 @@
-"""High-precision numeric core: precision contexts, dense vectors/matrices,
-instrumented LU factorization, and operation counters.
+"""High-precision numeric core: precision contexts, vectors, row-sparse
+matrices, instrumented LU factorization, and operation counters.
 
 All arithmetic is done with mpmath under an explicitly activated working
 precision measured in decimal digits.  Each counted routine charges its own
@@ -191,13 +191,16 @@ def _immutable(self, *args) -> None:
 
 
 class HPVector:
-    """Immutable dense vector of high-precision reals."""
+    """Immutable dense vector of high-precision reals, each rounded to the
+    working precision as ``mpf(e)`` rounds it (an mpf that fits is kept)."""
 
     __slots__ = ("entries",)
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(mpf(e) for e in entries))
+        prec = mp.prec
+        entries = tuple(e if type(e) is mpf and e._mpf_[3] <= prec else mpf(e) for e in entries)
+        object.__setattr__(self, "entries", entries)
         if not self.entries:
             raise ValueError("vector dimension must be at least 1")
 
@@ -233,28 +236,46 @@ class HPVector:
 
 
 class HPMatrix:
-    """Immutable dense square matrix of high-precision reals (row-major).
+    """Immutable square matrix of high-precision reals, stored as each
+    row's nonzero (column, entry) pairs; the dense row-major ``rows`` are
+    built on first use.
 
     Entries that are already mpf are kept as they are; others are converted
     at the working precision.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_nonzeros", "_rows")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, rows: Iterable[Iterable]):
-        object.__setattr__(
-            self,
-            "rows",
-            tuple(tuple(e if isinstance(e, mpf) else mpf(e) for e in row) for row in rows),
-        )
-        m = len(self.rows)
-        if m == 0 or any(len(row) != m for row in self.rows):
+        rows = tuple(tuple(e if isinstance(e, mpf) else mpf(e) for e in row) for row in rows)
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square with dimension >= 1")
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(
+            self, "_nonzeros", tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
+        )
+
+    @classmethod
+    def _from_nonzeros(cls, nonzeros: tuple) -> "HPMatrix":
+        """The matrix with row i's nonzero (column, mpf) pairs ``nonzeros[i]``."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "_nonzeros", nonzeros)
+        return a
+
+    @property
+    def rows(self) -> tuple:
+        try:
+            return self._rows
+        except AttributeError:
+            m, zeros = self.m, [mp.make_mpf(fzero)] * self.m
+            rows = tuple(tuple(map(dict(pairs).get, range(m), zeros)) for pairs in self._nonzeros)
+            object.__setattr__(self, "_rows", rows)
+            return rows
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self._nonzeros)
 
     def __getitem__(self, i: int) -> tuple:
         return self.rows[i]
@@ -328,12 +349,12 @@ class LUFactorization:
 def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     """LU factorization with partial pivoting; charges ``FACTOR_COUNTS``.
 
-    The arithmetic runs at the active precision, and each nonzero entry of
-    ``a`` with more bits than it holds is rounded to it on read, so a
-    matrix built at more digits factors as that matrix rounded to the
-    active precision, at that precision's cost; an entry that fits is read
-    as it is, which leaves every bit of a matrix built at the active
-    precision as it was.
+    The working rows are filled from ``a``'s nonzeros.  The arithmetic runs
+    at the active precision, and each nonzero entry of ``a`` with more bits
+    than it holds is rounded to it on read, so a matrix built at more
+    digits factors as that matrix rounded to the active precision, at that
+    precision's cost; an entry that fits is read as it is, which leaves
+    every bit of a matrix built at the active precision as it was.
     Pivot-search comparisons are not counted, and the unit is charged on
     entry, whatever the loops then perform.  The loops skip exact zeros: the
     pivot search skips zero candidates, and the elimination skips zero
@@ -353,10 +374,13 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     prec, rnd = mp._prec_rounding
     # on raw tuples, each mpf operation below is the libmp call mpf's own
     # operator makes; a zero or special value has a bit count below 1
-    lu = [
-        [t if t[3] <= prec else mpf_pos(t, prec, rnd) for t in (e._mpf_ for e in row)]
-        for row in a.rows
-    ]
+    lu = []
+    for pairs in a._nonzeros:
+        row = [fzero] * m
+        for j, e in pairs:
+            t = e._mpf_
+            row[j] = t if t[3] <= prec else mpf_pos(t, prec, rnd)
+        lu.append(row)
     perm = list(range(m))
     for k in range(m):
         # the first candidate of largest magnitude, as max() picks it

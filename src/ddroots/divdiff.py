@@ -16,12 +16,14 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_sub
 
 from .core import (
     HPMatrix,
     HPVector,
     OpCounters,
     SolverError,
+    _quotient,
     inf_norm,
     mat_entrywise,
     mat_inf_norm,
@@ -197,7 +199,9 @@ class _RecordingPoint:
 
     def __getitem__(self, k):
         value = self._point[k]
-        if isinstance(k, slice):
+        if type(k) is int:
+            self.reads.add(k % len(self._point))
+        elif isinstance(k, slice):
             self.reads.update(range(*k.indices(len(self._point))))
         else:
             self.reads.add(operator.index(k) % len(self._point))
@@ -298,10 +302,11 @@ def dd_d1(
     """Classical divided-difference operator on the points (y, x).
 
     Entry (i, j) is the quotient of consecutive mixed-coordinate values of
-    F_i along the forward chain by y_j - x_j, or an exact zero, with no
-    arithmetic, when the chain kept F_i's value object over that step.  The
-    quotient is ``core.quotient``, the bits of ``/`` without the long
-    division where F_i is linear in x_j and the quotient is exact.
+    F_i along the forward chain by y_j - x_j, or an exact zero, neither
+    computed nor stored, when the chain kept F_i's value object over that
+    step.  The quotient is ``core.quotient``'s, the bits of ``/`` without
+    the long division where F_i is linear in x_j and the quotient is exact,
+    taken on the raw tuples where the values are mpf.
     ``ends``, when given, is (F(x), F(y)); an end that is a ``Residual``
     also stands in for F at the chain points that agree with it on its
     read sets.  Charges the ``OPERATOR_COUNTS`` unit of D1, fresh or
@@ -312,13 +317,20 @@ def dd_d1(
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
     chain, _, _ = _forward_chain(system, y, x, ends)
-    zero = mpf(0)
-    columns = [
-        [zero if after is before else quotient(after - before, d)
-         for before, after in zip(chain[j], chain[j + 1])]
-        for j, d in enumerate(denoms)
-    ]
-    return HPMatrix(zip(*columns))
+    prec, rnd = mp._prec_rounding
+    rows = [[] for _ in range(m)]
+    for j, d in enumerate(denoms):
+        for i, (before, after) in enumerate(zip(chain[j], chain[j + 1])):
+            if after is before:
+                continue
+            if type(after) is type(before) is type(d) is mpf:
+                # quotient(after - before, d) on raw tuples
+                t = mpf_sub(after._mpf_, before._mpf_, prec, rnd)
+                e = mp.make_mpf(_quotient(t, d._mpf_, prec, rnd))
+            else:
+                e = quotient(after - before, d)
+            rows[i].append((j, e))
+    return HPMatrix._from_nonzeros(tuple(map(tuple, rows)))
 
 
 def dd_d2(
@@ -332,9 +344,10 @@ def dd_d2(
 
     Averages the forward chain with the chain walked from y back to x.  Each
     entry is one quotient by y_j - x_j (``core.quotient``, the bits of
-    ``/``) then one product by the constant one-half, or an exact zero,
-    with no arithmetic, when both chains kept F_i's value object over
-    step j.  ``ends``, when given, is (F(x), F(y)), taken as by ``dd_d1``.
+    ``/``) then one product by the constant one-half, taken on the raw
+    tuples as an exponent decrement where the values are mpf, or an exact
+    zero, neither computed nor stored, when both chains kept F_i's value
+    object over step j.  ``ends``, when given, is (F(x), F(y)), taken as by ``dd_d1``.
     Charges the ``OPERATOR_COUNTS`` unit of D2, fresh or supplied, once the
     points are found separated.
     """
@@ -346,14 +359,23 @@ def dd_d2(
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values and read sets at y and x
     rev, _, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), (reads_y, reads_x))
-    half = mpf(1) / 2
-    zero = mpf(0)
-    columns = [
-        [zero if f1 is f0 and r0 is r1 else quotient(f1 - f0 + r0 - r1, d) * half
-         for f0, f1, r0, r1 in zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])]
-        for j, d in enumerate(denoms)
-    ]
-    return HPMatrix(zip(*columns))
+    prec, rnd = mp._prec_rounding
+    rows = [[] for _ in range(m)]
+    for j, d in enumerate(denoms):
+        for i, (f0, f1, r0, r1) in enumerate(zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])):
+            if f1 is f0 and r0 is r1:
+                continue
+            if type(f0) is type(f1) is type(r0) is type(r1) is type(d) is mpf:
+                # quotient(f1 - f0 + r0 - r1, d) * half on raw tuples; the
+                # quotient fits the precision, so halving it is exact
+                t = mpf_sub(f1._mpf_, f0._mpf_, prec, rnd)
+                t = mpf_sub(mpf_add(t, r0._mpf_, prec, rnd), r1._mpf_, prec, rnd)
+                sign, man, exp, bc = t = _quotient(t, d._mpf_, prec, rnd)
+                e = mp.make_mpf((sign, man, exp - 1, bc) if man else t)
+            else:
+                e = quotient(f1 - f0 + r0 - r1, d) * mpf(0.5)
+            rows[i].append((j, e))
+    return HPMatrix._from_nonzeros(tuple(map(tuple, rows)))
 
 
 _BUILDERS = {D1: dd_d1, D2: dd_d2}

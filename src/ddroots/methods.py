@@ -33,7 +33,6 @@ from .core import (
     inf_norm,
     lu_factor,
     lu_solve,
-    mat_entrywise,
 )
 from .divdiff import (
     D1,
@@ -270,11 +269,23 @@ def step_phi1(
     except DegenerateDividedDifference as exc:
         exc.residual, exc.point = fy, y
         raise
-    # doubling is a shift-add, not a counted product; two zeros give a zero
-    combined = mat_entrywise(lambda b, a: 2 * b - a if b or a else a, op_pair, central)
+    combined = _combined_operator(op_pair, central)
     with _lu_precision(lu_digits):
         fact_nu = lu_factor(combined, counters)
     return _corrected(y, fact_nu, fy, counters, lu_digits), fact_nu
+
+
+def _combined_operator(op_pair: HPMatrix, central: HPMatrix) -> HPMatrix:
+    """2 op_pair - central over the union of their nonzeros: 2b - a where
+    both have entry (i, j), 2b or -a where only op_pair or only central has
+    it; doubling is a shift-add, not a counted product."""
+    rows = []
+    for pair_row, central_row in zip(op_pair._nonzeros, central._nonzeros):
+        a = dict(central_row)
+        row = {j: 2 * b - a.pop(j) if j in a else 2 * b for j, b in pair_row}
+        row.update((j, -e) for j, e in a.items())
+        rows.append(tuple(row.items()))
+    return HPMatrix._from_nonzeros(tuple(rows))
 
 
 def step_phi2(

@@ -608,3 +608,37 @@ def test_counters_snapshot():
     c = OpCounters()
     c.charge(((18,), (12,), (0, 6)), 4)
     assert c.snapshot() == (3, 2, 4)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**6), st.sampled_from([20, 64, 512])),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_a_vector_rounds_what_does_not_fit_as_mpf_does(draws):
+    # an mpf that fits the working precision is kept, object and bits; one
+    # made at more digits is rounded as mpf(e) rounds it
+    entries = []
+    for num, den, digits in draws:
+        with mp.workdps(digits):
+            entries.append(mpf(num) / den)
+    with mp.workdps(64):
+        v = HPVector(entries)
+        for e, got in zip(entries, v):
+            assert got._mpf_ == mpf(e)._mpf_
+            assert (got is e) == (e._mpf_[3] <= mp.prec)
+        # at 512 digits a 1/3 has more bits than 64 digits hold
+        with mp.workdps(512):
+            third = mpf(1) / 3
+        assert HPVector([third])[0]._mpf_ == mpf(third)._mpf_ != third._mpf_
+
+
+def test_a_vector_converts_other_entries_as_before():
+    with mp.workdps(64):
+        raw = [3, "0.1", 0.1, -7, "-2.5e-300", mp.inf, mp.nan, mpf(0)]
+        got = HPVector(raw)
+        assert [e._mpf_ for e in got] == [mpf(e)._mpf_ for e in raw]
+        assert all(type(e) is mpf for e in got)

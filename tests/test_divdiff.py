@@ -1,4 +1,5 @@
 import operator
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,9 @@ from ddroots.core import (
     HPVector,
     OpCounters,
     PrecisionContext,
+    SingularOperator,
     inf_norm,
+    lu_factor,
     mat_entrywise,
     mat_inf_norm,
     working_eps,
@@ -28,7 +31,7 @@ from ddroots.divdiff import (
     dd_d2,
     integral_dd_oracle,
 )
-from ddroots.methods import MethodKind, solve
+from ddroots.methods import MethodKind, _combined_operator, solve
 from ddroots.problems import REGISTRY
 
 D1 = DividedDifferenceKind.D1
@@ -359,6 +362,82 @@ def test_ends_with_read_sets_give_the_dense_chains_operators_for_fewer_evaluatio
             assert [[e._mpf_ for e in row] for row in got.rows] == [
                 [e._mpf_ for e in row] for row in want
             ]
+
+
+def _bits(rows):
+    return [[e._mpf_ for e in row] for row in rows]
+
+
+def _entry_matrix(draw, m):
+    """An m x m matrix of entries made at 1024 digits: exact zeros in about
+    half the places, so that many are zero in just one of two draws."""
+    nonzero = st.tuples(st.integers(-99, 99), st.integers(1, 9))
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.just(None), nonzero), min_size=m, max_size=m),
+        min_size=m, max_size=m,
+    ))
+    with mp.workdps(1024):
+        return [[mpf(0) if e is None else mpf(e[0]) / e[1] for e in row] for row in rows]
+
+
+def _check_nonzero_storage(op, want_rows, other_rows):
+    """``op``'s dense view is ``want_rows`` bit for bit; it factors as that
+    dense matrix does; and the second step's combination of it with a
+    matrix of ``other_rows``, either way round, is the entrywise one."""
+    assert _bits(op.rows) == _bits(want_rows)
+    dense = HPMatrix(op.rows)
+    try:
+        fact = lu_factor(op, OpCounters())
+    except SingularOperator as exc:
+        with pytest.raises(SingularOperator, match=re.escape(str(exc))):
+            lu_factor(dense, OpCounters())
+    else:
+        want = lu_factor(dense, OpCounters())
+        assert (fact.raw, fact.perm) == (want.raw, want.perm)
+    other = HPMatrix(other_rows)
+    for b, a in ((op, other), (other, op)):
+        entrywise = mat_entrywise(lambda b, a: 2 * b - a if b or a else a, b, a)
+        assert _bits(_combined_operator(b, a).rows) == _bits(entrywise.rows)
+
+
+@given(sparse_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_nonzero_storage_is_the_dense_operator_on_sparse_systems(case, data):
+    m, specs, xq, yq, supplied, _, digits = case
+    system = NonlinearSystem(m, [_sparse_component(*spec, m) for spec in specs])
+    other = _entry_matrix(data.draw, m)
+    with PrecisionContext(digits).activate():
+        x = HPVector(mpf(v) / 4 for v in xq)
+        y = HPVector(mpf(v) / 4 for v in yq)
+        ends = (system.eval(x), system.eval(y)) if supplied else None
+        for build, kind in ((dd_d1, D1), (dd_d2, D2)):
+            op = build(system, y, x, ends=ends)
+            _check_nonzero_storage(op, _dense_operator(system, y, x, kind, ends), other)
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.data())))
+@settings(max_examples=60, deadline=None)
+def test_nonzero_storage_is_the_dense_operator_on_dense_random_matrices(case):
+    # F_i(p) = sum of a_ij p_j over a_ij != 0, plus i: an affine system
+    # whose component i reads only the coordinates of row i's nonzeros, so
+    # its operators have A's zeros, and A itself as a matrix
+    m, data = case
+    a_rows, other = _entry_matrix(data.draw, m), _entry_matrix(data.draw, m)
+
+    def make(i):
+        return lambda p: sum((a * p[j] for j, a in enumerate(a_rows[i]) if a), mpf(i))
+
+    system = NonlinearSystem(m, [make(i) for i in range(m)])
+    quarters = st.lists(st.integers(-12, 12), min_size=m, max_size=m)
+    xq = data.draw(quarters)
+    yq = [data.draw(st.integers(-12, 12).filter(lambda v, xj=xj: v != xj)) for xj in xq]
+    with PrecisionContext(data.draw(st.sampled_from([64, 1024]))).activate():
+        x = HPVector(mpf(v) / 4 for v in xq)
+        y = HPVector(mpf(v) / 4 for v in yq)
+        for build, kind in ((dd_d1, D1), (dd_d2, D2)):
+            op = build(system, y, x)
+            _check_nonzero_storage(op, _dense_operator(system, y, x, kind, None), other)
+        _check_nonzero_storage(HPMatrix(a_rows), a_rows, other)
 
 
 def test_degenerate_pair_rejected():
