@@ -415,13 +415,12 @@ def test_nonzero_storage_is_the_dense_operator_on_sparse_systems(case, data):
             _check_nonzero_storage(op, _dense_operator(system, y, x, kind, ends), other)
 
 
-@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.data())))
+@given(st.integers(1, 6), st.data())
 @settings(max_examples=60, deadline=None)
-def test_nonzero_storage_is_the_dense_operator_on_dense_random_matrices(case):
+def test_nonzero_storage_is_the_dense_operator_on_dense_random_matrices(m, data):
     # F_i(p) = sum of a_ij p_j over a_ij != 0, plus i: an affine system
     # whose component i reads only the coordinates of row i's nonzeros, so
     # its operators have A's zeros, and A itself as a matrix
-    m, data = case
     a_rows, other = _entry_matrix(data.draw, m), _entry_matrix(data.draw, m)
 
     def make(i):
