@@ -4,35 +4,193 @@
     python tests/digest_sweep.py OUT
 
 writes one ``<sha256>  <case>`` line per solve to OUT, each digest over
-everything the solve reports (``tests/test_methods.py::_trace_digest``, LU
-digits included) or over the error it raises.  The families: the pinned
-solves of ``tests/test_methods.py``, the 18 registered pairs at 4096
-digits, and the registered systems with F scaled by 10^k, k in +/-60,
-+/-120 and +/-300, from x0 shifted by 0, +0.05 and -0.1 in every
-coordinate, at 128 and 256 digits, and Broyden's tridiagonal system at
-m = 8 and m = 64 from the pinned solves' two seeded starts at 128 digits:
-756 solves.  Run it on two checkouts and compare the files with ``cmp``;
-each run imports the ``src`` next to its own ``tests``.  pytest does not collect this file.
+everything the solve reports (``_trace_digest``, LU digits included) or
+over the error it raises.  The families: the pinned solves (the 18
+registered pairs at 128, 256 and 1024 digits, Broyden's tridiagonal system
+at m = 32 from two seeded starts at 256 digits), the 18 pairs at 4096
+digits, the registered systems with F scaled by 10^k, k in +/-60, +/-120
+and +/-300, from x0 shifted by 0, +0.05 and -0.1 in every coordinate, at
+128 and 256 digits, and the tridiagonal system at m = 8 and 64 from the
+same starts at 128 digits: 756 solves.
+
+``tests/data/digest_sweep.sha256`` is the one pin file and this script its
+one writer.  Tier-1 (``tests/test_methods.py``) takes the families from
+here and checks the pinned, re-run, 4096-digit and tridiagonal cases
+against the file; CI ``diff``s a whole run with it.  Any re-hash is made
+with the parent commit's ``src`` and recorded in CHANGES.md.  Run as a
+script, it imports the ``src`` next to its ``tests``.
 """
+import hashlib
+import random
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest  # noqa: E402
+from mpmath import mp, mpf  # noqa: E402
 
-from ddroots.core import SolverError  # noqa: E402
-from test_methods import (  # noqa: E402
-    _pinned_solves,
-    _record_steps,
-    _registered_solves,
-    _rerun_paths,
-    _scaled_solves,
-    _trace_digest,
-    _tridiagonal_solves,
-)
+import ddroots.methods  # noqa: E402
+from ddroots.core import HPVector, PrecisionContext, SingularOperator, SolverError  # noqa: E402
+from ddroots.divdiff import D1, D2, NonlinearSystem  # noqa: E402
+from ddroots.methods import MethodKind, solve, theoretical_order  # noqa: E402
+from ddroots.problems import REGISTRY, broyden_tridiagonal  # noqa: E402
+
+PINS = Path(__file__).resolve().parent / "data" / "digest_sweep.sha256"
+
+
+def read_pins() -> dict:
+    """case -> digest for every line of the pin file."""
+    lines = PINS.read_text().splitlines()
+    return {case: digest for digest, case in (line.split("  ", 1) for line in lines)}
+
+
+def _bits(value):
+    """``_mpf_`` of an mpf, with an int mantissa whatever the backend."""
+    if isinstance(value, mpf):
+        sign, man, exp, bc = value._mpf_
+        return (sign, int(man), exp, bc)
+    return value
+
+
+def _trace_digest(call) -> str:
+    """SHA-256 of everything a solve reports: stop reason, I, eta, every
+    iterate, correction norm, ratio, counter delta, working digits and LU
+    digits, the total counters, ACOC, its spread and q; or of the error it
+    raises."""
+    try:
+        report = call()
+    except SolverError as exc:
+        fields = ("raised", type(exc).__name__, str(exc))
+    else:
+        trace = report.trace
+        fields = (
+            report.stop_reason,
+            report.iterations,
+            report.eta_used,
+            [[_bits(e) for e in iterate] for iterate in trace.iterates],
+            [_bits(c) for c in trace.correction_norms],
+            [_bits(r) for r in trace.ratios],
+            trace.counter_deltas,
+            trace.working_digits,
+            trace.lu_digits,
+            report.counters.snapshot(),
+            _bits(report.acoc),
+            _bits(report.acoc_spread),
+            report.correct_decimals,
+        )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+PAIRS = [(method, dd) for method in MethodKind for dd in (D1, D2)]
+
+
+def _registered_solves(digits):
+    """(case, call) for every registered (problem, method, operator) triple
+    at ``digits``."""
+    ctx = PrecisionContext(digits)
+    for name, spec in REGISTRY.items():
+        with ctx.activate():
+            system, x0 = spec.build_system(), spec.x0_vector()
+        for method, dd in PAIRS:
+            order = spec.effective_order(method, dd)
+            yield f"{name}/{method.value}/{dd.value}/{digits}", partial(
+                solve, system, x0, method, dd, ctx, order_hint=order
+            )
+
+
+def _pinned_solves():
+    """(case, call) for every registered (problem, method, operator) triple
+    at 128, 256 and 1024 digits, and Broyden's tridiagonal system at m = 32
+    and 256 digits from two seeded starts, as the benchmark draws them."""
+    for digits in (128, 256, 1024):
+        yield from _registered_solves(digits)
+    yield from _tridiagonal_solves(32, 256)
+
+
+def _tridiagonal_solves(m, digits):
+    """(case, call) for every (method, operator) pair on Broyden's
+    tridiagonal system of dimension m at ``digits``, from the seed-1 and
+    seed-2 starts the benchmark draws."""
+    ctx = PrecisionContext(digits)
+    system = NonlinearSystem(m, broyden_tridiagonal(m))
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        with ctx.activate():
+            x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
+        for method, dd in PAIRS:
+            order = theoretical_order(method, D2)
+            yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/{digits}", partial(
+                solve, system, x0, method, dd, ctx, order_hint=order
+            )
+
+
+def _scaled_solves(exponents, shifts, digits):
+    """(case, call) for every registered (problem, method, operator) triple
+    with F scaled by 10^k, from x0 shifted in every coordinate by ``shift``,
+    a signed decimal string, for each k, shift and digit count given."""
+    for count in digits:
+        ctx = PrecisionContext(count)
+        for k in exponents:
+            for shift in shifts:
+                for name, spec in REGISTRY.items():
+                    with ctx.activate():
+                        base, scale = spec.build_system(), mpf(10) ** k
+                        system = NonlinearSystem(
+                            base.m, [lambda p, f=f: scale * f(p) for f in base.components],
+                            reference_root=base.reference_root,
+                        )
+                        x0 = HPVector(e + mpf(shift) for e in spec.x0_vector())
+                    for method, dd in PAIRS:
+                        order = spec.effective_order(method, dd)
+                        yield f"{name}*1e{k}/x0{shift}/{method.value}/{dd.value}/{count}", partial(
+                            solve, system, x0, method, dd, ctx, order_hint=order
+                        )
+
+
+def _rerun_solves():
+    """The scaled solves that take every path on which ``solve`` runs an
+    attempt again, none of which the pinned solves take more than once."""
+    return _scaled_solves((-120, 60, 120), ("+0", "-0.1"), (128,))
+
+
+def _record_steps(monkeypatch) -> list:
+    """Patch ``_outer_step`` to record (x, working digits, LU digits, error)
+    for every call."""
+    calls = []
+    outer_step = ddroots.methods._outer_step
+
+    def recording(system, x, method, dd_kind, counters, lu_digits=None):
+        calls.append((x, mp.dps, lu_digits, None))
+        try:
+            return outer_step(system, x, method, dd_kind, counters, lu_digits)
+        except SolverError as exc:
+            calls[-1] = calls[-1][:3] + (exc,)
+            raise
+
+    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
+    return calls
+
+
+def _rerun_paths(calls) -> set:
+    """The paths by which one solve's recorded steps ran an attempt again:
+    from the same iterate, an LU redo at the step's digits after an LU below
+    them fell short, otherwise a confirming step's retry, or from x_0 a
+    start-over during iteration 1; from x_0 after a later iterate, a
+    start-over after iteration 1."""
+    paths = set()
+    for (x, digits, lu, error), (y, *step) in zip(calls, calls[1:]):
+        if y is x and x is calls[0][0]:
+            paths.add("start-over during iteration 1")
+        elif y is x:
+            redo = isinstance(error, SingularOperator) and lu < digits and step[:2] == [digits] * 2
+            paths.add("LU redo" if redo else "confirming retry")
+        elif y is calls[0][0]:
+            paths.add("start-over after iteration 1")
+    return paths
 
 
 def _families():

@@ -20,14 +20,10 @@ from ddroots.benchmark import (
 )
 from ddroots.cli import main
 from ddroots.core import PrecisionContext, to_decimal
-from ddroots.divdiff import DividedDifferenceKind
+from ddroots.divdiff import D1, D2, DividedDifferenceKind
 from ddroots.efficiency import cei, cost, estimate_mu, time_factor
-from ddroots.methods import MaxIterationsExceeded, MethodKind, theoretical_order
+from ddroots.methods import PHI0, PHI1, PHI2, MaxIterationsExceeded, MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
-PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
 
 
 @pytest.fixture(scope="module")

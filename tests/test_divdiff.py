@@ -18,8 +18,9 @@ from ddroots.core import (
     working_eps,
 )
 from ddroots.divdiff import (
+    D1,
+    D2,
     DegenerateDividedDifference,
-    DividedDifferenceKind,
     NonlinearSystem,
     Residual,
     _separation,
@@ -33,9 +34,6 @@ from ddroots.divdiff import (
 )
 from ddroots.methods import MethodKind, _combined_operator, solve
 from ddroots.problems import REGISTRY
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
 
 CTX = PrecisionContext(192)
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from ddroots.divdiff import DividedDifferenceKind
+from ddroots.divdiff import D1, D2
 from ddroots.efficiency import (
     COMPARISONS,
     ELEMENTARY_COSTS,
@@ -17,11 +17,7 @@ from ddroots.efficiency import (
     estimate_mu,
     time_factor,
 )
-from ddroots.methods import MethodKind
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
-PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
+from ddroots.methods import PHI0, PHI1, PHI2
 
 
 @pytest.mark.parametrize(

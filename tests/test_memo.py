@@ -24,6 +24,8 @@ from ddroots import (
     solve,
 )
 from ddroots import problems
+from ddroots.divdiff import D1, D2
+from ddroots.methods import PHI0, PHI2
 from ddroots.problems import (
     _BASES,
     _MEMO_ENTRIES,
@@ -35,10 +37,6 @@ from ddroots.problems import (
 )
 
 MEMOS = {"exp": _ExpMemo, "cos": _CosMemo}
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
-PHI0, PHI2 = MethodKind.PHI0, MethodKind.PHI2
 
 
 def _fresh_exp5():

@@ -1,10 +1,7 @@
-import hashlib
-import random
 import re
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +18,8 @@ from ddroots.core import (
     inf_norm,
 )
 from ddroots.divdiff import (
+    D1,
+    D2,
     DegenerateDividedDifference,
     DividedDifferenceKind,
     NonlinearSystem,
@@ -31,6 +30,9 @@ from ddroots.divdiff import (
 import ddroots.methods
 from ddroots.methods import (
     MEASURED_COUNTS,
+    PHI0,
+    PHI1,
+    PHI2,
     PRICED_COUNTS,
     IterationTrace,
     MaxIterationsExceeded,
@@ -44,10 +46,19 @@ from ddroots.methods import (
     theoretical_order,
 )
 from ddroots.problems import REGISTRY, broyden_tridiagonal
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
-PHI0, PHI1, PHI2 = MethodKind.PHI0, MethodKind.PHI1, MethodKind.PHI2
+from digest_sweep import (
+    PINS,
+    _bits,
+    _families,
+    _pinned_solves,
+    _record_steps,
+    _registered_solves,
+    _rerun_paths,
+    _rerun_solves,
+    _trace_digest,
+    _tridiagonal_solves,
+    read_pins,
+)
 
 
 @pytest.mark.parametrize(
@@ -316,186 +327,49 @@ def test_repeated_tridiagonal_solves_are_bit_identical():
         assert solve_every_pair() == solve_every_pair()
 
 
-# one line "<sha256>  <case>" per solve of ``_pinned_solves`` and then of
-# ``_rerun_solves``; rewrite it with ``PYTHONPATH=src python
-# tests/test_methods.py`` only for a change meant to move the bits
-TRACE_PINS = Path(__file__).parent / "data" / "solve_traces.sha256"
-
-
-def _bits(value):
-    """``_mpf_`` of an mpf, with an int mantissa whatever the backend."""
-    if isinstance(value, mpf):
-        sign, man, exp, bc = value._mpf_
-        return (sign, int(man), exp, bc)
-    return value
-
-
-def _trace_digest(call) -> str:
-    """SHA-256 of everything a solve reports: stop reason, I, eta, every
-    iterate, correction norm, ratio, counter delta, working digits and LU
-    digits, the total counters, ACOC, its spread and q; or of the error it
-    raises."""
-    try:
-        report = call()
-    except SolverError as exc:
-        fields = ("raised", type(exc).__name__, str(exc))
-    else:
-        trace = report.trace
-        fields = (
-            report.stop_reason,
-            report.iterations,
-            report.eta_used,
-            [[_bits(e) for e in iterate] for iterate in trace.iterates],
-            [_bits(c) for c in trace.correction_norms],
-            [_bits(r) for r in trace.ratios],
-            trace.counter_deltas,
-            trace.working_digits,
-            trace.lu_digits,
-            report.counters.snapshot(),
-            _bits(report.acoc),
-            _bits(report.acoc_spread),
-            report.correct_decimals,
-        )
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
-
-
-PAIRS = [(method, dd) for method in MethodKind for dd in (D1, D2)]
-
-
-def _registered_solves(digits):
-    """(case, call) for every registered (problem, method, operator) triple
-    at ``digits``."""
-    ctx = PrecisionContext(digits)
-    for name, spec in REGISTRY.items():
-        with ctx.activate():
-            system, x0 = spec.build_system(), spec.x0_vector()
-        for method, dd in PAIRS:
-            order = spec.effective_order(method, dd)
-            yield f"{name}/{method.value}/{dd.value}/{digits}", partial(
-                solve, system, x0, method, dd, ctx, order_hint=order
-            )
-
-
-def _pinned_solves():
-    """(case, call) for every registered (problem, method, operator) triple
-    at 128, 256 and 1024 digits, and Broyden's tridiagonal system at m = 32
-    and 256 digits from two seeded starts, as the benchmark draws them."""
-    for digits in (128, 256, 1024):
-        yield from _registered_solves(digits)
-    yield from _tridiagonal_solves(32, 256)
-
-
-def _tridiagonal_solves(m, digits):
-    """(case, call) for every (method, operator) pair on Broyden's
-    tridiagonal system of dimension m at ``digits``, from the seed-1 and
-    seed-2 starts the benchmark draws."""
-    ctx = PrecisionContext(digits)
-    system = NonlinearSystem(m, broyden_tridiagonal(m))
-    for seed in (1, 2):
-        rng = random.Random(seed)
-        with ctx.activate():
-            x0 = HPVector(repr(-1 + rng.uniform(-0.1, 0.1)) for _ in range(m))
-        for method, dd in PAIRS:
-            order = theoretical_order(method, D2)
-            yield f"tridiag{m}/seed{seed}/{method.value}/{dd.value}/{digits}", partial(
-                solve, system, x0, method, dd, ctx, order_hint=order
-            )
-
-
-def _scaled_solves(exponents, shifts, digits):
-    """(case, call) for every registered (problem, method, operator) triple
-    with F scaled by 10^k, from x0 shifted in every coordinate by ``shift``,
-    a signed decimal string, for each k, shift and digit count given."""
-    for count in digits:
-        ctx = PrecisionContext(count)
-        for k in exponents:
-            for shift in shifts:
-                for name, spec in REGISTRY.items():
-                    with ctx.activate():
-                        base, scale = spec.build_system(), mpf(10) ** k
-                        system = NonlinearSystem(
-                            base.m, [lambda p, f=f: scale * f(p) for f in base.components],
-                            reference_root=base.reference_root,
-                        )
-                        x0 = HPVector(e + mpf(shift) for e in spec.x0_vector())
-                    for method, dd in PAIRS:
-                        order = spec.effective_order(method, dd)
-                        yield f"{name}*1e{k}/x0{shift}/{method.value}/{dd.value}/{count}", partial(
-                            solve, system, x0, method, dd, ctx, order_hint=order
-                        )
-
-
-def _rerun_solves():
-    """The scaled solves that take every path on which ``solve`` runs an
-    attempt again, none of which the pinned solves take more than once."""
-    return _scaled_solves((-120, 60, 120), ("+0", "-0.1"), (128,))
-
-
-def _record_steps(monkeypatch) -> list:
-    """Patch ``_outer_step`` to record (x, working digits, LU digits, error)
-    for every call."""
-    calls = []
-    outer_step = ddroots.methods._outer_step
-
-    def recording(system, x, method, dd_kind, counters, lu_digits=None):
-        calls.append((x, mp.dps, lu_digits, None))
-        try:
-            return outer_step(system, x, method, dd_kind, counters, lu_digits)
-        except SolverError as exc:
-            calls[-1] = calls[-1][:3] + (exc,)
-            raise
-
-    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
-    return calls
-
-
-def _rerun_paths(calls) -> set:
-    """The paths by which one solve's recorded steps ran an attempt again:
-    from the same iterate, an LU redo at the step's digits after an LU below
-    them fell short, otherwise a confirming step's retry, or from x_0 a
-    start-over during iteration 1; from x_0 after a later iterate, a
-    start-over after iteration 1."""
-    paths = set()
-    for (x, digits, lu, error), (y, *step) in zip(calls, calls[1:]):
-        if y is x and x is calls[0][0]:
-            paths.add("start-over during iteration 1")
-        elif y is x:
-            redo = isinstance(error, SingularOperator) and lu < digits and step[:2] == [digits] * 2
-            paths.add("LU redo" if redo else "confirming retry")
-        elif y is calls[0][0]:
-            paths.add("start-over after iteration 1")
-    return paths
-
-
-def _trace_digests(solves) -> list[str]:
-    return [f"{_trace_digest(call)}  {case}" for case, call in solves]
-
-
 def test_every_solve_trace_is_pinned_bit_for_bit():
     # the golden files pin the final iterates of the published rows and
     # acceptance_4096.sha256 the acceptance rows; this pins every bit of
-    # whole traces, the tridiagonal solves included
-    digests = _trace_digests(_pinned_solves())
-    assert digests == TRACE_PINS.read_text().splitlines()[:len(digests)]
+    # whole traces: the pinned solves, the registered pairs at 4096 digits
+    # and the tridiagonal system at m = 8 and 64, each against its line of
+    # the sweep's file
+    pins = read_pins()
+    solves = [
+        *_pinned_solves(),
+        *_registered_solves(4096),
+        *_tridiagonal_solves(8, 128),
+        *_tridiagonal_solves(64, 128),
+    ]
+    digests = [(case, _trace_digest(call)) for case, call in solves]
+    assert digests == [(case, pins.get(case)) for case, _ in digests]
 
 
 def test_every_rerun_path_is_pinned_bit_for_bit(monkeypatch):
     # the pinned solves run one confirming step again and take no other
     # such path; the scaled solves take each, and their traces are pinned
-    # after the pinned solves' lines
+    # in the sweep's file
+    pins = read_pins()
     calls = _record_steps(monkeypatch)
     digests, census = [], Counter()
     for case, call in _rerun_solves():
         calls.clear()
-        digests.append(f"{_trace_digest(call)}  {case}")
+        digests.append((case, _trace_digest(call)))
         census.update(_rerun_paths(calls))
-    assert digests == TRACE_PINS.read_text().splitlines()[-len(digests):]
+    assert digests == [(case, pins.get(case)) for case, _ in digests]
     assert census == {
         "LU redo": 8,
         "confirming retry": 2,
         "start-over during iteration 1": 60,
         "start-over after iteration 1": 54,
     }
+
+
+def test_the_pin_file_lists_the_sweeps_cases_in_order():
+    # a family edited without running the sweep again shows here, without
+    # running a solve: the file's case column is the sweep's, 756 distinct
+    column = [line.split("  ", 1)[1] for line in PINS.read_text().splitlines()]
+    assert [case for case, _ in _families()] == column
+    assert len(set(column)) == len(column) == 756
 
 
 def test_trace_shape_and_contraction():
@@ -1355,7 +1229,3 @@ def test_a_system_scaled_by_1e_minus_300_is_solved_or_refused(method):
             return
         assert inf_norm(unscaled.eval(report.final_iterate)) <= ctx.check_tolerance
 
-
-if __name__ == "__main__":
-    pins = _trace_digests(_pinned_solves()) + _trace_digests(_rerun_solves())
-    TRACE_PINS.write_text("".join(line + "\n" for line in pins))

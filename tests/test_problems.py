@@ -2,7 +2,7 @@ import pytest
 from mpmath import mpf
 
 from ddroots.core import HPVector, PrecisionContext, inf_norm
-from ddroots.divdiff import DividedDifferenceKind
+from ddroots.divdiff import D1, D2, DividedDifferenceKind
 from ddroots.efficiency import estimate_mu
 from ddroots.methods import MethodKind
 from ddroots.problems import (
@@ -13,9 +13,6 @@ from ddroots.problems import (
     printed_prefix_matches,
     reference_root_digits,
 )
-
-D1 = DividedDifferenceKind.D1
-D2 = DividedDifferenceKind.D2
 
 
 def test_registry_contents():
