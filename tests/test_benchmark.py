@@ -22,7 +22,7 @@ from ddroots.cli import main
 from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import D1, D2, DividedDifferenceKind
 from ddroots.efficiency import cei, cost, estimate_mu, time_factor
-from ddroots.methods import PHI0, PHI1, PHI2, MaxIterationsExceeded, MethodKind, theoretical_order
+from ddroots.methods import PHI0, PHI2, MaxIterationsExceeded, MethodKind, theoretical_order
 from ddroots.problems import REGISTRY
 
 
