@@ -313,11 +313,13 @@ class LUFactorization:
     """Combined LU storage with partial-pivot permutation.
 
     ``raw`` holds the entries as mpmath's raw mpf tuples, which the
-    triangular solves read; ``lu`` is the same storage as mpf.
+    triangular solves read; ``lu`` is the same storage as mpf.  ``prec`` is
+    the binary precision it was factored at, which its solves run at.
     """
 
     raw: tuple
     perm: tuple
+    prec: int
 
     @property
     def m(self) -> int:
@@ -409,27 +411,27 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
             # row_i[j] -= lik * ukj, the product rounded before the difference
             for j, ukj in nonzero:
                 row_i[j] = mpf_sub(row_i[j], mpf_mul(lik, ukj, prec, rnd), prec, rnd)
-    return LUFactorization(raw=tuple(tuple(row) for row in lu), perm=tuple(perm))
+    return LUFactorization(raw=tuple(tuple(row) for row in lu), perm=tuple(perm), prec=prec)
 
 
 def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters) -> HPVector:
     """Solve A x = b from a factorization; charges ``SOLVE_COUNTS``.
 
-    The arithmetic runs at the active precision, and b is rounded to it on
-    read; the factorization's entries are read as stored, so solve at the
-    precision it was factored at.  Terms whose factor from the
-    factorization is zero are skipped, and the back-substitution divides by
-    the pivots through ``quotient``; neither changes a bit of x.  A b whose
-    length is not the factorization's dimension raises ValueError.
+    The arithmetic runs at the precision ``fact`` was factored at, whatever
+    precision is active, and b is rounded to it on read.  Terms whose
+    factor from the factorization is zero are skipped, and the
+    back-substitution divides by the pivots through ``quotient``; neither
+    changes a bit of x.  A b whose length is not the factorization's
+    dimension raises ValueError.
     """
     m = fact.m
     if len(b) != m:
         raise ValueError(f"b has {len(b)} entries but the factorization has dimension {m}")
     counters.charge(SOLVE_COUNTS, m)
-    prec, rnd = mp._prec_rounding
+    prec, rnd = fact.prec, mp._prec_rounding[1]
     rows = fact._solve_rows
     # raw tuples, as in ``lu_factor``: acc -= l_ij y_j, and so on
-    y = [mpf(b[p])._mpf_ for p in fact.perm]
+    y = [mpf(b[p], prec=prec)._mpf_ for p in fact.perm]
     for i, (lower, _, _) in enumerate(rows):
         acc = y[i]
         for j, t in lower:

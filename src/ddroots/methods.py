@@ -189,23 +189,23 @@ def _corrected(
     fact: LUFactorization,
     b: HPVector,
     counters: OpCounters,
-    lu_digits: Optional[int],
 ) -> HPVector:
     """x - s, for the s that solves A s = b from A's factorization ``fact``,
-    with the solve at ``lu_digits`` and the difference at the active
-    precision.
+    with the solve at the precision ``fact`` was factored at and the
+    difference at the active precision.
 
-    Below the active digits P, an s of norm 10^(-D) relative to x, D as
-    ``_correction_digits`` counts it, is accurate to about the last
-    P - (D + L) digits of x, less the digits that the magnitudes of
+    Factored at L digits below the active P, an s of norm 10^(-D) relative
+    to x, D as ``_correction_digits`` counts it, is accurate to about the
+    last P - (D + L) digits of x, less the digits that the magnitudes of
     ``fact``'s pivots span (a cheap estimate of the operator's condition):
     a solve that leaves fewer than ``_LU_MIN_GUARD_DIGITS`` of those raises
     SingularOperator, as the operator is then numerically singular at the
     digits the correction needs.
     """
-    with _lu_precision(lu_digits):
-        s = lu_solve(fact, b, counters)
-    if lu_digits is not None and lu_digits < mp.dps:
+    s = lu_solve(fact, b, counters)
+    if fact.prec < mp.prec:
+        with mp.workprec(fact.prec):
+            lu_digits = mp.dps
         pivots = [mp.mag(pivot) for pivot in fact.pivots]
         span = (max(pivots) - min(pivots)) * _LOG10_2
         guard = _correction_digits(inf_norm(s), x) + lu_digits - mp.dps - span
@@ -236,7 +236,7 @@ def step_phi0(
     op, fx = central_dd(system, x, dd_kind, counters)
     with _lu_precision(lu_digits):
         fact = lu_factor(op, counters)
-    return _corrected(x, fact, fx, counters, lu_digits), op, fx
+    return _corrected(x, fact, fx, counters), op, fx
 
 
 def step_phi1(
@@ -272,7 +272,7 @@ def step_phi1(
     combined = _combined_operator(op_pair, central)
     with _lu_precision(lu_digits):
         fact_nu = lu_factor(combined, counters)
-    return _corrected(y, fact_nu, fy, counters, lu_digits), fact_nu
+    return _corrected(y, fact_nu, fy, counters), fact_nu
 
 
 def _combined_operator(op_pair: HPMatrix, central: HPMatrix) -> HPMatrix:
@@ -293,16 +293,15 @@ def step_phi2(
     z: HPVector,
     fact_nu: LUFactorization,
     counters: OpCounters,
-    lu_digits: Optional[int] = None,
 ) -> HPVector:
     """Extra correction X = z - M^{-1} F(z) reusing the second-step factorization.
 
     Marginal cost per iteration: one ``RESIDUAL_COUNTS`` and one
-    ``SOLVE_COUNTS``.  The solve runs at ``lu_digits``, the digits
-    ``fact_nu`` was factored at.
+    ``SOLVE_COUNTS``.  The solve runs at the precision ``fact_nu`` was
+    factored at.
     """
     fz = system.eval(z, counters)
-    return _corrected(z, fact_nu, fz, counters, lu_digits)
+    return _corrected(z, fact_nu, fz, counters)
 
 
 def _outer_step(
@@ -321,7 +320,7 @@ def _outer_step(
     z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters, lu_digits)
     if method is PHI1:
         return z, fx
-    return step_phi2(system, z, fact_nu, counters, lu_digits), fx
+    return step_phi2(system, z, fact_nu, counters), fx
 
 
 # Precision ramp.  After a correction of norm 10^(-D) the current iterate is

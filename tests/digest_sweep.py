@@ -15,15 +15,19 @@ same starts at 128 digits: 756 solves.
 
 ``tests/data/digest_sweep.sha256`` is the one pin file and this script its
 one writer.  Tier-1 (``tests/test_methods.py``) takes the families from
-here and checks the pinned, re-run, 4096-digit and tridiagonal cases
-against the file; CI ``diff``s a whole run with it.  Any re-hash is made
-with the parent commit's ``src`` and recorded in CHANGES.md.  Run as a
-script, it imports the ``src`` next to its ``tests``.
+here and solves each of the 216 pinned, re-run, 4096-digit and
+tridiagonal cases once per pytest session, through ``_solve_each`` as
+``main`` does; it checks them against the file, and its LU and
+confirming-step tests reuse that run.  CI ``diff``s a whole run with the
+file.  Any re-hash is made with the parent commit's ``src`` and recorded
+in CHANGES.md.  Run as a script, it imports the ``src`` next to its
+``tests``.
 """
 import hashlib
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -56,17 +60,23 @@ def _bits(value):
     return value
 
 
-def _trace_digest(call) -> str:
+def _solved(call, *args):
+    """``call(*args)``, a solve, or the SolverError it raises."""
+    try:
+        return call(*args)
+    except SolverError as exc:
+        return exc
+
+
+def _trace_digest(outcome) -> str:
     """SHA-256 of everything a solve reports: stop reason, I, eta, every
     iterate, correction norm, ratio, counter delta, working digits and LU
     digits, the total counters, ACOC, its spread and q; or of the error it
-    raises."""
-    try:
-        report = call()
-    except SolverError as exc:
-        fields = ("raised", type(exc).__name__, str(exc))
+    raised, when ``outcome`` is one."""
+    if isinstance(outcome, SolverError):
+        fields = ("raised", type(outcome).__name__, str(outcome))
     else:
-        trace = report.trace
+        report, trace = outcome, outcome.trace
         fields = (
             report.stop_reason,
             report.iterations,
@@ -140,7 +150,8 @@ def _scaled_solves(exponents, shifts, digits):
                     with ctx.activate():
                         base, scale = spec.build_system(), mpf(10) ** k
                         system = NonlinearSystem(
-                            base.m, [lambda p, f=f: scale * f(p) for f in base.components],
+                            base.m,
+                            [lambda p, f=f, scale=scale: scale * f(p) for f in base.components],
                             reference_root=base.reference_root,
                         )
                         x0 = HPVector(e + mpf(shift) for e in spec.x0_vector())
@@ -175,6 +186,55 @@ def _record_steps(monkeypatch) -> list:
     return calls
 
 
+_PLAN = ddroots.methods._plan
+
+
+def _record_predictions(monkeypatch) -> list:
+    """Patch ``_plan`` to record the digits of every step it predicts to
+    confirm the stop."""
+    returned = []
+
+    def recording(*args):
+        digits, lu_digits, fallback = _PLAN(*args)
+        if fallback:
+            returned.append(digits)
+        return digits, lu_digits, fallback
+
+    monkeypatch.setattr(ddroots.methods, "_plan", recording)
+    return returned
+
+
+def _ramp_only(*args):
+    """``_plan`` with every step at the ramp's digits, none predicted to
+    confirm the stop."""
+    digits, lu_digits, fallback = _PLAN(*args)
+    return *(fallback or (digits, lu_digits)), None
+
+
+def _lu_at_full(*args):
+    """``_plan`` with every factorization and solve at the step's digits."""
+    digits, _, fallback = _PLAN(*args)
+    return digits, digits, fallback and (fallback[0], fallback[0])
+
+
+def _lu_digits_dropped(report):
+    """``report`` with its trace's LU digits left out."""
+    return replace(report, trace=replace(report.trace, lu_digits=()))
+
+
+def _solve_each(cases, monkeypatch):
+    """Solve each (case, call) once, with ``_record_steps`` and
+    ``_record_predictions`` installed: yields the case, its
+    ``_trace_digest``, its report or error, its recorded steps and the
+    digits of its steps predicted to confirm the stop."""
+    steps, predicted = _record_steps(monkeypatch), _record_predictions(monkeypatch)
+    for case, call in cases:
+        steps.clear()
+        predicted.clear()
+        outcome = _solved(call)
+        yield case, _trace_digest(outcome), outcome, [*steps], [*predicted]
+
+
 def _rerun_paths(calls) -> set:
     """The paths by which one solve's recorded steps ran an attempt again:
     from the same iterate, an LU redo at the step's digits after an LU below
@@ -206,21 +266,11 @@ def _families():
 def main(out: str) -> None:
     outcomes, paths, lines = Counter(), Counter(), []
     with pytest.MonkeyPatch.context() as patch:
-        calls = _record_steps(patch)
-        for case, call in _families():
-            calls.clear()
-
-            def counted():
-                try:
-                    report = call()
-                except SolverError as exc:
-                    outcomes[type(exc).__name__] += 1
-                    raise
-                outcomes[report.stop_reason] += 1
-                return report
-
-            lines.append(f"{_trace_digest(counted)}  {case}\n")
-            paths.update(_rerun_paths(calls))
+        for case, digest, outcome, steps, _ in _solve_each(_families(), patch):
+            lines.append(f"{digest}  {case}\n")
+            raised = isinstance(outcome, SolverError)
+            outcomes[type(outcome).__name__ if raised else outcome.stop_reason] += 1
+            paths.update(_rerun_paths(steps))
     Path(out).write_text("".join(lines))
     print(f"{len(lines)} solves")
     for name, count in sorted(outcomes.items()) + sorted(paths.items()):

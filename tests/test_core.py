@@ -26,6 +26,7 @@ import ddroots.methods
 from ddroots.divdiff import D1, NonlinearSystem, operator_for
 from ddroots.methods import _LU_GUARD_DIGITS, MethodKind, solve
 from ddroots.problems import REGISTRY
+from digest_sweep import _lu_at_full, _lu_digits_dropped, _record_steps, _trace_digest
 
 
 def test_context_validates_digits():
@@ -466,25 +467,12 @@ def test_a_solve_at_the_digits_a_small_correction_changes_moves_no_bit_of_x_minu
         b = mat_vec(a, s)
         exact = x - lu_solve(lu_factor(a, OpCounters()), b, OpCounters())
         with mp.workdps(min(full, full - k + _LU_GUARD_DIGITS)):
-            short = lu_solve(lu_factor(a, OpCounters()), b, OpCounters())
+            fact = lu_factor(a, OpCounters())
+            short = lu_solve(fact, b, OpCounters())
         assert [e._mpf_ for e in x - short] == [e._mpf_ for e in exact]
-
-
-def _outcome(report):
-    """Everything a solve reports, as bits, but the LU digits of its trace."""
-    trace = report.trace
-    return (
-        report.stop_reason,
-        report.iterations,
-        [[e._mpf_ for e in x] for x in trace.iterates],
-        [c._mpf_ for c in trace.correction_norms],
-        [r._mpf_ for r in trace.ratios],
-        trace.counter_deltas,
-        trace.working_digits,
-        report.counters.snapshot(),
-        report.acoc._mpf_,
-        report.acoc_spread._mpf_,
-    )
+        # the factorization carries its precision: solved again under the
+        # full digits, it gives the short solve's bits
+        assert [e._mpf_ for e in lu_solve(fact, b, OpCounters())] == [e._mpf_ for e in short]
 
 
 @pytest.mark.parametrize(
@@ -510,31 +498,18 @@ def test_a_step_whose_lu_falls_short_below_its_digits_runs_again_at_them(
         mix = 1 + mpf(10) ** -small
         system = NonlinearSystem(2, [lambda p: f(p) + g(p), lambda p: f(p) + mix * g(p)])
         x0 = REGISTRY["quad2"].x0_vector()
-    steps = []
-    outer_step = ddroots.methods._outer_step
-
-    def recording(system, x, method, dd_kind, counters, lu_digits=None):
-        steps.append((lu_digits < mp.dps, lu_digits, ""))
-        try:
-            return outer_step(system, x, method, dd_kind, counters, lu_digits)
-        except SingularOperator as exc:
-            steps[-1] = steps[-1][:2] + (str(exc),)
-            raise
-
-    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
+    steps = _record_steps(monkeypatch)
     report = solve(system, x0, method, D1, ctx)
-    redone = [i for i, (below, _, error) in enumerate(steps) if below and error]
+    redone = [
+        i for i, (_, digits, lu, error) in enumerate(steps)
+        if lu < digits and isinstance(error, SingularOperator)
+    ]
     # the last step, at 194 and 97 LU digits, is the one run again
-    assert redone == [len(steps) - 2] and why in steps[-2][2] and steps[-1][1] == 256
+    assert redone == [len(steps) - 2] and why in str(steps[-2][3]) and steps[-1][2] == 256
     assert report.trace.lu_digits[-1] == 256
-    plan = ddroots.methods._plan
-
-    def lu_at_full(*args):
-        digits, _, fallback = plan(*args)
-        return digits, digits, fallback and (fallback[0], fallback[0])
-
-    monkeypatch.setattr(ddroots.methods, "_plan", lu_at_full)
-    assert _outcome(report) == _outcome(solve(system, x0, method, D1, ctx))
+    monkeypatch.setattr(ddroots.methods, "_plan", _lu_at_full)
+    full = solve(system, x0, method, D1, ctx)
+    assert _trace_digest(_lu_digits_dropped(report)) == _trace_digest(_lu_digits_dropped(full))
 
 
 @st.composite

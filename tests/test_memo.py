@@ -19,7 +19,6 @@ from ddroots import (
     NonlinearSystem,
     PrecisionContext,
     RunConfig,
-    SolverError,
     run_row,
     solve,
 )
@@ -35,6 +34,7 @@ from ddroots.problems import (
     _ExpMemo,
     _rounds_clear,
 )
+from digest_sweep import _solved, _trace_digest
 
 MEMOS = {"exp": _ExpMemo, "cos": _CosMemo}
 
@@ -58,24 +58,6 @@ def _fresh_cos3():
 
 
 FRESH = {"exp5": _fresh_exp5, "cos3": _fresh_cos3}
-
-
-def _outcome(system, x0, method, dd, ctx):
-    """Everything a solve reports that the memo could disturb."""
-    try:
-        r = solve(system, x0, method, dd, ctx)
-    except SolverError as exc:
-        return type(exc).__name__, str(exc)
-    return (
-        r.stop_reason,
-        r.iterations,
-        tuple(v._mpf_ for v in r.final_iterate),
-        r.trace.counter_deltas,
-        r.counters.snapshot(),
-        r.trace.working_digits,
-        r.acoc,
-        r.acoc_spread,
-    )
 
 
 def _start(name, shifts, ctx):
@@ -123,7 +105,9 @@ def test_memoised_components_match_fresh_calls(name, case):
     x0 = _start(name, shifts, ctx)
     fresh = NonlinearSystem(spec.m, FRESH[name]())
     memoised = spec.build_system(with_reference=False)
-    assert _outcome(memoised, x0, method, dd, ctx) == _outcome(fresh, x0, method, dd, ctx)
+    assert _trace_digest(_solved(solve, memoised, x0, method, dd, ctx)) == _trace_digest(
+        _solved(solve, fresh, x0, method, dd, ctx)
+    )
 
 
 # every exp5 pair and every registered cos3 row
@@ -143,7 +127,9 @@ def test_memoised_components_match_fresh_calls_at_1024_digits(monkeypatch, name,
         x0 = spec.x0_vector()
     fresh = NonlinearSystem(spec.m, FRESH[name]())
     memoised = spec.build_system(with_reference=False)
-    assert _outcome(memoised, x0, method, dd, ctx) == _outcome(fresh, x0, method, dd, ctx)
+    assert _trace_digest(_solved(solve, memoised, x0, method, dd, ctx)) == _trace_digest(
+        _solved(solve, fresh, x0, method, dd, ctx)
+    )
     assert memos[0].neighbours > 0
 
 
@@ -155,9 +141,9 @@ def test_warm_cache_and_ambient_precision_change_nothing(name, case, ambient):
     ctx = PrecisionContext(digits)
     x0 = _start(name, shifts, ctx)
     system = REGISTRY[name].build_system(with_reference=False)
-    cold = _outcome(system, x0, method, dd, ctx)
+    cold = _trace_digest(_solved(solve, system, x0, method, dd, ctx))
     with mp.workdps(ambient):
-        warm = _outcome(system, x0, method, dd, ctx)
+        warm = _trace_digest(_solved(solve, system, x0, method, dd, ctx))
         assert mp.dps == ambient
     assert warm == cold
 

@@ -1,6 +1,5 @@
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -48,13 +47,18 @@ from ddroots.methods import (
 from ddroots.problems import REGISTRY, broyden_tridiagonal
 from digest_sweep import (
     PINS,
+    _PLAN,
     _bits,
     _families,
+    _lu_at_full,
+    _lu_digits_dropped,
     _pinned_solves,
-    _record_steps,
+    _ramp_only,
+    _record_predictions,
     _registered_solves,
     _rerun_paths,
     _rerun_solves,
+    _solve_each,
     _trace_digest,
     _tridiagonal_solves,
     read_pins,
@@ -311,51 +315,53 @@ def test_repeated_tridiagonal_solves_are_bit_identical():
         x0 = HPVector(-1 + mpf(k % 7 - 3) / 100 for k in range(m))
 
         def solve_every_pair():
-            out = []
-            for method in MethodKind:
-                for dd in (D1, D2):
-                    report = solve(system, x0, method, dd, ctx, order_hint=theoretical_order(method, D2))
-                    trace = report.trace
-                    out.append((
-                        [[e._mpf_ for e in iterate] for iterate in trace.iterates],
-                        trace.counter_deltas,
-                        report.counters.snapshot(),
-                        trace.working_digits,
-                    ))
-            return out
+            return [
+                _trace_digest(
+                    solve(system, x0, method, dd, ctx, order_hint=theoretical_order(method, D2))
+                )
+                for method in MethodKind
+                for dd in (D1, D2)
+            ]
 
         assert solve_every_pair() == solve_every_pair()
 
 
-def test_every_solve_trace_is_pinned_bit_for_bit():
+@pytest.fixture(scope="module")
+def pinned_run():
+    """The families whose cases tier-1 pins, each case solved once by
+    ``_solve_each``: family -> its (case, digest, report or error, steps,
+    predicted digits).  Every case is listed before the first is solved."""
+    families = {
+        "pinned": [*_pinned_solves()],
+        "4096": [*_registered_solves(4096)],
+        "tridiagonal": [*_tridiagonal_solves(8, 128), *_tridiagonal_solves(64, 128)],
+        "rerun": [*_rerun_solves()],
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        rows = _solve_each([case for cases in families.values() for case in cases], patch)
+        return {name: [next(rows) for _ in cases] for name, cases in families.items()}
+
+
+def test_every_solve_trace_is_pinned_bit_for_bit(pinned_run):
     # the golden files pin the final iterates of the published rows and
     # acceptance_4096.sha256 the acceptance rows; this pins every bit of
     # whole traces: the pinned solves, the registered pairs at 4096 digits
     # and the tridiagonal system at m = 8 and 64, each against its line of
     # the sweep's file
     pins = read_pins()
-    solves = [
-        *_pinned_solves(),
-        *_registered_solves(4096),
-        *_tridiagonal_solves(8, 128),
-        *_tridiagonal_solves(64, 128),
-    ]
-    digests = [(case, _trace_digest(call)) for case, call in solves]
+    rows = [*pinned_run["pinned"], *pinned_run["4096"], *pinned_run["tridiagonal"]]
+    digests = [(case, digest) for case, digest, *_ in rows]
     assert digests == [(case, pins.get(case)) for case, _ in digests]
 
 
-def test_every_rerun_path_is_pinned_bit_for_bit(monkeypatch):
+def test_every_rerun_path_is_pinned_bit_for_bit(pinned_run):
     # the pinned solves run one confirming step again and take no other
     # such path; the scaled solves take each, and their traces are pinned
     # in the sweep's file
     pins = read_pins()
-    calls = _record_steps(monkeypatch)
-    digests, census = [], Counter()
-    for case, call in _rerun_solves():
-        calls.clear()
-        digests.append((case, _trace_digest(call)))
-        census.update(_rerun_paths(calls))
+    digests = [(case, digest) for case, digest, *_ in pinned_run["rerun"]]
     assert digests == [(case, pins.get(case)) for case, _ in digests]
+    census = Counter(path for *_, steps, _ in pinned_run["rerun"] for path in _rerun_paths(steps))
     assert census == {
         "LU redo": 8,
         "confirming retry": 2,
@@ -801,12 +807,11 @@ def test_a_failed_first_step_keeps_the_ramp():
     assert report.trace.working_digits == (1024, 935, 997)
 
 
-def _reported(call):
+def _reported(report):
     """Everything a solve reports, its confirming step's iterate, norm,
     ratio and working digits apart: I, q, stop reason, the final iterate,
     every iterate before the confirming one, the counter deltas and totals,
     ACOC and its spread."""
-    report = call()
     trace = report.trace
     kept = len(trace.iterates) - (report.stop_reason == "ratio")
     return (
@@ -822,82 +827,40 @@ def _reported(call):
     )
 
 
-_PLAN = ddroots.methods._plan
-
-
-def _ramp_only(*args):
-    """``_plan`` with every step at the ramp's digits, none predicted to
-    confirm the stop."""
-    digits, lu_digits, fallback = _PLAN(*args)
-    return *(fallback or (digits, lu_digits)), None
-
-
-def _lu_at_full(*args):
-    """``_plan`` with every factorization and solve at the step's digits."""
-    digits, _, fallback = _PLAN(*args)
-    return digits, digits, fallback and (fallback[0], fallback[0])
-
-
-def _record_predictions(monkeypatch) -> list:
-    """Patch ``_plan`` to record the digits of every step it predicts to
-    confirm the stop."""
-    returned = []
-
-    def recording(*args):
-        digits, lu_digits, fallback = _PLAN(*args)
-        if fallback:
-            returned.append(digits)
-        return digits, lu_digits, fallback
-
-    monkeypatch.setattr(ddroots.methods, "_plan", recording)
-    return returned
-
-
-def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeypatch):
+def test_a_confirming_step_at_the_digits_it_checks_moves_no_reported_bit(monkeypatch, pinned_run):
     # the pinned solves with the rule and with the ramp's digits for every
     # step: nothing reported differs, and the rule fired
-    fired = _record_predictions(monkeypatch)
-    predicted = [(case, _reported(call)) for case, call in _pinned_solves()]
+    rows = pinned_run["pinned"]
+    fired = [digits for *_, predicted in rows for digits in predicted]
     monkeypatch.setattr(ddroots.methods, "_plan", _ramp_only)
-    assert [(case, _reported(call)) for case, call in _pinned_solves()] == predicted
+    assert [(case, _reported(call())) for case, call in _pinned_solves()] == [
+        (case, _reported(report)) for case, _, report, *_ in rows
+    ]
     assert any(fired)
 
 
-def _lu_digits_dropped(report):
-    """``report`` with its trace's LU digits left out."""
-    return replace(report, trace=replace(report.trace, lu_digits=()))
-
-
-def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch):
+def test_lu_at_the_digits_the_correction_needs_moves_no_bit(monkeypatch, pinned_run):
     # the pinned solves and the registered ones at 4096 digits, with every
     # factorization and solve at the digits the correction needs and with
     # them at the step's digits: every digest, LU digits apart, is the
     # same, the rule ran below the step's digits in the 4096-digit solves,
     # and no step was run again
-    cases = [*_pinned_solves(), *_registered_solves(4096)]
-    redone = []
-    outer_step = ddroots.methods._outer_step
-
-    def recording(system, x, method, dd_kind, counters, lu_digits=None):
-        try:
-            return outer_step(system, x, method, dd_kind, counters, lu_digits)
-        except SingularOperator:
-            if lu_digits < mp.dps:
-                redone.append(lu_digits)
-            raise
-
-    monkeypatch.setattr(ddroots.methods, "_outer_step", recording)
-    reports = [(case, call()) for case, call in cases]
+    rows = [*pinned_run["pinned"], *pinned_run["4096"]]
+    redone = [
+        lu for *_, steps, _ in rows for _, digits, lu, error in steps
+        if isinstance(error, SingularOperator) and lu < digits
+    ]
     below = [
-        case for case, report in reports
+        case for case, _, report, *_ in rows
         if case.endswith("/4096")
         and any(lu < w for lu, w in zip(report.trace.lu_digits, report.trace.working_digits))
     ]
     assert len(below) == 18 and redone == []
     monkeypatch.setattr(ddroots.methods, "_plan", _lu_at_full)
-    assert [
-        (case, _trace_digest(lambda: _lu_digits_dropped(report))) for case, report in reports
-    ] == [(case, _trace_digest(lambda: _lu_digits_dropped(call()))) for case, call in cases]
+    cases = [*_pinned_solves(), *_registered_solves(4096)]
+    assert [(case, _trace_digest(_lu_digits_dropped(report))) for case, _, report, *_ in rows] == [
+        (case, _trace_digest(_lu_digits_dropped(call()))) for case, call in cases
+    ]
 
 
 def test_a_failed_prediction_is_run_again_at_the_ramps_digits(monkeypatch):
@@ -962,7 +925,7 @@ def test_a_predicted_step_that_does_not_confirm_reruns_at_the_ramps_digits(monke
     assert rerun.trace.working_digits == (80, 81, 515, 1024)
     monkeypatch.setattr(ddroots.methods, "_outer_step", outer_step)
     monkeypatch.setattr(ddroots.methods, "_plan", _ramp_only)
-    assert _trace_digest(lambda: rerun) == _trace_digest(call)
+    assert _trace_digest(rerun) == _trace_digest(call())
 
 
 def test_the_tridiagonal_reference_solve_ends_at_full_precision():
@@ -1000,26 +963,16 @@ def test_at_most_80_digits_the_first_step_is_unchanged(monkeypatch, digits):
     ]
 
     def run():
-        out = []
         with ctx.activate():
-            for make, start, method, dd in cases:
-                system, x0 = make(), HPVector(start)
-                report = solve(system, x0, method, dd, ctx)
-                trace = report.trace
-                out.append((
-                    report.iterations,
-                    report.stop_reason,
-                    [[e._mpf_ for e in x] for x in trace.iterates],
-                    trace.counter_deltas,
-                    trace.working_digits,
-                    report.counters.snapshot(),
-                ))
-        return out
+            return [
+                solve(make(), HPVector(start), method, dd, ctx)
+                for make, start, method, dd in cases
+            ]
 
     now = run()
     monkeypatch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
-    assert now == run()
-    assert all(r[4][0] == digits for r in now)
+    assert [_trace_digest(r) for r in now] == [_trace_digest(r) for r in run()]
+    assert all(r.trace.working_digits[0] == digits for r in now)
 
 
 @pytest.mark.parametrize("exponent, ramps", [(30, True), (60, False)])

@@ -3,7 +3,7 @@
 The tracer wraps the solver's entry points by the names it looks them up
 by, so a renamed or re-imported entry point breaks only traced benchmark
 runs.  Here one reduced tridiagonal row and one registered row run traced
-and untraced.
+and untraced, and must report the same bits either way.
 """
 import random
 from pathlib import Path
@@ -15,6 +15,7 @@ import ddroots.core
 import ddroots.methods
 from ddroots import MethodKind
 from ddroots.divdiff import D2
+from digest_sweep import _trace_digest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,11 +29,13 @@ def perfbench(monkeypatch):
     return tracer, workloads
 
 
-def _outcome(result):
-    """(I, q, stop reason) of a tridiagonal row's (report, columns) or of a
-    registered row."""
-    report = result[0] if isinstance(result, tuple) else result
-    return report.iterations, report.correct_decimals, report.stop_reason
+def _reported(result):
+    """I and everything a row reports: a registered row's ``BenchmarkRow``,
+    or a tridiagonal row's report, as its ``_trace_digest``, and columns."""
+    if isinstance(result, tuple):
+        report, columns = result
+        return report.iterations, _trace_digest(report), columns
+    return result.iterations, result
 
 
 def test_traced_rows_match_untraced_ones_and_every_patch_is_undone(perfbench):
@@ -56,9 +59,9 @@ def test_traced_rows_match_untraced_ones_and_every_patch_is_undone(perfbench):
     t.install = recording_install
     exp, cos, lu_factor = mp.exp, mp.cos, ddroots.methods.lu_factor
     for row in rows:
-        untraced = _outcome(row.call())
+        untraced = _reported(row.call())
         assert untraced[0], untraced
-        assert _outcome(t.run_row(row.call)) == untraced
+        assert _reported(t.run_row(row.call)) == untraced
 
     assert installed
     for owner, attr, original in installed:
