@@ -66,8 +66,9 @@ def to_decimal(x) -> str:
     return mp.nstr(mpf(x), repr_dps(mp.prec))
 
 
-def quotient(a, b):
-    """``a / b``, bit for bit, under the active precision and rounding.
+def _quotient(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
+    """``mpf_div(a, b, prec, rnd)`` on raw mpf tuples, bit for bit, which is
+    what ``/`` computes for two mpf.
 
     mpmath's ``mpf_div`` shifts the numerator's mantissa left by about the
     working precision before its long division, so an exact quotient, such
@@ -75,24 +76,15 @@ def quotient(a, b):
     with thousands of trailing zero bits that its normalization strips
     eight at a time, each step shifting the whole mantissa: at 4096 digits,
     on mpmath's pure-Python backend, that is about 3.5 times the cost of an
-    inexact quotient.  Here the mantissas
-    are divided unshifted first.  Equal mantissas give +/-2^(e_a - e_b) with
-    no arithmetic; a zero remainder gives the exact quotient, rounded to the
-    working precision like any other value; otherwise the remainder is
-    carried into ``mpf_div``'s own shifted division, so the quotient, its
-    sticky bit and its rounding are those of ``mpf_div``.  Zeros, special
-    values, a divisor whose mantissa is 1 and operands that are not both
-    mpf (components may return ints or floats) go through ``a / b`` itself,
-    so a zero divisor raises ZeroDivisionError as ``/`` does.
+    inexact quotient.  Here the mantissas are divided unshifted first.
+    Equal mantissas give +/-2^(e_a - e_b) with no arithmetic; a zero
+    remainder gives the exact quotient, rounded to the working precision
+    like any other value; otherwise the remainder is carried into
+    ``mpf_div``'s own shifted division, so the quotient, its sticky bit and
+    its rounding are those of ``mpf_div``.  Zeros, special values and a
+    divisor whose mantissa is 1 go through ``mpf_div`` itself, so a zero
+    divisor raises ZeroDivisionError as ``/`` does.
     """
-    if type(a) is mpf and type(b) is mpf:
-        return mp.make_mpf(_quotient(a._mpf_, b._mpf_, *mp._prec_rounding))
-    return a / b
-
-
-def _quotient(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
-    """``quotient`` on raw mpf tuples: ``mpf_div(a, b, prec, rnd)``, bit
-    for bit, which is what ``/`` computes for two mpf."""
     sa, ma, ea, na = a
     sb, mb, eb, nb = b
     if ma and mb > 1:
@@ -237,21 +229,20 @@ class HPVector:
 
 class HPMatrix:
     """Immutable square matrix of high-precision reals, stored as each
-    row's nonzero (column, entry) pairs; the dense row-major ``rows`` are
-    built on first use.
+    row's nonzero (column, entry) pairs only; the dense row-major ``rows``
+    and each row ``[i]``, with the zeros filled in, are built on each read.
 
     Entries that are already mpf are kept as they are; others are converted
     at the working precision.
     """
 
-    __slots__ = ("_nonzeros", "_rows")
+    __slots__ = ("_nonzeros",)
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(e if isinstance(e, mpf) else mpf(e) for e in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square with dimension >= 1")
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(
             self, "_nonzeros", tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
         )
@@ -265,20 +256,14 @@ class HPMatrix:
 
     @property
     def rows(self) -> tuple:
-        try:
-            return self._rows
-        except AttributeError:
-            m, zeros = self.m, [mp.make_mpf(fzero)] * self.m
-            rows = tuple(tuple(map(dict(pairs).get, range(m), zeros)) for pairs in self._nonzeros)
-            object.__setattr__(self, "_rows", rows)
-            return rows
+        return tuple(map(self.__getitem__, range(self.m)))
 
     @property
     def m(self) -> int:
         return len(self._nonzeros)
 
     def __getitem__(self, i: int) -> tuple:
-        return self.rows[i]
+        return tuple(map(dict(self._nonzeros[i]).get, range(self.m), [mp.zero] * self.m))
 
     def __repr__(self) -> str:
         shown = "; ".join(
@@ -294,18 +279,27 @@ def inf_norm(v: HPVector | Sequence) -> mpf:
 
 def mat_inf_norm(a: HPMatrix) -> mpf:
     """Operator infinity norm (maximum absolute row sum)."""
-    return max(sum(abs(e) for e in row) for row in a.rows)
+    return max(sum((abs(e) for _, e in pairs), mp.zero) for pairs in a._nonzeros)
 
 
 def mat_entrywise(fn: Callable, *matrices: HPMatrix) -> HPMatrix:
-    """The matrix of ``fn`` applied to corresponding entries, uncounted; the
-    matrices must share one dimension."""
-    return HPMatrix(map(fn, *rows) for rows in _zip_equal(*(a.rows for a in matrices)))
+    """The matrix of ``fn`` applied to corresponding entries over the union
+    of the operands' nonzeros, uncounted.  A missing entry reads as mpf 0,
+    so ``fn`` must map mpf to mpf and zeros to zero; the matrices must share
+    one dimension."""
+    nonzeros = []
+    for pairs in _zip_equal(*(a._nonzeros for a in matrices)):
+        rows = [dict(p) for p in pairs]
+        cols = sorted(set().union(*rows))
+        entries = (fn(*(row.get(j, mp.zero) for row in rows)) for j in cols)
+        nonzeros.append(tuple((j, e) for j, e in zip(cols, entries) if e))
+    return HPMatrix._from_nonzeros(tuple(nonzeros))
 
 
 def mat_vec(a: HPMatrix, v: HPVector | Sequence) -> HPVector:
     """Uncounted matrix-vector product, used only by diagnostics."""
-    return HPVector(sum(e * vj for e, vj in _zip_equal(row, v)) for row in a.rows)
+    _zip_equal(a._nonzeros, v)  # refuses a v of another length
+    return HPVector(sum(e * v[j] for j, e in pairs) for pairs in a._nonzeros)
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,7 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
     changes no bit of the result: a zero is never the largest candidate of a
     nonzero column, mpmath has no signed zero, and x - 0 y = x for finite
     entries already rounded to the working precision.  The multipliers are
-    ``quotient``s, the bits of ``/``, so an exact one skips the long
+    ``_quotient``s, the bits of ``/``, so an exact one skips the long
     division.  A pivot that is zero, or below the working epsilon times
     min(1, M) with M the largest magnitude in its row of ``a`` (implicit row
     equilibration; M is read only for a pivot below the working epsilon),
@@ -394,7 +388,9 @@ def lu_factor(a: HPMatrix, counters: OpCounters) -> LUFactorization:
                 if size == fzero or mpf_gt(t, size):
                     p, size = i, t
         size = mp.make_mpf(size)
-        if size < tol and (not size or size < tol * min(1, max(map(abs, a.rows[perm[p]])))):
+        if size < tol and (
+            not size or size < tol * min(1, max(abs(e) for _, e in a._nonzeros[perm[p]]))
+        ):
             raise SingularOperator(f"no pivot in column {k} above the working epsilon")
         if p != k:
             lu[k], lu[p] = lu[p], lu[k]
@@ -420,7 +416,7 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
     The arithmetic runs at the precision ``fact`` was factored at, whatever
     precision is active, and b is rounded to it on read.  Terms whose
     factor from the factorization is zero are skipped, and the
-    back-substitution divides by the pivots through ``quotient``; neither
+    back-substitution divides by the pivots through ``_quotient``; neither
     changes a bit of x.  A b whose length is not the factorization's
     dimension raises ValueError.
     """

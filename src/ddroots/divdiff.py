@@ -28,7 +28,6 @@ from .core import (
     mat_entrywise,
     mat_inf_norm,
     mat_vec,
-    quotient,
     working_eps,
 )
 
@@ -121,15 +120,17 @@ class NonlinearSystem:
         """The full vector F(x), with the coordinates each component's
         evaluation read recorded as the divided-difference chains record
         them, so a build given it as an end value takes its values at more
-        points; charges ``RESIDUAL_COUNTS``."""
+        points; charges ``RESIDUAL_COUNTS``.  The point enters as
+        ``_mpf_entries``; F(x) is rounded as an ``HPVector`` rounds it."""
         if len(point) != self.m:
             raise ValueError(
                 f"the point has {len(point)} entries but the system has dimension {self.m}"
             )
         if counters is not None:
             counters.charge(RESIDUAL_COUNTS, self.m)
-        point = tuple(point)
-        return Residual(*zip(*(_evaluate(self, i, point, None) for i in range(self.m))))
+        point = _mpf_entries(point)
+        values, reads = zip(*(_evaluate(self, i, point, None) for i in range(self.m)))
+        return Residual(HPVector(values), reads)
 
     def with_reference_root(self, root: HPVector) -> "NonlinearSystem":
         return NonlinearSystem(self.m, self.components, self.name, root)
@@ -145,28 +146,35 @@ def _check_dimension(m: int, y: Sequence, x: Sequence) -> None:
         )
 
 
-def _separation(m: int, y: Sequence, x: Sequence) -> list:
-    """The differences y_j - x_j, once the points are found separated:
-    |y_j - x_j| >= eps max(1, |x_j|), the bound's operands and product
-    rounded to 30 digits.
+def _mpf_entries(values: Sequence) -> tuple:
+    """``values`` with each entry that is not an mpf converted by ``mpf(e)``;
+    an mpf is kept unrounded, as a confirming step runs below its iterate's digits."""
+    return tuple(e if type(e) is mpf else mpf(e) for e in values)
+
+
+def _separation(m: int, y: Sequence, x: Sequence) -> tuple[tuple, tuple, list]:
+    """The points as ``_mpf_entries`` and the differences y_j - x_j, once
+    the points are found separated: |y_j - x_j| >= eps max(1, |x_j|), the
+    bound's operands and product rounded to 30 digits.
 
     Most pairs are decided by exponents alone.  A nonzero difference lies in
     [2^(e-1), 2^e) and the rounded bound in [2^(b-2), 2^b], with e the
     binary magnitude of the difference and b the sum of those of eps and of
     max(1, |x_j|), so e > b separates the pair and e < b - 1 does not; only
-    the two binades between, and operands that are not finite mpf, build
-    the bound.
+    the two binades between, and operands that are not finite, build the
+    bound.
     """
     _check_dimension(m, y, x)
+    y, x = _mpf_entries(y), _mpf_entries(x)
     eps = working_eps()
     _, _, exp, bc = eps._mpf_
     eps_mag = exp + bc
     diffs = [y[j] - x[j] for j in range(m)]
     for j, (d, v) in enumerate(zip(diffs, x)):
-        dv, vv = getattr(d, "_mpf_", None), getattr(v, "_mpf_", None)
+        dv, vv = d._mpf_, v._mpf_
         gap = 0
         # a nonzero difference, and an x_j that is zero or finite and nonzero
-        if dv and vv and dv[1] and (vv[1] or not vv[2]):
+        if dv[1] and (vv[1] or not vv[2]):
             gap = dv[2] + dv[3] - eps_mag - max(vv[2] + vv[3] if vv[1] else 1, 1)
         if gap > 0:
             continue
@@ -180,7 +188,7 @@ def _separation(m: int, y: Sequence, x: Sequence) -> list:
         raise DegenerateDividedDifference(
             f"coordinates {j} of the two points coincide at working precision"
         )
-    return diffs
+    return y, x, diffs
 
 
 class _RecordingPoint:
@@ -217,24 +225,27 @@ class Residual(HPVector):
     coordinates each component's evaluation read (a superset of them, as the
     chains record it).  A build given it as an end value takes F_i from it
     at every chain point that agrees with that end on ``reads[i]``; a plain
-    vector, built by hand, is taken at its own point only."""
+    vector, built by hand, is taken at its own point only.  Entries are kept
+    unrounded: ``dd_d2``'s reversed chain ends on the forward chain's values."""
 
     __slots__ = ("reads",)
 
     def __init__(self, entries, reads):
-        super().__init__(entries)
+        object.__setattr__(self, "entries", _mpf_entries(entries))
         object.__setattr__(self, "reads", tuple(reads))
 
 
 def _evaluate(system: NonlinearSystem, i: int, point: tuple, reads) -> tuple:
-    """F_i at ``point`` and the coordinates that evaluation read, or a
-    superset of them: a component whose previous evaluation read every
-    coordinate is evaluated again at every step anyway, so its reads are not
-    recorded again.  ``reads`` is None when no previous evaluation is known."""
-    if reads is not None and len(reads) == len(point):
-        return system.eval_component(i, point), reads
-    view = _RecordingPoint(point)
-    return system.eval_component(i, view), view.reads
+    """F_i at ``point``, converted by ``mpf(e)`` if it is not an mpf, and the
+    coordinates that evaluation read, or a superset of them: a component
+    whose previous evaluation read every coordinate is evaluated again at
+    every step anyway, so its reads are not recorded again.  ``reads`` is
+    None when no previous evaluation is known."""
+    if reads is None or len(reads) != len(point):
+        point = _RecordingPoint(point)
+        reads = point.reads
+    value = system.eval_component(i, point)
+    return value if type(value) is mpf else mpf(value), reads
 
 
 def _forward_chain(
@@ -242,7 +253,6 @@ def _forward_chain(
     y: Sequence,
     x: Sequence,
     ends=None,
-    end_reads=None,
 ) -> tuple[list, list, list]:
     """F at the chain x, (y_1,x_2..), ..., (y_1..y_{m-1},x_m), y, and the
     coordinates each component read for its values at x and at y.
@@ -252,9 +262,8 @@ def _forward_chain(
     that value object.  A pure component would reproduce it bit for bit,
     since the evaluation behind it read none of the coordinates changed
     since.  ``ends``, when given, is (F(x), F(y)), each with the read sets
-    of a ``Residual`` or, built by hand, none; ``end_reads``, when given,
-    replaces those read sets (``dd_d2``'s reversed chain passes the forward
-    chain's lists).  Where step j would evaluate F_i and F_i(y)'s own
+    of a ``Residual`` or, built by hand, none, and taken as
+    ``_mpf_entries``.  Where step j would evaluate F_i and F_i(y)'s own
     evaluation read only coordinates below j, on which the point already
     agrees with y, it takes F_i(y) instead.  An end without read sets is
     taken only at its own point, and the step after F(x) then evaluates
@@ -268,9 +277,9 @@ def _forward_chain(
         values, reads = map(list, zip(*(_evaluate(system, i, point, None) for i in range(m))))
         at_y = [m + 1] * m
     else:
-        x_reads, y_reads = end_reads or (getattr(end, "reads", None) for end in ends)
-        fy, fy_reads = ends[1], y_reads or [None] * m
-        values, reads = list(ends[0]), list(x_reads or [None] * m)
+        x_reads, y_reads = (getattr(end, "reads", None) for end in ends)
+        values, fy = map(_mpf_entries, ends)
+        fy_reads, reads = y_reads or [None] * m, list(x_reads or [None] * m)
         # the first step at which the point agrees with y on F_i(y)'s reads
         at_y = [m + 1 if read is None else max(read, default=-1) + 1 for read in fy_reads]
     start_reads = list(reads)
@@ -304,16 +313,16 @@ def dd_d1(
     Entry (i, j) is the quotient of consecutive mixed-coordinate values of
     F_i along the forward chain by y_j - x_j, or an exact zero, neither
     computed nor stored, when the chain kept F_i's value object over that
-    step.  The quotient is ``core.quotient``'s, the bits of ``/`` without
-    the long division where F_i is linear in x_j and the quotient is exact,
-    taken on the raw tuples where the values are mpf.
+    step.  The quotient is ``core._quotient``'s on the raw tuples, the bits
+    of ``/`` without the long division where F_i is linear in x_j and the
+    quotient is exact.  Points, values and ends enter as ``_mpf_entries``.
     ``ends``, when given, is (F(x), F(y)); an end that is a ``Residual``
     also stands in for F at the chain points that agree with it on its
     read sets.  Charges the ``OPERATOR_COUNTS`` unit of D1, fresh or
     supplied, once the points are found separated.
     """
     m = system.m
-    denoms = _separation(m, y, x)
+    y, x, denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D1][ends is not None], m)
     chain, _, _ = _forward_chain(system, y, x, ends)
@@ -321,15 +330,10 @@ def dd_d1(
     rows = [[] for _ in range(m)]
     for j, d in enumerate(denoms):
         for i, (before, after) in enumerate(zip(chain[j], chain[j + 1])):
-            if after is before:
-                continue
-            if type(after) is type(before) is type(d) is mpf:
-                # quotient(after - before, d) on raw tuples
+            if after is not before:
+                # (after - before) / d on raw tuples
                 t = mpf_sub(after._mpf_, before._mpf_, prec, rnd)
-                e = mp.make_mpf(_quotient(t, d._mpf_, prec, rnd))
-            else:
-                e = quotient(after - before, d)
-            rows[i].append((j, e))
+                rows[i].append((j, mp.make_mpf(_quotient(t, d._mpf_, prec, rnd))))
     return HPMatrix._from_nonzeros(tuple(map(tuple, rows)))
 
 
@@ -343,38 +347,34 @@ def dd_d2(
     """Symmetrized divided-difference operator on the points (y, x).
 
     Averages the forward chain with the chain walked from y back to x.  Each
-    entry is one quotient by y_j - x_j (``core.quotient``, the bits of
+    entry is one quotient by y_j - x_j (``core._quotient``, the bits of
     ``/``) then one product by the constant one-half, taken on the raw
-    tuples as an exponent decrement where the values are mpf, or an exact
-    zero, neither computed nor stored, when both chains kept F_i's value
-    object over step j.  ``ends``, when given, is (F(x), F(y)), taken as by ``dd_d1``.
+    tuples as an exponent decrement, or an exact zero, neither computed nor
+    stored, when both chains kept F_i's value object over step j.  Points,
+    values and ``ends``, (F(x), F(y)) when given, are taken as by ``dd_d1``.
     Charges the ``OPERATOR_COUNTS`` unit of D2, fresh or supplied, once the
     points are found separated.
     """
     m = system.m
-    denoms = _separation(m, y, x)
+    y, x, denoms = _separation(m, y, x)
     if counters is not None:
         counters.charge(OPERATOR_COUNTS[D2][ends is not None], m)
     fwd, reads_x, reads_y = _forward_chain(system, y, x, ends)
     # the chain from y back to x: rev[j] is F at (x_1..x_j, y_{j+1}..y_m),
     # and its ends reuse the forward chain's values and read sets at y and x
-    rev, _, _ = _forward_chain(system, x, y, (fwd[m], fwd[0]), (reads_y, reads_x))
+    back = (Residual(fwd[m], reads_y), Residual(fwd[0], reads_x))
+    rev, _, _ = _forward_chain(system, x, y, back)
     prec, rnd = mp._prec_rounding
     rows = [[] for _ in range(m)]
     for j, d in enumerate(denoms):
         for i, (f0, f1, r0, r1) in enumerate(zip(fwd[j], fwd[j + 1], rev[j], rev[j + 1])):
-            if f1 is f0 and r0 is r1:
-                continue
-            if type(f0) is type(f1) is type(r0) is type(r1) is type(d) is mpf:
-                # quotient(f1 - f0 + r0 - r1, d) * half on raw tuples; the
-                # quotient fits the precision, so halving it is exact
+            if f1 is not f0 or r0 is not r1:
+                # (f1 - f0 + r0 - r1) / d * half on raw tuples; the quotient
+                # fits the precision, so halving it is exact
                 t = mpf_sub(f1._mpf_, f0._mpf_, prec, rnd)
                 t = mpf_sub(mpf_add(t, r0._mpf_, prec, rnd), r1._mpf_, prec, rnd)
                 sign, man, exp, bc = t = _quotient(t, d._mpf_, prec, rnd)
-                e = mp.make_mpf((sign, man, exp - 1, bc) if man else t)
-            else:
-                e = quotient(f1 - f0 + r0 - r1, d) * mpf(0.5)
-            rows[i].append((j, e))
+                rows[i].append((j, mp.make_mpf((sign, man, exp - 1, bc) if man else t)))
     return HPMatrix._from_nonzeros(tuple(map(tuple, rows)))
 
 

@@ -33,6 +33,7 @@ from .core import (
     inf_norm,
     lu_factor,
     lu_solve,
+    mat_entrywise,
 )
 from .divdiff import (
     D1,
@@ -256,10 +257,10 @@ def step_phi1(
     two orientations differ in second-order terms and this is the one the
     published accuracy columns pin down.  F(x) and F(y) are supplied to the
     build with their read sets, so only mixed-coordinate points that some
-    changed coordinate reaches cost fresh evaluations.  M is
-    formed at the active precision and factored and solved at
-    ``lu_digits``, as in ``step_phi0``.  Returns z and the factorization of
-    M, which the third step reuses verbatim.  A
+    changed coordinate reaches cost fresh evaluations.  M is formed over
+    the union of the two operators' nonzeros at the active precision, and
+    factored and solved at ``lu_digits``, as in ``step_phi0``.  Returns z
+    and the factorization of M, which the third step reuses verbatim.  A
     pair that coincides in a coordinate raises DegenerateDividedDifference
     carrying y and F(y), so a caller can tell whether y is a root.
     """
@@ -269,23 +270,11 @@ def step_phi1(
     except DegenerateDividedDifference as exc:
         exc.residual, exc.point = fy, y
         raise
-    combined = _combined_operator(op_pair, central)
+    # doubling is a shift-add, not a counted product
+    combined = mat_entrywise(lambda b, a: 2 * b - a, op_pair, central)
     with _lu_precision(lu_digits):
         fact_nu = lu_factor(combined, counters)
     return _corrected(y, fact_nu, fy, counters), fact_nu
-
-
-def _combined_operator(op_pair: HPMatrix, central: HPMatrix) -> HPMatrix:
-    """2 op_pair - central over the union of their nonzeros: 2b - a where
-    both have entry (i, j), 2b or -a where only op_pair or only central has
-    it; doubling is a shift-add, not a counted product."""
-    rows = []
-    for pair_row, central_row in zip(op_pair._nonzeros, central._nonzeros):
-        a = dict(central_row)
-        row = {j: 2 * b - a.pop(j) if j in a else 2 * b for j, b in pair_row}
-        row.update((j, -e) for j, e in a.items())
-        rows.append(tuple(row.items()))
-    return HPMatrix._from_nonzeros(tuple(rows))
 
 
 def step_phi2(

@@ -4,7 +4,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fnan, fninf, from_man_exp
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero
 
 from ddroots.core import (
     HPMatrix,
@@ -12,13 +12,13 @@ from ddroots.core import (
     OpCounters,
     PrecisionContext,
     SingularOperator,
+    _quotient,
     inf_norm,
     lu_factor,
     lu_solve,
     mat_entrywise,
     mat_inf_norm,
     mat_vec,
-    quotient,
     to_decimal,
     working_eps,
 )
@@ -515,7 +515,7 @@ def test_a_step_whose_lu_falls_short_below_its_digits_runs_again_at_them(
 @st.composite
 def quotient_case(draw):
     """A binary precision, 13610 bits (4096 digits) included, and operands
-    of up to 128 bits more that take every branch of ``quotient``: equal
+    of up to 128 bits more that take every branch of ``_quotient``: equal
     mantissas, b times an odd integer (an exact quotient, wider than the
     precision too), a zero numerator, a divisor of mantissa 1, special
     values and random mantissas."""
@@ -558,24 +558,16 @@ def quotient_case(draw):
 def test_quotient_is_the_bits_of_division(case):
     prec, a, b = case
     with mp.workprec(prec):
-        assert quotient(a, b)._mpf_ == (a / b)._mpf_
+        assert _quotient(a._mpf_, b._mpf_, *mp._prec_rounding) == (a / b)._mpf_
         with pytest.raises(ZeroDivisionError):
-            quotient(a, mpf(0))
-
-
-def test_quotient_of_other_operands_is_division():
-    with mp.workdps(30):
-        for a, b in [(3, mpf(2)), (mpf(1), 3), (mp.pi, mpf(7)), (mpf(1), mp.pi)]:
-            assert quotient(a, b)._mpf_ == (a / b)._mpf_
-        assert quotient(1.5, 0.5) == 3.0
-        with pytest.raises(ZeroDivisionError):
-            quotient(mpf(0), mpf(0))
+            _quotient(a._mpf_, fzero, *mp._prec_rounding)
 
 
 def test_mat_inf_norm_is_max_row_sum():
     with PrecisionContext(64).activate():
         a = HPMatrix([[1, -2], [3, 4]])
         assert mat_inf_norm(a) == 7
+        assert repr(HPMatrix([[0, -2], [3, 0]])) == "HPMatrix([0.0, -2.0]; [3.0, 0.0])"
 
 
 def test_counters_snapshot():

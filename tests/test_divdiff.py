@@ -32,8 +32,8 @@ from ddroots.divdiff import (
     dd_d2,
     integral_dd_oracle,
 )
-from ddroots.methods import MethodKind, _combined_operator, solve
-from ddroots.problems import REGISTRY
+from ddroots.methods import MethodKind, solve
+from ddroots.problems import REGISTRY, broyden_tridiagonal
 
 CTX = PrecisionContext(192)
 
@@ -82,6 +82,7 @@ def test_with_reference_root_keeps_the_system_and_lets_solve_report_q():
         system = NonlinearSystem(1, [lambda p: p[0] * p[0] - 2], name="sqrt2")
         rooted = system.with_reference_root(HPVector([mp.sqrt(2)]))
         assert (rooted.m, rooted.components, rooted.name) == (1, system.components, "sqrt2")
+        assert repr(rooted) == "NonlinearSystem(name='sqrt2', m=1)"
         assert system.reference_root is None
         plain = solve(system, HPVector(["1.5"]), MethodKind.PHI0, D1, ctx)
         report = solve(rooted, HPVector(["1.5"]), MethodKind.PHI0, D1, ctx)
@@ -137,6 +138,43 @@ def test_operators_refuse_points_of_another_dimension(build, y, x, lengths):
         ValueError, match=f"points have {lengths} entries but the system has dimension 2"
     ):
         build(quad2(), HPVector(y), HPVector(x))
+
+
+def test_points_and_values_that_are_not_mpf_enter_as_mpf():
+    # coordinates and component values are converted by mpf(e) where they
+    # enter, so points of floats, ints or decimal strings give the bits of
+    # the same points as HPVectors, and the operators factor
+    with CTX.activate():
+        systems = [REGISTRY[name].build_system(with_reference=False)
+                   for name in ("quad2", "exp5", "cos3")]
+        for system in systems + [NonlinearSystem(4, broyden_tridiagonal(4))]:
+            m = system.m
+            for x, y in (
+                ([0.5 + j for j in range(m)], [-1.25 - j / 4 for j in range(m)]),
+                ([1 + j for j in range(m)], [3 * j - 2 for j in range(m)]),
+                ([f"0.{j + 3}" for j in range(m)], [f"-1.{2 * j + 1}" for j in range(m)]),
+            ):
+                assert _bits([system.eval(x)]) == _bits([system.eval(HPVector(x))])
+                for build in (dd_d1, dd_d2):
+                    op = build(system, y, x)
+                    assert _bits(op.rows) == _bits(build(system, HPVector(y), HPVector(x)).rows)
+                    lu_factor(op, OpCounters())
+        # a component that returns an int constant builds as one that returns mpf 1
+        system = NonlinearSystem(2, [lambda p: 1, lambda p: p[0] * p[1]])
+        assert _bits([system.eval((1, 2))]) == _bits([HPVector([1, 2])])
+        assert _bits(dd_d1(system, (3, 5), (1, 2)).rows) == _bits(HPMatrix([[0, 0], [2, 3]]).rows)
+        assert _bits(dd_d2(system, (3, 5), (1, 2)).rows) == _bits(HPMatrix([[0, 0], [3.5, 2]]).rows)
+        # an mpf coordinate is kept unrounded, also where a component returns
+        # it: on points of 400 digits, d2's entries at 192 digits are the mpf
+        # expressions of the unrounded coordinates, and exact zeros where
+        # both chains keep F_i's value
+        system = NonlinearSystem(2, [lambda p: p[0], lambda p: p[1] if p[0] > 0 else p[0]])
+        with mp.workdps(400):
+            x, y = HPVector([mp.pi, mp.e]), HPVector([mp.sqrt(3), -mp.pi / 7])
+        d = [y[j] - x[j] for j in range(2)]
+        diagonal = [(d[j] + y[j] - x[j]) / d[j] / 2 for j in range(2)]
+        want = HPMatrix([[diagonal[0], 0], [0, diagonal[1]]])
+        assert _bits(dd_d2(system, y, x).rows) == _bits(want.rows)
 
 
 def test_a_degenerate_pair_carries_no_payload_until_a_step_sets_one():
@@ -272,6 +310,16 @@ def _dense_operator(system, y, x, kind, ends):
     ]
 
 
+class _Index:
+    """A coordinate index that is not an int: it defines ``__index__``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
 def _sparse_component(kind, a, b, c, m):
     if kind == "branch":
         return lambda p: p[a] if p[b] > 0 else p[c]
@@ -284,6 +332,8 @@ def _sparse_component(kind, a, b, c, m):
         return lambda p: sum(v * v for v in p[lo:hi + 1])
     if kind == "len":  # sizes the point, which reads no coordinate
         return lambda p: p[len(p) - 1 - a] * p[b]
+    if kind == "index":
+        return lambda p: p[_Index(a)] * p[b] - c
     return lambda p: p[a] * p[b] - p[c] ** 3
 
 
@@ -291,7 +341,7 @@ def _sparse_component(kind, a, b, c, m):
 def sparse_case(draw):
     m = draw(st.integers(1, 6))
     index = st.integers(0, m - 1)
-    kinds = st.sampled_from(["branch", "sum", "negative", "slice", "len", "cubic"])
+    kinds = st.sampled_from(["branch", "sum", "negative", "slice", "len", "index", "cubic"])
     specs = draw(st.lists(st.tuples(kinds, index, index, index), min_size=m, max_size=m))
     quarters = st.integers(-12, 12)
     x = draw(st.lists(quarters, min_size=m, max_size=m))
@@ -380,8 +430,10 @@ def _entry_matrix(draw, m):
 
 def _check_nonzero_storage(op, want_rows, other_rows):
     """``op``'s dense view is ``want_rows`` bit for bit; it factors as that
-    dense matrix does; and the second step's combination of it with a
-    matrix of ``other_rows``, either way round, is the entrywise one."""
+    dense matrix does; and ``mat_entrywise`` over the union of its nonzeros
+    and those of a matrix of ``other_rows``, either way round and with an
+    all-zero row, is the dense entrywise result: the second step's 2b - a,
+    and a difference."""
     assert _bits(op.rows) == _bits(want_rows)
     dense = HPMatrix(op.rows)
     try:
@@ -392,10 +444,14 @@ def _check_nonzero_storage(op, want_rows, other_rows):
     else:
         want = lu_factor(dense, OpCounters())
         assert (fact.raw, fact.perm) == (want.raw, want.perm)
-    other = HPMatrix(other_rows)
-    for b, a in ((op, other), (other, op)):
-        entrywise = mat_entrywise(lambda b, a: 2 * b - a if b or a else a, b, a)
-        assert _bits(_combined_operator(b, a).rows) == _bits(entrywise.rows)
+    m = op.m
+    zero = HPMatrix([[0] * m] * m)
+    assert _bits([[mat_inf_norm(zero)]]) == _bits([[mpf(0)]])
+    other = HPMatrix([[0] * m] + list(other_rows[1:]))
+    for b, a in ((op, other), (other, op), (op, zero)):
+        for fn in (lambda eb, ea: 2 * eb - ea, operator.sub):
+            dense = [[fn(eb, ea) for eb, ea in zip(*rows)] for rows in zip(b.rows, a.rows)]
+            assert _bits(mat_entrywise(fn, b, a).rows) == _bits(dense)
 
 
 @given(sparse_case(), st.data())
@@ -635,7 +691,8 @@ def test_separation_decides_as_the_30_digit_product(digits, coordinates):
         x, y = HPVector(x), HPVector(y)
         want = _separation_by_product(y, x)
         if want is None:
-            diffs = _separation(len(x), y, x)
+            got_y, got_x, diffs = _separation(len(x), y, x)
+            assert all(map(operator.is_, got_y + got_x, y.entries + x.entries))
             assert [d._mpf_ for d in diffs] == [(y[j] - x[j])._mpf_ for j in range(len(x))]
         else:
             with pytest.raises(DegenerateDividedDifference) as raised:

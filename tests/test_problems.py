@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from mpmath import mpf
 
@@ -126,6 +128,9 @@ def test_generate_reference_root_round_trip():
         stored = HPVector.from_decimals(load_reference_root("quad2"))
         regenerated = HPVector.from_decimals(fresh)
         assert inf_norm(regenerated - stored) <= mpf(10) ** -380
+    # a root that disagrees with its printed digits is refused
+    with pytest.raises(ValueError, match="quad2: recomputed root disagrees with printed digits"):
+        generate_reference_root(replace(spec, root_printed=("3.1", "0.3")), digits=64)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
