@@ -10,7 +10,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -81,7 +81,11 @@ class RunConfig:
 
 @dataclass
 class BenchmarkRow:
-    """One solved (problem, method, operator) configuration."""
+    """One solved (problem, method, operator) configuration.
+
+    ``final_iterate`` (a tuple of mpf) and ``acoc_full`` (an mpf) hold the
+    report's own values; ``rows_to_json`` writes them as decimal strings.
+    """
 
     problem: str
     method: str
@@ -95,7 +99,7 @@ class BenchmarkRow:
     tf: str
     iterations: Optional[int] = None
     acoc: Optional[str] = None
-    acoc_full: Optional[str] = None
+    acoc_full: Optional[mpf] = None
     acoc_spread: Optional[str] = None
     correct_decimals: Optional[int] = None
     eta: Optional[float] = None
@@ -104,7 +108,7 @@ class BenchmarkRow:
     counts_expected: Optional[tuple] = None
     counts_measured: Optional[tuple] = None
     working_digits: Optional[tuple] = None
-    final_iterate: Optional[list] = None
+    final_iterate: Optional[tuple] = None
     error: Optional[str] = None
 
 
@@ -181,7 +185,7 @@ def run_row(
         ]
         row.iterations = report.iterations
         row.acoc = mp.nstr(report.acoc, 12) if report.acoc is not None else None
-        row.acoc_full = to_decimal(report.acoc) if report.acoc is not None else None
+        row.acoc_full = report.acoc
         if report.acoc_spread is not None:
             row.acoc_spread = mp.nstr(report.acoc_spread, 6)
         row.correct_decimals = report.correct_decimals
@@ -193,7 +197,7 @@ def run_row(
             report.trace.counter_deltas[0] if report.trace.counter_deltas else None
         )
         row.working_digits = report.trace.working_digits
-        row.final_iterate = report.final_iterate.to_decimals()
+        row.final_iterate = report.final_iterate.entries
         if mismatched:
             row.error = (
                 f"per-iteration counters {mismatched[0]} differ from formula {expected}"
@@ -249,10 +253,19 @@ def rows_to_csv(rows: Sequence[BenchmarkRow]) -> str:
     return buf.getvalue()
 
 
+def _json_fields(row: BenchmarkRow) -> dict:
+    """The row's fields, with the final iterate and the full ACOC as decimal
+    strings at the row's digits, which parse back to identical values."""
+    with PrecisionContext(row.digits).activate():
+        iterate = None if row.final_iterate is None else [to_decimal(e) for e in row.final_iterate]
+        acoc = None if row.acoc_full is None else to_decimal(row.acoc_full)
+    return asdict(replace(row, final_iterate=iterate, acoc_full=acoc))
+
+
 def rows_to_json(rows: Sequence[BenchmarkRow]) -> str:
-    """Full-precision JSON: every row field, with the final iterate as decimal
-    strings that parse back to identical values."""
-    return json.dumps([asdict(r) for r in rows], indent=2)
+    """Full-precision JSON: every row field, with the final iterate and the
+    full ACOC as decimal strings that parse back to identical values."""
+    return json.dumps([_json_fields(r) for r in rows], indent=2)
 
 
 FORMATTERS = {"md": rows_to_markdown, "csv": rows_to_csv, "json": rows_to_json}

@@ -145,6 +145,12 @@ def count_at(poly: tuple, m):
     return total // 6 if isinstance(total, int) else total / 6
 
 
+@lru_cache(maxsize=256)
+def _unit_at(unit: tuple, m: int) -> tuple:
+    """A unit's (evaluations, products, quotients) at m, by ``count_at``."""
+    return tuple(count_at(poly, m) for poly in unit)
+
+
 @dataclass
 class OpCounters:
     """Mutable tallies of the cost-bearing operations of a solve.
@@ -160,7 +166,7 @@ class OpCounters:
 
     def charge(self, unit: tuple, m: int) -> None:
         """Add one call of a count-table unit at dimension m."""
-        evals, products, quotients = (count_at(poly, m) for poly in unit)
+        evals, products, quotients = _unit_at(unit, m)
         self.scalar_fn_evals += evals
         self.products += products
         self.quotients += quotients
@@ -426,8 +432,16 @@ def lu_solve(fact: LUFactorization, b: HPVector | Sequence, counters: OpCounters
     counters.charge(SOLVE_COUNTS, m)
     prec, rnd = fact.prec, mp._prec_rounding[1]
     rows = fact._solve_rows
-    # raw tuples, as in ``lu_factor``: acc -= l_ij y_j, and so on
-    y = [mpf(b[p], prec=prec)._mpf_ for p in fact.perm]
+    # raw tuples, as in ``lu_factor``: acc -= l_ij y_j, and so on; an mpf
+    # entry is read as ``lu_factor`` reads one, any other rounded once
+    y = []
+    for p in fact.perm:
+        e = b[p]
+        if isinstance(e, mpf):
+            t = e._mpf_
+            y.append(t if t[3] <= prec else mpf_pos(t, prec, rnd))
+        else:
+            y.append(mpf(e, prec=prec)._mpf_)
     for i, (lower, _, _) in enumerate(rows):
         acc = y[i]
         for j, t in lower:

@@ -551,6 +551,8 @@ def solve(
                     raise MaxIterationsExceeded(
                         f"outer step {len(corr_norms) + 1} gave a correction of norm {c}"
                     )
+                # divided once: the confirming test and the trace read it
+                ratio = c / corr_norms[-1] if corr_norms else None
             except (DegenerateDividedDifference, SingularOperator) as exc:
                 failure = exc
             # discard the attempt, charging nothing it spent, and run it again:
@@ -561,7 +563,7 @@ def solve(
             short = lu_digits < digits and isinstance(failure, SingularOperator)
             if short or fallback and (
                 failure is not None
-                or c / corr_norms[-1] > threshold
+                or ratio > threshold
                 or _correction_digits(c, x_next) + _CONFIRM_GUARD_DIGITS > digits
             ):
                 counters.scalar_fn_evals, counters.products, counters.quotients = before
@@ -608,6 +610,7 @@ def solve(
                     break
                 # the first step landed on a root: it is the final iterate
                 x_next, c = failure.point, inf_norm(failure.point - x)
+                ratio = c / corr_norms[-1] if corr_norms else None
             else:
                 if not corr_norms:
                     # the stall bound 10^-eta max(1, ||F(x_0)||_inf); 2 * threshold
@@ -618,8 +621,8 @@ def solve(
                 lu_working.append(lu_digits)
             iterates.append(x_next)
             corr_norms.append(c)
-            if len(corr_norms) >= 2:
-                ratios.append(c / corr_norms[-2])
+            if ratio is not None:
+                ratios.append(ratio)
             if failure is not None:
                 break
             if c == 0 or ratios and ratios[-1] <= threshold:

@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 from ddroots.benchmark import (
     RunConfig,
     accuracy_order_ratios,
+    rows_to_json,
     run_row,
     suite_counters,
     suite_operators,
@@ -99,7 +100,7 @@ def test_criterion_3_iteration_counts(full_runs, smoke_runs):
     # on the quadratic system, while adjacent orders differ by a full unit
     smoke_bad = []
     for key, row in smoke_runs.items():
-        if row.error or row.acoc is None or abs(mpf(row.acoc_full) - row.order) > mpf("1e-2"):
+        if row.error or row.acoc is None or abs(row.acoc_full - row.order) > mpf("1e-2"):
             smoke_bad.append(key)
     ok = not bad and not smoke_bad
     _report(
@@ -149,11 +150,12 @@ PINS_4096 = Path(__file__).parent / "data" / "acceptance_4096.sha256"
 
 def _row_digest(row) -> str:
     """SHA-256 of the fields of a row that carry its bits: the final iterate
-    (decimal strings that parse back to the exact binary values), the full
-    ACOC and its spread, the working digits, the counter delta, I and the
-    stop reason."""
+    and the full ACOC (as the JSON writer prints them, decimal strings that
+    parse back to the exact binary values), the ACOC's spread, the working
+    digits, the counter delta, I and the stop reason."""
+    (written,) = json.loads(rows_to_json([row]))
     fields = [
-        row.final_iterate, row.acoc_full, row.acoc_spread, row.working_digits,
+        written["final_iterate"], written["acoc_full"], row.acoc_spread, row.working_digits,
         row.counts_measured, row.iterations, row.stop_reason,
     ]
     return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
@@ -179,7 +181,7 @@ def test_criterion_4_acoc_order_recovery(full_runs):
     expectations[("exp5", PHI2, D2)] = 6
     for key, order in expectations.items():
         row = full_runs[key]
-        if row.acoc_full is None or abs(mpf(row.acoc_full) - order) > mpf("1e-3"):
+        if row.acoc_full is None or abs(row.acoc_full - order) > mpf("1e-3"):
             bad.append((key[0], key[1].value, key[2].value, row.acoc))
     _report(4, not bad, f"ACOC within 1e-3 of the local order on {len(expectations)} runs; failures: {bad}")
 

@@ -22,7 +22,14 @@ from ddroots.cli import main
 from ddroots.core import PrecisionContext, to_decimal
 from ddroots.divdiff import D1, D2, DividedDifferenceKind
 from ddroots.efficiency import cei, cost, estimate_mu, time_factor
-from ddroots.methods import PHI0, PHI2, MaxIterationsExceeded, MethodKind, theoretical_order
+from ddroots.methods import (
+    PHI0,
+    PHI2,
+    MaxIterationsExceeded,
+    MethodKind,
+    solve,
+    theoretical_order,
+)
 from ddroots.problems import REGISTRY
 
 
@@ -130,6 +137,28 @@ def test_json_round_trip(quad2_rows):
             # iteration 1 runs at 80 digits and is kept on these rows
             assert entry["working_digits"][0] == min(entry["digits"], 80)
             assert len(entry["working_digits"]) >= entry["iterations"]
+
+
+def test_a_row_holds_the_reports_values_and_json_prints_them_at_its_digits(quad2_rows):
+    problem = REGISTRY["quad2"]
+    ctx = PrecisionContext(512)
+    for row in quad2_rows:
+        method, dd = MethodKind(row.method), DividedDifferenceKind(row.dd)
+        with ctx.activate():
+            report = solve(
+                problem.build_system(), problem.x0_vector(), method, dd, ctx,
+                order_hint=row.order,
+            )
+        assert [e._mpf_ for e in row.final_iterate] == [e._mpf_ for e in report.final_iterate]
+        assert row.acoc_full._mpf_ == report.acoc._mpf_
+    # the writer formats at each row's digits, not at the ambient precision
+    with mp.workdps(15):
+        payload = json.loads(rows_to_json(quad2_rows))
+        assert mp.dps == 15
+    for row, entry in zip(quad2_rows, payload):
+        with PrecisionContext(row.digits).activate():
+            assert entry["final_iterate"] == [to_decimal(e) for e in row.final_iterate]
+            assert entry["acoc_full"] == to_decimal(row.acoc_full)
 
 
 def test_csv_and_markdown_shapes(quad2_rows):

@@ -7,12 +7,15 @@ from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero
 
 from ddroots.core import (
+    FACTOR_COUNTS,
+    SOLVE_COUNTS,
     HPMatrix,
     HPVector,
     OpCounters,
     PrecisionContext,
     SingularOperator,
     _quotient,
+    count_at,
     inf_norm,
     lu_factor,
     lu_solve,
@@ -23,7 +26,7 @@ from ddroots.core import (
     working_eps,
 )
 import ddroots.methods
-from ddroots.divdiff import D1, NonlinearSystem, operator_for
+from ddroots.divdiff import D1, D2, OPERATOR_COUNTS, RESIDUAL_COUNTS, NonlinearSystem, operator_for
 from ddroots.methods import _LU_GUARD_DIGITS, MethodKind, solve
 from ddroots.problems import REGISTRY
 from digest_sweep import _lu_at_full, _lu_digits_dropped, _record_steps, _trace_digest
@@ -448,8 +451,13 @@ def test_lu_below_the_digits_of_its_matrix_is_the_lu_of_the_rounded_matrix(case,
     with mp.workdps(high):
         a = HPMatrix([[mpf(n) / d for n, d in row] for row in rows])
         rhs = HPVector(mpf(n) / d for n, d in b)
+        strings = rhs.to_decimals()
     with mp.workdps(low):
         assert _lu_outcome(a, rhs) == _lu_outcome(mat_entrywise(operator.pos, a), rhs)
+        # b is read as the matrix is, rounded when wider than the
+        # factorization, and a decimal string is rounded once
+        assert _lu_outcome(a, rhs) == _lu_outcome(a, HPVector(rhs))
+        assert _lu_outcome(a, strings) == _lu_outcome(a, HPVector.from_decimals(strings))
 
 
 @given(nonsingular_matrix(), st.integers(100, 1000))
@@ -575,6 +583,18 @@ def test_counters_snapshot():
     c = OpCounters()
     c.charge(((18,), (12,), (0, 6)), 4)
     assert c.snapshot() == (3, 2, 4)
+
+
+def test_charge_adds_each_count_table_unit_at_its_dimension():
+    units = (FACTOR_COUNTS, SOLVE_COUNTS, RESIDUAL_COUNTS, *OPERATOR_COUNTS[D1],
+             *OPERATOR_COUNTS[D2])
+    c = OpCounters()
+    for m in range(1, 65):
+        for unit in units:
+            before = c.snapshot()
+            c.charge(unit, m)
+            added = tuple(after - b for after, b in zip(c.snapshot(), before))
+            assert added == tuple(count_at(poly, m) for poly in unit), (unit, m)
 
 
 @given(

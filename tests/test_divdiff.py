@@ -284,7 +284,10 @@ def test_eval_charges_one_residual():
 
 def _dense_operator(system, y, x, kind, ends):
     """The operator from chains that evaluate every component at every point:
-    the oracle of the chains that keep values no changed coordinate reaches."""
+    the oracle of the chains that keep values no changed coordinate reaches,
+    for points that fit the working precision.  On wider points the builders
+    store an exact zero where both chains kept a value object, and this
+    dense expression rounds one of the values first."""
     m = system.m
     fx, fy = ends or (None, None)
 

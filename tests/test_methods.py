@@ -1057,15 +1057,24 @@ _DYADIC = {
 
 
 def _dyadic_outcome(name, shift, digits, method, dd):
+    """(I, stop reason, counter deltas), or the SolverError raised, and
+    whether the final iterate meets the ``residual_underflow`` contract."""
     components, start = _DYADIC[name]
     ctx = PrecisionContext(digits)
     with ctx.activate():
         x0 = HPVector(mpf(v) + mpf(shift) / 1000 for v in start)
+        system = NonlinearSystem(len(components), components)
         try:
-            report = solve(NonlinearSystem(len(components), components), x0, method, dd, ctx)
+            report = solve(system, x0, method, dd, ctx)
         except SolverError as exc:
-            return type(exc)
-    return report.iterations, report.stop_reason, report.trace.counter_deltas
+            return type(exc), False
+        final = report.final_iterate
+        fx = system.eval(final)
+        tol = ctx.check_tolerance
+        underflows = inf_norm(fx) <= tol and (
+            not inf_norm(fx) or ddroots.methods._newton_size(system, final, fx) <= tol
+        )
+    return (report.iterations, report.stop_reason, report.trace.counter_deltas), underflows
 
 
 @given(
@@ -1080,17 +1089,29 @@ def _dyadic_outcome(name, shift, digits, method, dd):
 # I = 4, and on a degenerate operator at x_9 with ||F|| = 3.7e-277
 @example(name="x^2 - 1/4", shift=0, digits=1024, method=PHI1, dd=D1)
 @example(name="x^2 - 1 + y, y^2 - y/2", shift=0, digits=1024, method=PHI0, dd=D2)
+# both runs land on the root to 263 digits at x_9, one ulp apart: the ramped
+# one confirms it by a ratio, the fixed one finds a degenerate operator there
+@example(name="x^2 - 1 + y, y^2 - y/2", shift=122, digits=263, method=PHI0, dd=D1)
 def test_a_ramped_solve_reports_what_a_fixed_precision_solve_does(
     name, shift, digits, method, dd
 ):
-    # I, stop reason and counter deltas, or the SolverError raised
-    ramped = _dyadic_outcome(name, shift, digits, method, dd)
+    ramped, ramped_root = _dyadic_outcome(name, shift, digits, method, dd)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ddroots.methods, "_FIRST_STEP_DIGITS", 10**6)
         # every later step at full digits, as after a start-over
         patch.setattr(ddroots.methods, "_plan", lambda *args: _PLAN(*args[:-1], False))
-        fixed = _dyadic_outcome(name, shift, digits, method, dd)
-    assert ramped == fixed
+        fixed, fixed_root = _dyadic_outcome(name, shift, digits, method, dd)
+    landing = {"ratio", "residual_underflow"}
+    if isinstance(ramped, tuple) and isinstance(fixed, tuple) and {ramped[1], fixed[1]} == landing:
+        # a landing on the root: the same I and the same deltas for the I
+        # kept iterations, and a final iterate that the residual_underflow
+        # contract accepts either way
+        iterations = ramped[0]
+        assert fixed[0] == iterations
+        assert ramped[2][:iterations] == fixed[2][:iterations]
+        assert ramped_root and fixed_root
+    else:
+        assert ramped == fixed
 
 
 # a fixed-precision solve leaves relative errors of 1.4e-977 and 1.5e-554
