@@ -39,9 +39,10 @@ class DegenerateDividedDifference(SolverError):
     epsilon times max(1, |x_j|).  In the iterative methods that pair is the
     probe pair x -/+ F(x), so some f_j is negligible against x_j, or an
     iterate pair.  The builders raise it with a message only; ``central_dd``
-    and ``step_phi1`` then set ``residual`` to F at ``point`` (``point``
-    None: the iterate the step started from), so a caller can tell a root
-    from a zero of one equation.  Both attributes default to None.
+    and ``methods._outer_step`` then set ``residual`` to F at ``point``
+    (``point`` None: the iterate the step started from), so a caller can
+    tell a root from a zero of one equation.  Both attributes default to
+    None.
     """
 
     residual: Optional[HPVector] = None
@@ -102,6 +103,11 @@ class NonlinearSystem:
             raise ValueError(f"dimension must be at least 1, as an integer, got {m!r}")
         if len(components) != m:
             raise ValueError(f"expected {m} components, got {len(components)}")
+        if reference_root is not None and not isinstance(reference_root, HPVector):
+            raise ValueError(
+                f"the reference root is a {type(reference_root).__name__}, not an "
+                "HPVector built under the solve's precision"
+            )
         if reference_root is not None and len(reference_root) != m:
             raise ValueError(
                 f"the reference root has {len(reference_root)} entries "
@@ -393,9 +399,8 @@ def central_dd(
 ) -> tuple[HPMatrix, HPVector]:
     """Derivative-free Jacobian substitute on the probe pair x -/+ F(x).
 
-    The operator is built on (x - F(x), x + F(x)), in that argument order;
-    the one-sided construction is not symmetric in its arguments and this
-    orientation is the one the published iteration counts pin down.  Returns
+    The operator is built on (x - F(x), x + F(x)), in that argument order,
+    the one ``methods._outer_step`` gives the reason for.  Returns
     the operator together with F(x), a ``Residual`` carrying its read sets,
     so the caller evaluates the residual exactly once per outer iteration.
     Raises DegenerateDividedDifference, carrying F(x), when the two probe

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,8 +82,9 @@ def theoretical_order(method: MethodKind, dd_kind: DividedDifferenceKind) -> int
 
 # How many of each count-table unit one outer iteration charges: fresh
 # operator builds, supplied builds, residuals, factorizations and
-# triangular-pair solves.  The units are written beside the routines that
-# charge them, in ``core`` and ``divdiff``.
+# triangular-pair solves; ``_outer_step`` runs one correction per solve after
+# the first.  The units are written beside the routines that charge them, in
+# ``core`` and ``divdiff``.
 _METHOD_STEPS = {
     PHI0: (1, 0, 1, 1, 1),
     PHI1: (1, 1, 2, 2, 2),
@@ -176,15 +176,6 @@ class SolveReport:
     correct_decimals: Optional[int] = None
 
 
-def _lu_precision(lu_digits: Optional[int]):
-    """The precision of a step's factorizations and triangular solves:
-    ``lu_digits`` when it is below the active digits, the active one
-    otherwise."""
-    if lu_digits is None or lu_digits >= mp.dps:
-        return nullcontext()
-    return mp.workdps(lu_digits)
-
-
 def _corrected(
     x: HPVector,
     fact: LUFactorization,
@@ -218,79 +209,13 @@ def _corrected(
     return x - s
 
 
-def step_phi0(
-    system: NonlinearSystem,
-    x: HPVector,
-    dd_kind: DividedDifferenceKind,
-    counters: OpCounters,
-    lu_digits: Optional[int] = None,
-) -> tuple[HPVector, HPMatrix, HPVector]:
-    """Newton-like step with the central divided difference.
-
-    Returns the new iterate together with the central operator and F(x),
-    both of which the higher-order steps reuse.  The operator, F(x) and
-    x - correction are computed at the active precision, the factorization
-    and the solve at ``lu_digits`` when it is below it; there a solve that
-    does not resolve its correction raises SingularOperator (see
-    ``_corrected``).
-    """
-    op, fx = central_dd(system, x, dd_kind, counters)
-    with _lu_precision(lu_digits):
-        fact = lu_factor(op, counters)
-    return _corrected(x, fact, fx, counters), op, fx
-
-
-def step_phi1(
-    system: NonlinearSystem,
-    x: HPVector,
-    y: HPVector,
-    central: HPMatrix,
-    fx: HPVector,
-    dd_kind: DividedDifferenceKind,
-    counters: OpCounters,
-    lu_digits: Optional[int] = None,
-) -> tuple[HPVector, LUFactorization]:
-    """Correction step z = y - M^{-1} F(y), M = 2 (dd on the iterate pair) - central.
-
-    The iterate-pair operator is oriented from the newer iterate back to x,
-    mirroring the central operator's orientation; for the one-sided kind the
-    two orientations differ in second-order terms and this is the one the
-    published accuracy columns pin down.  F(x) and F(y) are supplied to the
-    build with their read sets, so only mixed-coordinate points that some
-    changed coordinate reaches cost fresh evaluations.  M is formed over
-    the union of the two operators' nonzeros at the active precision, and
-    factored and solved at ``lu_digits``, as in ``step_phi0``.  Returns z
-    and the factorization of M, which the third step reuses verbatim.  A
-    pair that coincides in a coordinate raises DegenerateDividedDifference
-    carrying y and F(y), so a caller can tell whether y is a root.
-    """
-    fy = system.eval(y, counters)
-    try:
-        op_pair = operator_for(dd_kind)(system, x, y, counters, ends=(fy, fx))
-    except DegenerateDividedDifference as exc:
-        exc.residual, exc.point = fy, y
-        raise
-    # doubling is a shift-add, not a counted product
-    combined = mat_entrywise(lambda b, a: 2 * b - a, op_pair, central)
-    with _lu_precision(lu_digits):
-        fact_nu = lu_factor(combined, counters)
-    return _corrected(y, fact_nu, fy, counters), fact_nu
-
-
-def step_phi2(
-    system: NonlinearSystem,
-    z: HPVector,
-    fact_nu: LUFactorization,
-    counters: OpCounters,
-) -> HPVector:
-    """Extra correction X = z - M^{-1} F(z) reusing the second-step factorization.
-
-    Marginal cost per iteration: one ``RESIDUAL_COUNTS`` and one
-    ``SOLVE_COUNTS``.  The solve runs at the precision ``fact_nu`` was
-    factored at.
-    """
-    fz = system.eval(z, counters)
-    return _corrected(z, fact_nu, fz, counters)
+def _factored(a: HPMatrix, counters: OpCounters, lu_digits: int) -> LUFactorization:
+    """``a``'s factorization at ``lu_digits``, or at the active precision
+    when that holds fewer digits."""
+    if lu_digits >= mp.dps:
+        return lu_factor(a, counters)
+    with mp.workdps(lu_digits):
+        return lu_factor(a, counters)
 
 
 def _outer_step(
@@ -299,17 +224,44 @@ def _outer_step(
     method: MethodKind,
     dd_kind: DividedDifferenceKind,
     counters: OpCounters,
-    lu_digits: Optional[int] = None,
+    lu_digits: int,
 ) -> tuple[HPVector, HPVector]:
-    """The next iterate, and F(x), with every factorization and solve at
-    ``lu_digits``."""
-    y, central, fx = step_phi0(system, x, dd_kind, counters, lu_digits)
-    if method is PHI0:
+    """One outer iteration of ``method`` from x: the next iterate, and F(x).
+
+    y = x - A^{-1} F(x), with A and F(x) from ``central_dd``.  A is built on
+    (x - F(x), x + F(x)) in that order: the one-sided operator is not
+    symmetric in its arguments, and this orientation is the one the
+    published iteration counts pin down.  phi1 and phi2 then factor
+    M = 2 [y, x; F] - A once and run the ``_METHOD_STEPS`` row's solves
+    less one corrections z <- z - M^{-1} F(z) from z = y, the first reusing
+    F(y).  [y, x; F] runs from y back to x, mirroring A; for the one-sided
+    kind the two orientations differ in second-order terms, and this is the
+    one the published accuracy columns pin down.  It takes F(y) and F(x) as
+    ends with their read sets, so only points that a changed coordinate
+    reaches cost fresh evaluations; a pair that coincides in a coordinate
+    raises DegenerateDividedDifference carrying y and F(y), so a caller can
+    tell whether y is a root.  Evaluations, operators, 2b - a and each
+    z - correction run at the active precision, every factorization and
+    solve at ``lu_digits`` when it is below it; there a solve that does not
+    resolve its correction raises SingularOperator (see ``_corrected``).
+    """
+    central, fx = central_dd(system, x, dd_kind, counters)
+    y = _corrected(x, _factored(central, counters, lu_digits), fx, counters)
+    corrections = _METHOD_STEPS[method][4] - 1
+    if not corrections:
         return y, fx
-    z, fact_nu = step_phi1(system, x, y, central, fx, dd_kind, counters, lu_digits)
-    if method is PHI1:
-        return z, fx
-    return step_phi2(system, z, fact_nu, counters), fx
+    fy = system.eval(y, counters)
+    try:
+        pair = operator_for(dd_kind)(system, x, y, counters, ends=(fy, fx))
+    except DegenerateDividedDifference as exc:
+        exc.residual, exc.point = fy, y
+        raise
+    # doubling is a shift-add, not a counted product
+    fact = _factored(mat_entrywise(lambda b, a: 2 * b - a, pair, central), counters, lu_digits)
+    z = _corrected(y, fact, fy, counters)
+    for _ in range(corrections - 1):
+        z = _corrected(z, fact, system.eval(z, counters), counters)
+    return z, fx
 
 
 # Precision ramp.  After a correction of norm 10^(-D) the current iterate is

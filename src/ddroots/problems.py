@@ -509,7 +509,9 @@ def generate_reference_root(
         )
         best = report.trace.iterates[-1]
         if report.stop_reason == "ratio" and report.trace.working_digits[-1] < ctx.digits:
-            best, _ = _outer_step(system, report.final_iterate, PHI2, D2, report.counters)
+            best, _ = _outer_step(
+                system, report.final_iterate, PHI2, D2, report.counters, ctx.digits
+            )
         for value, printed in zip(best, spec.root_printed):
             if not printed_prefix_matches(value, printed):
                 raise ValueError(

@@ -174,7 +174,7 @@ def _record_steps(monkeypatch) -> list:
     calls = []
     outer_step = ddroots.methods._outer_step
 
-    def recording(system, x, method, dd_kind, counters, lu_digits=None):
+    def recording(system, x, method, dd_kind, counters, lu_digits):
         calls.append((x, mp.dps, lu_digits, None))
         try:
             return outer_step(system, x, method, dd_kind, counters, lu_digits)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import ddroots
 from ddroots.cli import main
 
 GOLDEN = Path(__file__).parent / "data"
@@ -19,6 +20,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_every_exported_name_resolves_on_the_package_once():
+    # a stale name in __all__ breaks ``from ddroots import *``
+    assert [n for n in ddroots.__all__ if not hasattr(ddroots, n)] == []
+    assert len(set(ddroots.__all__)) == len(ddroots.__all__)
 
 
 def test_run_json(capsys):

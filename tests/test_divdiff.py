@@ -101,6 +101,13 @@ def test_system_refuses_a_reference_root_of_another_dimension():
             NonlinearSystem(2, components, reference_root=wrong)
         with pytest.raises(ValueError, match="reference root has 1 entries .* dimension 2"):
             NonlinearSystem(2, components).with_reference_root(wrong)
+        # of the right length but no HPVector: solve would fail only at its end
+        printed = spec.root_printed
+        for root, kind in ((list(printed), "list"), (tuple(map(mpf, printed)), "tuple")):
+            with pytest.raises(ValueError, match=f"reference root is a {kind}, not an HPVector"):
+                NonlinearSystem(2, components, reference_root=root)
+            with pytest.raises(ValueError, match=f"reference root is a {kind}, not an HPVector"):
+                NonlinearSystem(2, components).with_reference_root(root)
         # measured against the 1-vector, this solve would report q = 9
         report = solve(spec.build_system(), spec.x0_vector(), MethodKind.PHI0, D1, ctx)
     assert report.correct_decimals == 51

@@ -15,6 +15,7 @@ from ddroots.core import (
     SolverError,
     count_at,
     inf_norm,
+    mat_entrywise,
 )
 from ddroots.divdiff import (
     D1,
@@ -37,11 +38,9 @@ from ddroots.methods import (
     MaxIterationsExceeded,
     MethodKind,
     PrecisionChanged,
+    _outer_step,
     expected_iteration_counts,
     solve,
-    step_phi0,
-    step_phi1,
-    step_phi2,
     theoretical_order,
 )
 from ddroots.problems import REGISTRY, broyden_tridiagonal
@@ -134,7 +133,7 @@ def test_marginal_counts_third_step():
 def test_scalar_first_step_example():
     with PrecisionContext(96).activate():
         f = NonlinearSystem(1, [lambda p: p[0] * p[0] - 1])
-        y, _, fx = step_phi0(f, HPVector(["2"]), D1, OpCounters())
+        y, fx = _outer_step(f, HPVector(["2"]), PHI0, D1, OpCounters(), 96)
         assert y[0] == mpf("1.25")
         assert fx[0] == 3
 
@@ -169,29 +168,62 @@ def test_steps_compose_like_solve():
         counters = OpCounters()
         # solve runs iteration 1 at 80 digits, and keeps it here
         with mp.workdps(80):
-            y, central, fx = step_phi0(system, x, D2, counters)
-            z, fact_nu = step_phi1(system, x, y, central, fx, D2, counters)
-            x_next = step_phi2(system, z, fact_nu, counters)
+            x_next, _ = _outer_step(system, x, PHI2, D2, counters, 80)
         assert counters.snapshot() == expected_iteration_counts(PHI2, D2, 2)
         report = solve(system, x, PHI2, D2, ctx, max_iters=5)
-        assert report.trace.working_digits[0] == 80
+        assert report.trace.working_digits[0] == report.trace.lu_digits[0] == 80
         assert report.trace.iterates[1].entries == x_next.entries
 
 
 @pytest.mark.parametrize("name", ["quad2", "exp5"])
 @pytest.mark.parametrize("dd", [D1, D2])
-def test_first_step_returns_the_central_operator(name, dd):
-    # step_phi1 builds M = 2 (pair operator) - central from this matrix
+def test_first_step_returns_the_central_operator(name, dd, monkeypatch):
+    # M = 2 (pair operator) - A is formed from central_dd's operator A
+    operands = []
+
+    def recording(fn, *matrices):
+        operands.append(matrices)
+        return mat_entrywise(fn, *matrices)
+
+    monkeypatch.setattr(ddroots.methods, "mat_entrywise", recording)
     with PrecisionContext(128).activate():
         spec = REGISTRY[name]
         system = spec.build_system(with_reference=False)
         x = spec.x0_vector()
-        _, central, fx = step_phi0(system, x, dd, OpCounters())
+        fxs = [_outer_step(system, x, method, dd, OpCounters(), 128)[1] for method in (PHI1, PHI2)]
         want, want_fx = central_dd(system, x, dd, OpCounters())
+    assert len(operands) == 2
+    for (_, central), fx in zip(operands, fxs):
         assert [[e._mpf_ for e in row] for row in central.rows] == [
             [e._mpf_ for e in row] for row in want.rows
         ]
         assert [e._mpf_ for e in fx] == [e._mpf_ for e in want_fx]
+
+
+@pytest.mark.parametrize(
+    "method, evals, factors, solves", [(PHI0, 1, 1, 1), (PHI1, 2, 2, 2), (PHI2, 3, 2, 3)]
+)
+def test_one_outer_step_evaluates_factors_and_solves_as_the_paper_counts(
+    method, evals, factors, solves, monkeypatch
+):
+    # written out, not read from _METHOD_STEPS, so a wrong row of it fails
+    calls = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(ddroots.methods, "lu_factor", counting("factor", ddroots.methods.lu_factor))
+    monkeypatch.setattr(ddroots.methods, "lu_solve", counting("solve", ddroots.methods.lu_solve))
+    with PrecisionContext(128).activate():
+        spec = REGISTRY["cos3"]
+        system = spec.build_system(with_reference=False)
+        system.eval = counting("eval", system.eval)
+        _outer_step(system, spec.x0_vector(), method, D2, OpCounters(), 128)
+    assert calls == {"eval": evals, "factor": factors, "solve": solves}
 
 
 def test_first_step_contracts_toward_printed_root():
@@ -201,7 +233,7 @@ def test_first_step_contracts_toward_printed_root():
         system = spec.build_system(with_reference=False)
         alpha = HPVector.from_decimals(spec.root_printed)
         x0 = spec.x0_vector()
-        y, _, _ = step_phi0(system, x0, D1, OpCounters())
+        y, _ = _outer_step(system, x0, PHI0, D1, OpCounters(), 256)
         assert inf_norm(y - alpha) < inf_norm(x0 - alpha)
 
 
@@ -509,7 +541,7 @@ def test_a_landing_after_non_contracting_corrections_is_convergence(monkeypatch)
     # at least 1 in a row, and the landing still ends the run before the
     # divergence guard sees it.  The landing below full precision starts
     # the solve over once, without the ramp
-    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
+    def scripted(system, x, method, dd_kind, counters, lu_digits):
         if x[0] == mpf("0.5"):
             exc = DegenerateDividedDifference("scripted")
             exc.residual = exc.point = HPVector([0])
@@ -913,7 +945,7 @@ def test_a_predicted_step_that_does_not_confirm_reruns_at_the_ramps_digits(monke
     predicted = _record_predictions(monkeypatch)
     outer_step = ddroots.methods._outer_step
 
-    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
+    def scripted(system, x, method, dd_kind, counters, lu_digits):
         x_next, fx = outer_step(system, x, method, dd_kind, counters, lu_digits)
         if not predicted or mp.dps != predicted[-1]:
             return x_next, fx
@@ -1026,7 +1058,7 @@ def test_an_exact_repeat_below_full_precision_starts_over(monkeypatch):
     # the 80-digit iteration 1 starts over with the ramp, the repeat of the
     # ramped iteration 2 starts over without it, and only the 256-digit
     # repeat stops the run
-    def scripted(system, x, method, dd_kind, counters, lu_digits=None):
+    def scripted(system, x, method, dd_kind, counters, lu_digits):
         if mp.dps < 256 or x[0] != 1:
             return x, system.eval(x)
         return HPVector(["0.5"]), system.eval(x)
